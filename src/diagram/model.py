@@ -108,6 +108,8 @@ class DiagramModel:
             "content": Linear(n + d, t[0], "tanh", rng),
             "directed": Linear(n, t[0], "tanh", rng),
         }
+        for head in self.heads.values():
+            head.input_grad = False  # their inputs are data rows
         self.encoder_trunk = [Linear(t[i], t[i + 1], "tanh", rng) for i in range(len(t) - 1)]
         self.embed = Linear(t[-1], k, "tanh", rng)
         dec_dims = tuple(reversed(t))
@@ -198,13 +200,12 @@ class DiagramModel:
         recon = run(self.recon_for(channel), h, False)
         return emb, recon, steps
 
-    def _backward(self, steps, d_recon: np.ndarray) -> np.ndarray:
+    def _backward(self, steps, d_recon: np.ndarray) -> None:
         d = d_recon
         for layer, cache, mask in reversed(steps):
             if mask is not None:
                 d = d * mask
             d = layer.backward(cache, d)
-        return d
 
     def channel_forward(self, channel: str, x: np.ndarray, training: bool = False,
                         dropout: float = 0.0, rng: np.random.Generator | None = None):
@@ -520,8 +521,11 @@ def load_model(path):
     tensors, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "diagram-model":
         raise EmbeddingFormatError(f"{path} is not a model checkpoint")
-    model = DiagramModel(meta["node_count"], meta["feature_dim"],
-                         tuple(meta["trunk_dims"]), meta["embedding_dim"])
+    try:
+        model = DiagramModel(meta["node_count"], meta["feature_dim"],
+                             tuple(meta["trunk_dims"]), meta["embedding_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EmbeddingFormatError(f"{path}: bad model header: {exc!r}") from exc
     params = model.parameters()
     if set(params) != set(tensors):
         raise EmbeddingFormatError(f"{path}: tensor names do not match architecture")
@@ -588,13 +592,20 @@ def _import_text(text: str, path) -> EmbeddingSet:
     head = lines[0].split()
     if len(head) < 6 or " ".join(head[:2]) != _TEXT_MAGIC:
         raise EmbeddingFormatError(f"{path}: bad header {lines[0]!r}")
-    n, k = int(head[2]), int(head[3])
+    try:
+        n, k = int(head[2]), int(head[3])
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: bad n or k in header {lines[0]!r}") from exc
+    if n < 0 or k < 0:
+        raise EmbeddingFormatError(f"{path}: negative n or k in header {lines[0]!r}")
     variant, fingerprint = head[4], head[5]
     if fingerprint == "-":
         fingerprint = ""
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n:
         raise EmbeddingFormatError(f"{path}: expected {n} rows, found {len(body)}")
+    if 3 * n * k > len(text):  # each value takes a character: bounds the allocation
+        raise EmbeddingFormatError(f"{path}: header n={n}, k={k} exceeds the file size")
     ids = []
     z = np.empty((n, k))
     o = np.empty((n, k))
@@ -606,7 +617,10 @@ def _import_text(text: str, path) -> EmbeddingSet:
                 f"{path}: row {r} has {len(parts) - 1} values, header says k={k}"
             )
         ids.append(parts[0])
-        vals = np.array([float(tok) for tok in parts[1:]])
+        try:
+            vals = np.array([float(tok) for tok in parts[1:]])
+        except ValueError as exc:
+            raise EmbeddingFormatError(f"{path}: row {r}: {exc}") from exc
         z[r], o[r], i[r] = vals[:k], vals[k:2 * k], vals[2 * k:]
     return EmbeddingSet(z, o, i, ids, variant, fingerprint)
 
@@ -621,8 +635,14 @@ def _import_binary(raw: bytes, path) -> EmbeddingSet:
     chunk, off = take(raw, off, 8)
     hlen = struct.unpack("<Q", chunk)[0]
     chunk, off = take(raw, off, hlen)
-    header = json.loads(chunk.decode("utf-8"))
-    n, k = header["n"], header["k"]
+    try:
+        header = json.loads(chunk.decode("utf-8"))
+        n, k = header["n"], header["k"]
+        node_ids, variant = list(header["node_ids"]), header["variant"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise EmbeddingFormatError(f"{path}: bad binary header: {exc!r}") from exc
+    if not (isinstance(n, int) and isinstance(k, int) and n >= 0 and k >= 0):
+        raise EmbeddingFormatError(f"{path}: bad n={n!r} or k={k!r} in binary header")
     mats = []
     for _ in range(3):
         chunk, off = take(raw, off, 8)
@@ -633,8 +653,11 @@ def _import_binary(raw: bytes, path) -> EmbeddingSet:
             )
         chunk, off = take(raw, off, blen)
         mats.append(np.frombuffer(chunk, dtype="<f8").reshape(n, k).copy())
-    return EmbeddingSet(mats[0], mats[1], mats[2], list(header["node_ids"]),
-                        header["variant"], header.get("fingerprint", ""))
+    try:
+        return EmbeddingSet(mats[0], mats[1], mats[2], node_ids, variant,
+                            header.get("fingerprint", ""))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: {exc}") from exc
 
 
 def import_embeddings(path) -> EmbeddingSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 
@@ -29,6 +30,8 @@ class Linear:
     consumes the cache, accumulates into ``grad_W`` / ``grad_b`` and
     returns the gradient w.r.t. the input. Accumulation (rather than
     assignment) is what lets several channels share one trunk layer.
+    A layer fed by constant data sets ``input_grad = False``; its
+    ``backward`` then skips the ``dz @ W`` product and returns ``None``.
     """
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "tanh",
@@ -40,6 +43,7 @@ class Linear:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
+        self.input_grad = True
         if rng is None:
             self.W = np.zeros((out_dim, in_dim))
         else:
@@ -59,7 +63,7 @@ class Linear:
         y = np.tanh(z) if self.activation == "tanh" else z
         return y, (x, y)
 
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray | None:
         x, y = cache
         if dout.shape != y.shape:
             raise ValueError(
@@ -68,7 +72,7 @@ class Linear:
         dz = dout * (1.0 - y * y) if self.activation == "tanh" else dout
         self.grad_W += dz.T @ x
         self.grad_b += dz.sum(axis=0)
-        return dz @ self.W
+        return dz @ self.W if self.input_grad else None
 
     def zero_grad(self) -> None:
         self.grad_W[...] = 0.0
@@ -120,7 +124,23 @@ def apply_dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer, updating params in place."""
+    """Bias-corrected adaptive-moment optimizer, updating params in place.
+
+    ``step`` sweeps each tensor in blocks of ``BLOCK`` values through two
+    preallocated block-sized scratch buffers, so a step allocates nothing
+    and its temporaries stay in cache. Per element it runs the textbook
+    expressions ``m += (1-b1)(g-m)``, ``v += (1-b2)(g*g-v)`` and
+    ``p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)`` as the same correctly rounded
+    operations in the same order as the unblocked form, so parameters and
+    moments are bit-identical to it. Moments stay per-name tensors: one
+    flat buffer for all parameters measured no faster and would reach
+    into model construction, ``copy()`` and checkpoints.
+
+    A step is atomic: every gradient's shape and finiteness is checked
+    before ``t``, a moment or a parameter changes.
+    """
+
+    BLOCK = 1 << 14
 
     def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -131,24 +151,55 @@ class Adam:
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._buf = np.empty((2, self.BLOCK))
+        self._finite = np.empty(self.BLOCK, dtype=bool)
+
+    def _check(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not p.flags.c_contiguous:  # the sweep updates p through a flat view
+            raise ValueError(f"parameter {name} is not C-contiguous")
+        flat = g.reshape(-1)
+        for lo in range(0, flat.size, self.BLOCK):
+            blk = flat[lo:lo + self.BLOCK]
+            ok = self._finite[:blk.size]
+            np.isfinite(blk, out=ok)
+            if not ok.all():
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        for name, p in params.items():
+            self._check(name, p, grads[name])
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
+        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
         for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            mhat = m / b1t
-            vhat = v / b2t
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+            pf = p.reshape(-1)
+            gf = grads[name].reshape(-1)
+            mf = self._m[name].reshape(-1)
+            vf = self._v[name].reshape(-1)
+            for lo in range(0, pf.size, self.BLOCK):
+                hi = lo + self.BLOCK
+                g, m, v, q = gf[lo:hi], mf[lo:hi], vf[lo:hi], pf[lo:hi]
+                a, b = self._buf[0, :g.size], self._buf[1, :g.size]
+                np.subtract(g, m, out=a)
+                a *= c1
+                m += a
+                np.multiply(g, g, out=a)
+                a -= v
+                a *= c2
+                v += a
+                np.divide(m, b1t, out=a)
+                a *= self.lr
+                np.divide(v, b2t, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                q -= a
 
 
 def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5,
@@ -208,15 +259,24 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path):
     """Inverse of :func:`save_checkpoint`; returns (tensors, meta)."""
+    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
+    # compression method or version as NotImplementedError, and a bogus
+    # encryption flag as RuntimeError.
     try:
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
+            RuntimeError) as exc:
         raise EmbeddingFormatError(f"cannot read checkpoint {path}: {exc}") from exc
     raw = arrays.pop("__meta__", None)
     if raw is None:
         raise EmbeddingFormatError(f"checkpoint {path} has no meta block")
-    meta = json.loads(raw.tobytes().decode("utf-8"))
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"checkpoint {path} has a bad meta block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise EmbeddingFormatError(f"checkpoint {path} meta block is not an object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise EmbeddingFormatError(
             f"checkpoint {path} has version {meta.get('version')}, "

@@ -5,7 +5,7 @@ import pytest
 
 import diagram.model as gm
 from diagram.data import DirectedGraph, build_undirected_union
-from diagram.exceptions import EmbeddingFormatError, TrainingError
+from diagram.exceptions import DiagramError, EmbeddingFormatError, TrainingError
 from diagram.model import (
     CHANNELS,
     DiagramModel,
@@ -26,7 +26,7 @@ from diagram.model import (
     train_edge_model,
     train_node_model,
 )
-from diagram.nn import finite_diff_check, masked_sq_error
+from diagram.nn import finite_diff_check, masked_sq_error, save_checkpoint
 
 from conftest import random_features
 
@@ -451,6 +451,90 @@ class TestEmbeddingIO:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(EmbeddingFormatError, match="truncated"):
             import_embeddings(path)
+
+    @staticmethod
+    def _rewrite_header(path, index, value):
+        lines = path.read_text().splitlines()
+        parts = lines[0].split()
+        parts[index] = value
+        path.write_text("\n".join([" ".join(parts)] + lines[1:]) + "\n")
+
+    @pytest.mark.parametrize("index,value", [(2, "three"), (3, "2.5"), (3, "-2"),
+                                             (3, "10" * 10)])
+    def test_bad_n_or_k_in_text_header_is_typed_error(self, tmp_path, index, value):
+        path = tmp_path / "emb.tsv"
+        export_embeddings(self._random_set(n=3, k=2), path, "text")
+        self._rewrite_header(path, index, value)
+        with pytest.raises(EmbeddingFormatError, match="emb.tsv"):
+            import_embeddings(path)
+
+    def test_bad_float_in_text_row_is_typed_error(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        export_embeddings(self._random_set(n=3, k=2), path, "text")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " 0.5x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(EmbeddingFormatError, match="emb.tsv: row 1"):
+            import_embeddings(path)
+
+    @staticmethod
+    def _binary_with_header(path, header: bytes):
+        raw = path.read_bytes()
+        magic = gm._BIN_MAGIC
+        hlen = int.from_bytes(raw[len(magic):len(magic) + 8], "little")
+        rest = raw[len(magic) + 8 + hlen:]
+        path.write_bytes(magic + len(header).to_bytes(8, "little") + header + rest)
+
+    @pytest.mark.parametrize("header", [
+        b"{not json",                                    # JSONDecodeError
+        b'{"n": 3, "k": 2, "variant": "edge"}',          # missing node_ids
+        b'["n", "k"]',                                   # not an object
+        b'{"n": 3.0, "k": 2, "variant": "e", "node_ids": ["a", "b", "c"]}',
+        b'{"n": 3, "k": 2, "variant": "e", "node_ids": ["a"]}',
+    ])
+    def test_bad_binary_header_is_typed_error(self, tmp_path, header):
+        path = tmp_path / "emb.bin"
+        export_embeddings(self._random_set(n=3, k=2), path, "binary")
+        self._binary_with_header(path, header)
+        with pytest.raises(EmbeddingFormatError, match="emb.bin"):
+            import_embeddings(path)
+
+    def test_checkpoint_missing_header_key_is_typed_error(self, tmp_path, toy_graph,
+                                                          toy_features):
+        path = tmp_path / "m.npz"
+        model = small_model(toy_graph, toy_features)
+        save_checkpoint(path, model.parameters(), {"kind": "diagram-model", "node_count": 6})
+        with pytest.raises(EmbeddingFormatError, match="m.npz"):
+            load_model(path)
+
+    def test_fuzzed_artifacts_raise_only_diagram_errors(self, tmp_path, toy_graph,
+                                                        toy_features):
+        # truncations and byte flips at a deterministic stride
+        model = small_model(toy_graph, toy_features)
+        emb = self._random_set(n=4, k=2)
+        artifacts = {"emb.tsv": lambda p: export_embeddings(emb, p, "text"),
+                     "emb.bin": lambda p: export_embeddings(emb, p, "binary"),
+                     "model.npz": lambda p: save_model(p, model, {"variant": "node"})}
+        loaders = {"emb.tsv": import_embeddings, "emb.bin": import_embeddings,
+                   "model.npz": load_model}
+        for name, write in artifacts.items():
+            path = tmp_path / name
+            write(path)
+            raw = path.read_bytes()
+            stride = max(1, len(raw) // 150)
+            variants = [raw[:cut] for cut in range(0, len(raw), stride)]
+            for pos in range(0, len(raw), stride):
+                for mask in (0x01, 0x20, 0xFF):
+                    flipped = bytearray(raw)
+                    flipped[pos] ^= mask
+                    variants.append(bytes(flipped))
+            bad = tmp_path / f"bad-{name}"
+            for data in variants:
+                bad.write_bytes(data)
+                try:
+                    loaders[name](bad)
+                except DiagramError:
+                    pass
 
     def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=13)

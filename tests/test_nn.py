@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from diagram.exceptions import TrainingError
+import diagram.model as gm
+from diagram.exceptions import EmbeddingFormatError, TrainingError
+from diagram.model import TrainConfig, train_edge_model, train_node_model
 from diagram.nn import (
     Adam,
     Linear,
@@ -15,6 +17,44 @@ from diagram.nn import (
     masked_sq_error,
     save_checkpoint,
 )
+
+
+class ReferenceAdam:
+    """The unblocked dict-based Adam step, kept as the bit-identity oracle."""
+
+    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name}")
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            m = self._m.setdefault(name, np.zeros_like(p))
+            v = self._v.setdefault(name, np.zeros_like(p))
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            mhat = m / b1t
+            vhat = v / b2t
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def assert_bytes_equal(a: dict, b: dict) -> None:
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
 
 
 class TestLinearForward:
@@ -82,6 +122,22 @@ class TestLinearBackward:
         err = finite_diff_check(loss_fn, [layer.W, layer.b],
                                 [layer.grad_W, layer.grad_b])
         assert err < 1e-7
+
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    def test_input_grad_off_returns_none_and_same_param_grads(self, activation):
+        rng = np.random.default_rng(8)
+        layer = Linear(5, 4, activation=activation, rng=rng)
+        x = rng.normal(size=(3, 5))
+        dout = rng.normal(size=(3, 4))
+        y, cache = layer.forward(x)
+        layer.zero_grad()
+        assert layer.backward(cache, dout).shape == x.shape
+        grads_on = (layer.grad_W.copy(), layer.grad_b.copy())
+        layer.input_grad = False
+        layer.zero_grad()
+        assert layer.backward(cache, dout) is None
+        assert layer.grad_W.tobytes() == grads_on[0].tobytes()
+        assert layer.grad_b.tobytes() == grads_on[1].tobytes()
 
     def test_gradients_accumulate_across_calls(self):
         rng = np.random.default_rng(9)
@@ -214,6 +270,78 @@ class TestAdam:
         with pytest.raises(TrainingError, match="'w_bad'"):
             opt.step({"w_bad": np.zeros(2)}, {"w_bad": np.array([1.0, np.nan])})
 
+    def test_non_finite_last_tensor_leaves_state_unchanged(self):
+        rng = np.random.default_rng(3)
+        p = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=Adam.BLOCK + 5),
+             "c": rng.normal(size=2)}
+        opt = Adam(lr=1e-3)
+        opt.step(p, {k: rng.normal(size=v.shape) for k, v in p.items()})
+        before = ({k: v.copy() for k, v in p.items()},
+                  {k: v.copy() for k, v in opt._m.items()},
+                  {k: v.copy() for k, v in opt._v.items()}, opt.t)
+        grads = {k: rng.normal(size=v.shape) for k, v in p.items()}
+        grads["c"][1] = np.inf
+        with pytest.raises(TrainingError, match="'c'"):
+            opt.step(p, grads)
+        assert opt.t == before[3]
+        assert_bytes_equal(p, before[0])
+        assert_bytes_equal(opt._m, before[1])
+        assert_bytes_equal(opt._v, before[2])
+
+    def test_non_finite_first_step_creates_no_moments(self):
+        opt = Adam()
+        p = {"a": np.ones(3), "b": np.ones(2)}
+        with pytest.raises(TrainingError, match="'b'"):
+            opt.step(p, {"a": np.ones(3), "b": np.array([np.nan, 0.0])})
+        assert opt.t == 0 and opt._m == {} and opt._v == {}
+        assert np.array_equal(p["a"], np.ones(3))
+
+    def test_non_contiguous_parameter_rejected_before_update(self):
+        opt = Adam()
+        p = {"a": np.ones(3), "b": np.ones((4, 3)).T}
+        with pytest.raises(ValueError, match="b is not C-contiguous"):
+            opt.step(p, {"a": np.ones(3), "b": np.ones((3, 4))})
+        assert opt.t == 0 and np.array_equal(p["a"], np.ones(3))
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (Adam.BLOCK,), (3 * Adam.BLOCK + 777,), (16, 4141),
+    ])
+    def test_bit_identical_to_reference(self, shape):
+        rng = np.random.default_rng(11)
+        p_new = {"w": rng.normal(size=shape), "b": rng.normal(size=shape[-1])}
+        p_ref = {k: v.copy() for k, v in p_new.items()}
+        opt, ref = Adam(lr=1e-3), ReferenceAdam(lr=1e-3)
+        for _ in range(20):
+            # heavy-tailed gradients with exact zeros exercise every rounding path
+            grads = {k: rng.standard_cauchy(size=v.shape) * (rng.random(v.shape) < 0.7)
+                     for k, v in p_new.items()}
+            opt.step(p_new, grads)
+            ref.step(p_ref, grads)
+        assert opt.t == ref.t
+        assert_bytes_equal(p_new, p_ref)
+        assert_bytes_equal(opt._m, ref._m)
+        assert_bytes_equal(opt._v, ref._v)
+
+    def test_training_chain_bit_identical_to_reference(self, toy_graph, toy_features,
+                                                        monkeypatch):
+        # default trunk, so the trunk tensors span several blocks
+        def chain():
+            cfg = TrainConfig(epochs=3, batch_size=4, seed=5)
+            node = train_node_model(toy_graph, toy_features, cfg)
+            edge_cfg = TrainConfig(epochs=2, batch_size=4, seed=6,
+                                   transfer_from=node.model)
+            return node, train_edge_model(toy_graph, toy_features, edge_cfg)
+
+        got = chain()
+        monkeypatch.setattr(gm, "Adam", ReferenceAdam)
+        want = chain()
+        for res_got, res_want in zip(got, want):
+            assert_bytes_equal(res_got.model.parameters(), res_want.model.parameters())
+            for channel in ("z", "o", "i"):
+                assert (getattr(res_got.embeddings, channel).tobytes()
+                        == getattr(res_want.embeddings, channel).tobytes())
+            assert res_got.loss_trace == res_want.loss_trace
+
     def test_bit_reproducible_trajectories(self):
         def run():
             rng = np.random.default_rng(42)
@@ -304,4 +432,11 @@ class TestCheckpoint:
             json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **payload)
         with pytest.raises(nn_mod.EmbeddingFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe", b"[1, 2]"])
+    def test_unreadable_meta_is_typed_error(self, tmp_path, meta):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, w=np.zeros(2), __meta__=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(EmbeddingFormatError, match="ckpt.npz"):
             load_checkpoint(path)
