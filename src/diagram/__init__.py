@@ -13,14 +13,12 @@ from .data import (
 from .evaluation import (
     EvalReport,
     LinkSample,
-    ProximityScorer,
     auc_score,
     edge_features,
     link_prediction_eval,
     micro_macro_f1,
     network_reconstruction,
     node_classification_eval,
-    proximity,
     run_link_prediction_protocol,
     sample_link_prediction,
 )
@@ -46,6 +44,7 @@ from .model import (
     mean_edge_loss,
     node_loss,
     save_model,
+    train_edge_chain,
     train_edge_model,
     train_node_model,
 )

@@ -15,14 +15,18 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import data as gdata
 from . import evaluation as ev
 from . import model as gm
-from .exceptions import DiagramError, FingerprintMismatchError
+from .exceptions import DiagramError
+from .nn import atomic_write
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
+# The keys a --config file may set; each has a flag of the same name.
+CONFIG_KEYS = ("trunk", "epochs", "batch_size", "lr", "dropout", "mu", "seed", "k")
 
 
 def _fmt(x) -> str:
@@ -86,16 +90,6 @@ def _default_dropout(name: str) -> float:
     return 0.1 if "citeseer" in name.lower() else 0.2
 
 
-def _setting(args, file_cfg: dict, key: str, default, cast):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        raw = file_cfg[key]
-        return cast(raw)
-    return default
-
-
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in str(text).replace(",", " ").split()]
 
@@ -105,18 +99,41 @@ def _str_list(text: str) -> list[str]:
 
 
 def build_train_config(args, name: str) -> gm.TrainConfig:
-    file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    trunk = _setting(args, file_cfg, "trunk", "512,256", str)
-    return gm.TrainConfig(
-        epochs=_setting(args, file_cfg, "epochs", None, int),
-        batch_size=_setting(args, file_cfg, "batch_size", 64, int),
-        learning_rate=_setting(args, file_cfg, "lr", 1e-4, float),
-        dropout=_setting(args, file_cfg, "dropout", _default_dropout(name), float),
-        mu=_setting(args, file_cfg, "mu", 10.0, float),
-        seed=_setting(args, file_cfg, "seed", 0, int),
-        embedding_dim=_setting(args, file_cfg, "k", 128, int),
-        trunk_dims=tuple(_int_list(trunk)),
-    )
+    """Settings by precedence: flag, then ``--config`` file, then default."""
+    path = getattr(args, "config", None)
+    file_cfg = parse_config_file(path) if path else {}
+    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise DiagramError(f"{path}: unknown key(s) {', '.join(unknown)} "
+                           f"(accepted: {' '.join(CONFIG_KEYS)})")
+    origins = []  # where each setting that is not a default came from
+
+    def setting(key, default, cast):
+        if getattr(args, key, None) is not None:
+            origin, raw = "--" + key.replace("_", "-"), getattr(args, key)
+        elif key in file_cfg:
+            origin, raw = str(path), file_cfg[key]
+        else:
+            return default
+        origins.append(origin)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise DiagramError(f"{origin}: bad {key} {raw!r}: {exc}") from exc
+
+    try:
+        return gm.TrainConfig(
+            epochs=setting("epochs", None, int),
+            batch_size=setting("batch_size", 64, int),
+            learning_rate=setting("lr", 1e-4, float),
+            dropout=setting("dropout", _default_dropout(name), float),
+            mu=setting("mu", 10.0, float),
+            seed=setting("seed", 0, int),
+            embedding_dim=setting("k", 128, int),
+            trunk_dims=tuple(setting("trunk", gm.DEFAULT_TRUNK, _int_list)),
+        )
+    except ValueError as exc:
+        raise DiagramError(f"{', '.join(dict.fromkeys(origins))}: {exc}") from exc
 
 
 def _config_fingerprint(cfg: dict) -> str:
@@ -124,13 +141,13 @@ def _config_fingerprint(cfg: dict) -> str:
 
 
 def _write_json(path, payload: dict) -> None:
-    ev._atomic_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _write_loss_trace(path, trace) -> None:
     lines = ["epoch,mean_loss"]
     lines += [f"{i + 1},{val!r}" for i, val in enumerate(trace)]
-    ev._atomic_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # -- commands -----------------------------------------------------------------
@@ -155,22 +172,16 @@ def cmd_info(args) -> int:
 def _train_variant(graph, features, cfg, variant, args):
     if variant == "node":
         return gm.train_node_model(graph, features, cfg)
-    transfer = getattr(args, "transfer_from", None)
-    if transfer is None:
-        if getattr(args, "no_auto_node", False):
-            raise DiagramError(
-                "edge variant needs a node checkpoint; pass --transfer-from "
-                "or drop --no-auto-node"
-            )
-        node_cfg = gm.TrainConfig(**{**cfg.__dict__, "transfer_from": None,
-                                     "epochs": getattr(args, "node_epochs", None)})
-        node_res = gm.train_node_model(graph, features, node_cfg)
-        edge_cfg = gm.TrainConfig(**{**cfg.__dict__, "transfer_from": node_res.model})
-        result = gm.train_edge_model(graph, features, edge_cfg)
-        result.config["auto_node_epochs"] = len(node_res.loss_trace)
-        return result
-    edge_cfg = gm.TrainConfig(**{**cfg.__dict__, "transfer_from": transfer})
-    return gm.train_edge_model(graph, features, edge_cfg)
+    if args.transfer_from is not None:
+        return gm.train_edge_model(graph, features, replace(cfg, transfer_from=args.transfer_from))
+    if args.no_auto_node:
+        raise DiagramError(
+            "edge variant needs a node checkpoint; pass --transfer-from "
+            "or drop --no-auto-node"
+        )
+    node_res, result = gm.train_edge_chain(graph, features, cfg, args.node_epochs)
+    result.config["auto_node_epochs"] = len(node_res.loss_trace)
+    return result
 
 
 def cmd_train(args) -> int:
@@ -213,13 +224,8 @@ def cmd_train(args) -> int:
 def cmd_export(args) -> int:
     graph, features, labels, name = load_dataset(args)
     model, meta = gm.load_model(args.checkpoint)
-    fingerprint = gdata.dataset_fingerprint(graph, features)
-    stored = meta.get("dataset_fingerprint")
-    if stored and stored != fingerprint:
-        raise FingerprintMismatchError(
-            f"checkpoint was trained on a different dataset (fingerprint "
-            f"{stored[:12]}… vs {fingerprint[:12]}…)"
-        )
+    gdata.check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
+                             f"checkpoint {args.checkpoint}")
     emb = gm.compute_embeddings(model, graph, features, meta.get("variant", "node"))
     gm.export_embeddings(emb, args.out, args.format)
     print(f"wrote {args.format} embeddings for {name} to {args.out}")
@@ -228,12 +234,7 @@ def cmd_export(args) -> int:
 
 def _load_embeddings_checked(args, graph, features):
     emb = gm.import_embeddings(args.embeddings)
-    fingerprint = gdata.dataset_fingerprint(graph, features)
-    if emb.fingerprint and emb.fingerprint != fingerprint:
-        raise FingerprintMismatchError(
-            f"embeddings {args.embeddings} do not match dataset "
-            f"(fingerprint {emb.fingerprint[:12]}… vs {fingerprint[:12]}…)"
-        )
+    gdata.check_same_dataset(emb.fingerprint, graph, features, f"embeddings {args.embeddings}")
     return emb
 
 

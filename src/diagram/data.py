@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import DatasetError
+from .exceptions import DatasetError, FingerprintMismatchError
 
 # Fields are split on ASCII whitespace only; ids are opaque strings.
 _WS = re.compile(r"[ \t\r\n\x0b\x0c]+")
@@ -71,22 +71,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return self.edge_list.shape[0]
 
-    def out_rows(self, idx) -> np.ndarray:
-        """Dense rows of M (outgoing neighborhoods) for the given indices."""
-        return np.asarray(self.out_adjacency[idx].todense(), dtype=np.float64)
-
-    def in_rows(self, idx) -> np.ndarray:
-        """Dense rows of M^T (incoming neighborhoods) for the given indices."""
-        return np.asarray(self.in_adjacency[idx].todense(), dtype=np.float64)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.out_adjacency[u, v] != 0)
-
-    def transpose(self) -> "DirectedGraph":
-        """Graph with every edge reversed (shares node ids)."""
-        rev = self.edge_list[:, ::-1].copy()
-        return DirectedGraph(self.node_ids, rev, dict(self.metadata))
-
     def validate(self) -> None:
         """Check structural invariants; raises DatasetError on violation."""
         m = self.out_adjacency
@@ -127,9 +111,6 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def rows(self, idx) -> np.ndarray:
-        return np.asarray(self.values[idx].todense(), dtype=np.float64)
 
 
 @dataclass
@@ -343,56 +324,6 @@ def dataset_summary(graph: DirectedGraph, features: FeatureMatrix, labels: Label
     )
 
 
-def export_edge_list(graph: DirectedGraph, path) -> None:
-    """Write edges as ``<src_id>\\t<dst_id>`` lines (external ids)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in graph.edge_list:
-            fh.write(f"{graph.node_ids[u]}\t{graph.node_ids[v]}\n")
-
-
-def load_edge_list(path, node_ids) -> DirectedGraph:
-    """Rebuild a graph from an exported edge list over a known node universe."""
-    node_ids = list(node_ids)
-    index = {nid: i for i, nid in enumerate(node_ids)}
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    dropped = dup = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = _split(raw)
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise DatasetError(f"{path}:{lineno}: expected 2 fields")
-            src, dst = fields
-            if src not in index or dst not in index:
-                dropped += 1
-                continue
-            e = (index[src], index[dst])
-            if e in seen:
-                dup += 1
-                continue
-            seen.add(e)
-            edges.append(e)
-    meta = {
-        "edge_direction": EDGE_DIRECTION,
-        "dropped_unknown_id_edges": dropped,
-        "deduplicated_edges": dup,
-        "self_loops": sum(1 for u, v in edges if u == v),
-        "edge_list_file": str(path),
-    }
-    return DirectedGraph(node_ids, np.asarray(edges, dtype=np.int64).reshape(-1, 2), meta)
-
-
-def export_feature_triplets(features: FeatureMatrix, path) -> None:
-    """Write the feature matrix as ``row\\tcol\\tvalue`` sparse triplets."""
-    coo = features.values.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {features.mode}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r}\t{c}\t{float(v)!r}\n")
-
-
 def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix | None = None) -> str:
     """Stable hash of the graph structure (and features, if given).
 
@@ -412,3 +343,20 @@ def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix | None = N
         h.update(v.indices.astype(np.int64).tobytes())
         h.update(v.data.astype(np.float64).tobytes())
     return h.hexdigest()
+
+
+def check_same_dataset(stored: str | None, graph: DirectedGraph,
+                       features: FeatureMatrix, what: str) -> None:
+    """Refuse an artifact whose stored dataset fingerprint is not this dataset's.
+
+    ``what`` names the artifact in the message. An artifact that stored no
+    fingerprint is accepted.
+    """
+    if not stored:
+        return
+    current = dataset_fingerprint(graph, features)
+    if stored != current:
+        raise FingerprintMismatchError(
+            f"{what} was made from a different dataset (fingerprint "
+            f"{str(stored)[:12]}… vs {current[:12]}…)"
+        )

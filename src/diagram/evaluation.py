@@ -10,10 +10,9 @@ external ML stack.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
-import tempfile
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,30 +21,11 @@ from scipy.special import expit
 
 from .data import DirectedGraph, FeatureMatrix
 from .exceptions import EvaluationError, SamplingError
-from .model import EmbeddingSet, TrainConfig, train_edge_model, train_node_model
+from .model import EmbeddingSet, TrainConfig, train_edge_chain, train_node_model
+from .nn import atomic_write
 
 EDGE_CONSTRUCTORS = ("average", "hadamard", "w-l1", "w-l2")
 SCORER_MODES = ("directed", "symmetric")
-
-
-@dataclass
-class ProximityScorer:
-    """Pair scorer; "directed" uses (o, i), "symmetric" uses z only."""
-
-    mode: str = "directed"
-
-    def __post_init__(self):
-        if self.mode not in SCORER_MODES:
-            raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
-
-
-def proximity(scorer: ProximityScorer, emb: EmbeddingSet, u: int, v: int) -> float:
-    """sigmoid(dot(o_u, i_v)) or sigmoid(dot(z_u, z_v)); always in (0, 1)."""
-    if scorer.mode == "directed":
-        d = float(np.dot(emb.o[u], emb.i[v]))
-    else:
-        d = float(np.dot(emb.z[u], emb.z[v]))
-    return float(expit(d))
 
 
 # -- network reconstruction ---------------------------------------------------
@@ -59,7 +39,8 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     tie-breaking, and P@K counts how many of the top K are ground-truth
     directed edges. Self-pairs are never candidates.
     """
-    scorer = ProximityScorer(mode)
+    if mode not in SCORER_MODES:
+        raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
     n = emb.n
     if graph.node_count != n:
         raise EvaluationError("embedding and graph disagree on node count")
@@ -71,7 +52,7 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
         if k > max_pairs:
             raise EvaluationError(f"K={k} exceeds candidate pair count {max_pairs}")
 
-    if scorer.mode == "directed":
+    if mode == "directed":
         dots = emb.o @ emb.i.T
     else:
         dots = emb.z @ emb.z.T
@@ -93,8 +74,8 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
         kind="network_reconstruction",
         columns=["K", "precision"],
         table=table,
-        details={"mode": scorer.mode, "edge_count": int(graph.edge_count)},
-        config={"k_list": sorted(k_list), "mode": scorer.mode,
+        details={"mode": mode, "edge_count": int(graph.edge_count)},
+        config={"k_list": sorted(k_list), "mode": mode,
                 "variant": emb.variant},
         fingerprint=emb.fingerprint,
     )
@@ -509,10 +490,7 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
     if variant == "node":
         result = train_node_model(sample.residual_graph, features, cfg)
     elif variant == "edge":
-        node_cfg = TrainConfig(**{**cfg.__dict__, "transfer_from": None, "epochs": None})
-        node_res = train_node_model(sample.residual_graph, features, node_cfg)
-        edge_cfg = TrainConfig(**{**cfg.__dict__, "transfer_from": node_res.model})
-        result = train_edge_model(sample.residual_graph, features, edge_cfg)
+        result = train_edge_chain(sample.residual_graph, features, cfg)[1]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     reports = {
@@ -627,44 +605,23 @@ class EvalReport:
         }
 
     def to_json(self, path) -> None:
-        _atomic_text(path, json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n")
+        text = json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        atomic_write(path, text.encode("utf-8"))
 
     def to_csv(self, path) -> None:
-        out = []
-        w = csv.writer(_ListIO(out), lineterminator="\n")
-        w.writerow(self.columns)
-        for row in self.table:
-            w.writerow([row[c] for c in self.columns])
-        _atomic_text(path, "".join(out))
+        _write_csv(path, self.columns, ([row[c] for c in self.columns] for row in self.table))
 
     def to_plot_csv(self, path, metric: str = "auc") -> None:
         """Plot-ready (label, mean, std) rows for the report's lead metric."""
         label_col = self.columns[0]
-        out = []
-        w = csv.writer(_ListIO(out), lineterminator="\n")
-        w.writerow([label_col, "mean", "std"])
-        for row in self.table:
-            w.writerow([row[label_col], row.get(f"{metric}_mean", ""),
-                        row.get(f"{metric}_std", "")])
-        _atomic_text(path, "".join(out))
+        _write_csv(path, [label_col, "mean", "std"],
+                   ([row[label_col], row.get(f"{metric}_mean", ""),
+                     row.get(f"{metric}_std", "")] for row in self.table))
 
 
-class _ListIO:
-    def __init__(self, sink):
-        self.sink = sink
-
-    def write(self, s):
-        self.sink.append(s)
-
-
-def _atomic_text(path, text: str) -> None:
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8"))

@@ -24,15 +24,15 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import nn
-from .data import DirectedGraph, FeatureMatrix, build_undirected_union, dataset_fingerprint
+from .data import (DirectedGraph, FeatureMatrix, build_undirected_union, check_same_dataset,
+                   dataset_fingerprint)
 from .exceptions import EmbeddingFormatError, TrainingError
-from .nn import Adam, Linear, dropout_mask, masked_sq_error
+from .nn import Adam, Linear, atomic_write, dropout_mask, masked_sq_error
 
 CHANNELS = ("content", "out", "in")
 
@@ -56,21 +56,22 @@ class TrainConfig:
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
     trunk_dims: tuple[int, ...] = DEFAULT_TRUNK
     transfer_from: object = None  # path or DiagramModel
-    check_finite: bool = False
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.mu <= 1.0:
-            raise ValueError("mu must be > 1")
-        if self.embedding_dim <= 0 or any(t <= 0 for t in self.trunk_dims):
-            raise ValueError("layer dimensions must be positive")
+        if not 1.0 < self.mu < np.inf:
+            raise ValueError("mu must be > 1 and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.embedding_dim <= 0 or not self.trunk_dims or min(self.trunk_dims) <= 0:
+            raise ValueError("layer dimensions must be positive, with a nonempty trunk")
 
     def as_dict(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if k != "transfer_from"}
@@ -249,11 +250,9 @@ def penalty_weights(target: np.ndarray, mu: float) -> np.ndarray:
 
 @dataclass
 class _ChannelBatch:
-    x: np.ndarray
-    target: np.ndarray
-    weight: np.ndarray
+    x: np.ndarray  # the input rows, which are also the reconstruction target
     # Optional second loss term on a row slice of the same reconstruction:
-    # (row slice, target, weight). Used by the edge model's adjusted term.
+    # (row slice, target). Used by the edge model's adjusted term.
     extra: tuple | None = None
 
 
@@ -265,9 +264,9 @@ def _node_batches(idx, M, MT, A, D) -> dict[str, _ChannelBatch]:
     out = np.asarray(M[idx].todense(), dtype=np.float64)
     inc = np.asarray(MT[idx].todense(), dtype=np.float64)
     return {
-        "content": _ChannelBatch(content, content, None),
-        "out": _ChannelBatch(out, out, None),
-        "in": _ChannelBatch(inc, inc, None),
+        "content": _ChannelBatch(content),
+        "out": _ChannelBatch(out),
+        "in": _ChannelBatch(inc),
     }
 
 
@@ -286,12 +285,11 @@ def _edge_batches(u_idx, v_idx, M, MT, A, D) -> dict[str, _ChannelBatch]:
     content = np.hstack([a, dd])
     out = np.asarray(M[both].todense(), dtype=np.float64)
     in_v = np.asarray(MT[v_idx].todense(), dtype=np.float64)
-    batches = {
-        "content": _ChannelBatch(content, content, None),
-        "out": _ChannelBatch(out, out, None, extra=(slice(0, len(u_idx)), in_v, None)),
-        "in": _ChannelBatch(in_v, in_v, None),
+    return {
+        "content": _ChannelBatch(content),
+        "out": _ChannelBatch(out, extra=(slice(0, len(u_idx)), in_v)),
+        "in": _ChannelBatch(in_v),
     }
-    return batches
 
 
 def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: float,
@@ -303,13 +301,12 @@ def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: flo
         cb = batches.get(channel)
         if cb is None:
             continue
-        weight = cb.weight if cb.weight is not None else penalty_weights(cb.target, mu)
+        weight = penalty_weights(cb.x, mu)
         emb, recon, steps = model._forward(channel, cb.x, training, dropout, rng)
-        loss, grad = masked_sq_error(recon, cb.target, weight)
+        loss, grad = masked_sq_error(recon, cb.x, weight)
         if cb.extra is not None:
-            rows, target2, weight2 = cb.extra
-            if weight2 is None:
-                weight2 = penalty_weights(target2, mu)
+            rows, target2 = cb.extra
+            weight2 = penalty_weights(target2, mu)
             extra_loss, extra_grad = masked_sq_error(recon[rows], target2, weight2)
             loss += extra_loss
             if with_grad:
@@ -343,7 +340,7 @@ def edge_loss(model: DiagramModel, edge, M, A, D, mu: float = 10.0,
     if adjusted:
         in_v = np.asarray(MT[[v]].todense(), dtype=np.float64)
         u_batches = _node_batches([u], M, MT, A, D)
-        u_batches["out"].extra = (slice(0, 1), in_v, None)
+        u_batches["out"].extra = (slice(0, 1), in_v)
         del u_batches["in"]
     else:
         u_batches = _node_batches([u], M, MT, A, D)
@@ -362,14 +359,6 @@ class TrainResult:
     loss_trace: list[float]
     variant: str
     config: dict = field(default_factory=dict)
-
-
-def _check_params_finite(model, epoch, batch):
-    for name, arr in model.parameters().items():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingError(
-                f"non-finite parameter {name!r} after epoch {epoch} batch {batch}"
-            )
 
 
 def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix):
@@ -400,6 +389,36 @@ def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
                         dataset_fingerprint(graph, features))
 
 
+def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
+         cfg: TrainConfig, rng: np.random.Generator) -> list[float]:
+    """The mini-batch loop both trainers share; returns the loss trace.
+
+    Each epoch visits ``items`` in one fresh ``rng`` permutation, in slices
+    of ``cfg.batch_size``; ``assemble(slice)`` builds the channel batches.
+    The trainers' assemblers look up ``_node_batches``/``_edge_batches``
+    when called, so wrappers set on those module attributes see every
+    batch. A trace entry is the epoch's summed loss divided by ``len(items)``.
+    """
+    opt = Adam(cfg.learning_rate)
+    count = len(items)
+    trace = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(count)
+        total = 0.0
+        for b, start in enumerate(range(0, count, cfg.batch_size)):
+            chunk = items[order[start:start + cfg.batch_size]]
+            model.zero_grad()
+            batches = assemble(chunk)
+            loss = _run_batches(model, batches, cfg.mu, training=True,
+                                dropout=cfg.dropout, rng=rng, with_grad=True)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
+            opt.step(model.parameters(), model.gradients())
+            total += loss
+        trace.append(total / count)
+    return trace
+
+
 def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
                      cfg: TrainConfig) -> TrainResult:
     """Mini-batch training over nodes; returns model, embeddings, loss trace."""
@@ -407,25 +426,9 @@ def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
     n = graph.node_count
     rng = np.random.default_rng(cfg.seed)
     model = DiagramModel(n, features.dim, cfg.trunk_dims, cfg.embedding_dim, rng)
-    opt = Adam(cfg.learning_rate)
     epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
-    trace = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            model.zero_grad()
-            batches = _node_batches(idx, M, MT, A, D)
-            loss = _run_batches(model, batches, cfg.mu, training=True,
-                                dropout=cfg.dropout, rng=rng, with_grad=True)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
-            opt.step(model.parameters(), model.gradients())
-            if cfg.check_finite:
-                _check_params_finite(model, epoch, b)
-            total += loss
-        trace.append(total / n)
+    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, A, D),
+                 epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, "node", cfg.as_dict())
 
@@ -435,7 +438,9 @@ def _resolve_transfer(cfg: TrainConfig, graph, features):
     if isinstance(src, DiagramModel):
         base = src.copy()
     else:
-        base, _meta = load_model(src)
+        base, meta = load_model(src)
+        check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
+                           f"transfer checkpoint {src}")
     expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)
     got = (base.node_count, base.feature_dim, base.trunk_dims, base.embedding_dim)
     if expected != got:
@@ -454,9 +459,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
     checkpoint and two epochs suffice; from scratch the default is 30.
     """
     M, MT, A, D = _graph_tensors(graph, features)
-    edges = graph.edge_list
-    m = edges.shape[0]
-    if m == 0:
+    if graph.edge_count == 0:
         raise TrainingError("edge model needs at least one edge")
     rng = np.random.default_rng(cfg.seed)
     if cfg.transfer_from is not None:
@@ -466,26 +469,24 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
         model = DiagramModel(graph.node_count, features.dim, cfg.trunk_dims,
                              cfg.embedding_dim, rng)
         epochs = DEFAULT_EDGE_EPOCHS_SCRATCH if cfg.epochs is None else cfg.epochs
-    opt = Adam(cfg.learning_rate)
-    trace = []
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(m)
-        total = 0.0
-        for b, start in enumerate(range(0, m, cfg.batch_size)):
-            rows = edges[order[start:start + cfg.batch_size]]
-            model.zero_grad()
-            batches = _edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D)
-            loss = _run_batches(model, batches, cfg.mu, training=True,
-                                dropout=cfg.dropout, rng=rng, with_grad=True)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
-            opt.step(model.parameters(), model.gradients())
-            if cfg.check_finite:
-                _check_params_finite(model, epoch, b)
-            total += loss
-        trace.append(total / m)
+    trace = _fit(model, graph.edge_list,
+                 lambda rows: _edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D),
+                 epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "edge")
     return TrainResult(model, emb, trace, "edge", cfg.as_dict())
+
+
+def train_edge_chain(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainConfig,
+                     node_epochs: int | None = None) -> tuple[TrainResult, TrainResult]:
+    """Train a node model, then fine-tune the edge model from it; returns both results.
+
+    The node stage runs ``node_epochs`` epochs (None: its default) and
+    ignores ``cfg.transfer_from``; the edge stage runs ``cfg.epochs``.
+    """
+    node = train_node_model(graph, features,
+                            replace(cfg, transfer_from=None, epochs=node_epochs))
+    edge = train_edge_model(graph, features, replace(cfg, transfer_from=node.model))
+    return node, edge
 
 
 def mean_edge_loss(model: DiagramModel, graph: DirectedGraph,
@@ -542,19 +543,6 @@ _TEXT_MAGIC = "DIAGRAM v1"
 _BIN_MAGIC = b"DGRMEMB1"
 
 
-def _atomic_write(path, payload: bytes) -> None:
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
     """Write an embedding set; ``fmt`` is "text" or "binary".
 
@@ -569,7 +557,7 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
         for r, nid in enumerate(emb.node_ids):
             vals = np.concatenate([emb.z[r], emb.o[r], emb.i[r]])
             lines.append(nid + " " + " ".join(f"{v:.17g}" for v in vals))
-        _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     elif fmt == "binary":
         header = json.dumps({
             "n": emb.n, "k": emb.k, "variant": emb.variant,
@@ -580,7 +568,7 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
             raw = np.ascontiguousarray(mat, dtype="<f8").tobytes()
             blocks.append(struct.pack("<Q", len(raw)))
             blocks.append(raw)
-        _atomic_write(path, _BIN_MAGIC + b"".join(blocks))
+        atomic_write(path, _BIN_MAGIC + b"".join(blocks))
     else:
         raise ValueError(f"unknown embedding format {fmt!r}")
 

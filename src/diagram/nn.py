@@ -79,12 +79,6 @@ class Linear:
         self.grad_b[...] = 0.0
 
 
-def forward_layer(layer: Linear, x: np.ndarray) -> np.ndarray:
-    """Forward pass discarding the backward cache."""
-    y, _ = layer.forward(x)
-    return y
-
-
 def masked_sq_error(pred: np.ndarray, target: np.ndarray, weight: np.ndarray):
     """Weighted squared error ``sum(((pred - target) * weight) ** 2)``.
 
@@ -111,16 +105,6 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
-
-
-def apply_dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
-                  training: bool) -> np.ndarray:
-    """Inverted dropout; the exact identity outside training or at rate 0."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    return x * dropout_mask(x.shape, rate, rng)
 
 
 class Adam:
@@ -238,6 +222,28 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5,
 CHECKPOINT_VERSION = 1
 
 
+def atomic_write(path, payload) -> None:
+    """Replace ``path`` by way of a temp file in its directory and a rename.
+
+    ``payload`` is bytes, or a callable that writes to the open binary
+    file. On any error the old target is left as it was and the temp file
+    is removed.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if callable(payload):
+                payload(fh)
+            else:
+                fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Named-tensor container with a JSON meta block; written atomically."""
     payload = dict(tensors)
@@ -245,16 +251,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
     payload["__meta__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda fh: np.savez(fh, **payload))
 
 
 def load_checkpoint(path):

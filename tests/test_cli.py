@@ -104,6 +104,22 @@ class TestTrain:
                     "--out", edge_out, *FAST]) == 0
         assert (edge_out / "edge_embeddings.tsv").exists()
 
+    def test_transfer_from_other_dataset_is_refused(self, fixture_dataset, dataset_arg,
+                                                    tmp_path, capsys):
+        content, cites = fixture_dataset
+        other = tmp_path / "other"  # same nodes and features, one citation fewer
+        other.with_suffix(".content").write_text(content.read_text())
+        other.with_suffix(".cites").write_text(
+            "".join(cites.read_text().splitlines(keepends=True)[1:]))
+        node_out = tmp_path / "node"
+        assert run(["train", "--dataset", other, "--out", node_out, *FAST]) == 0
+        ret = run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                   "--transfer-from", node_out / "node_checkpoint.npz",
+                   "--out", tmp_path / "edge", *FAST])
+        assert ret == 1
+        assert "fingerprint" in capsys.readouterr().err
+        assert not (tmp_path / "edge" / "edge_checkpoint.npz").exists()
+
     def test_binary_format(self, dataset_arg, tmp_path):
         out = tmp_path / "bin"
         run(["train", "--dataset", dataset_arg, "--format", "binary",
@@ -127,6 +143,29 @@ class TestConfigFile:
         assert written["epochs"] == 2      # flag wins
         assert written["seed"] == 9        # file wins over default
         assert written["learning_rate"] == 0.001
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("epochs = ten\n", [], "bad epochs 'ten'"),
+        ("", ["--batch-size", "0"], "--batch-size: batch_size must be positive"),
+        ("", ["--dropout", "1.5"], "--dropout: dropout must be in [0, 1)"),
+        ("lr = nan\nseed = 2\n", [], "learning_rate must be positive and finite"),
+        ("", ["--seed", "-1"], "--seed: seed must be >= 0"),
+        ("learning_rate = 5\n", [], "unknown key(s) learning_rate"),
+        ("trunk =\n", [], "nonempty trunk"),
+        ("", ["--trunk", "8,x"], "--trunk: bad trunk '8,x'"),
+    ], ids=["uncastable-value", "zero-batch-flag", "dropout-flag", "nan-lr", "negative-seed",
+            "unknown-key", "empty-trunk", "uncastable-flag"])
+    def test_bad_setting_exits_1_naming_its_source(self, dataset_arg, tmp_path, capsys,
+                                                   text, flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run(["train", "--dataset", dataset_arg, "--config", cfg,
+                    "--out", tmp_path / "run", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        if text:
+            assert str(cfg) in err
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -8,7 +8,6 @@ from diagram.data import DirectedGraph
 from diagram.evaluation import (
     EDGE_CONSTRUCTORS,
     EvalReport,
-    ProximityScorer,
     auc_score,
     binary_f1,
     edge_features,
@@ -18,7 +17,6 @@ from diagram.evaluation import (
     micro_macro_f1,
     network_reconstruction,
     node_classification_eval,
-    proximity,
     run_link_prediction_protocol,
     sample_link_prediction,
     stratified_fold_indices,
@@ -59,43 +57,6 @@ def components_union_find(n, edges):
         if ra != rb:
             parent[ra] = rb
     return len({find(i) for i in range(n)})
-
-
-class TestProximity:
-    def test_orthogonal_vectors_score_half(self):
-        emb = make_embeddings(2, 4, seed=0)
-        emb.o[0] = [1, 0, 0, 0]
-        emb.i[1] = [0, 1, 0, 0]
-        assert proximity(ProximityScorer("directed"), emb, 0, 1) == 0.5
-
-    def test_symmetric_mode_is_symmetric(self):
-        emb = make_embeddings(5, 4, seed=1)
-        s = ProximityScorer("symmetric")
-        for u in range(5):
-            for v in range(5):
-                assert proximity(s, emb, u, v) == proximity(s, emb, v, u)
-
-    def test_directed_mode_is_asymmetric_somewhere(self):
-        emb = make_embeddings(5, 4, seed=2)
-        s = ProximityScorer("directed")
-        vals = [(proximity(s, emb, u, v), proximity(s, emb, v, u))
-                for u in range(5) for v in range(u + 1, 5)]
-        assert any(a != b for a, b in vals)
-
-    def test_matches_scalar_sigmoid_oracle(self):
-        emb = make_embeddings(6, 4, seed=3)
-        s = ProximityScorer("directed")
-        for u in range(6):
-            for v in range(6):
-                expected = sigmoid(sum(emb.o[u][j] * emb.i[v][j] for j in range(4)))
-                assert abs(proximity(s, emb, u, v) - expected) < 1e-15
-
-    def test_scores_in_open_unit_interval(self):
-        emb = make_embeddings(4, 8, seed=4)
-        s = ProximityScorer("directed")
-        for u in range(4):
-            for v in range(4):
-                assert 0.0 < proximity(s, emb, u, v) < 1.0
 
 
 def brute_force_p_at_k(emb, graph, ks, mode="directed"):
@@ -151,6 +112,12 @@ class TestNetworkReconstruction:
         report = network_reconstruction(emb, g, [10], mode="symmetric")
         expected = brute_force_p_at_k(emb, g, [10], mode="symmetric")
         assert report.table[0]["precision"] == expected[10]
+
+    def test_unknown_mode_rejected(self):
+        g = random_digraph(5, 6, seed=0)
+        emb = make_embeddings(5, 3, seed=0)
+        with pytest.raises(ValueError, match="scorer mode"):
+            network_reconstruction(emb, g, [1], mode="undirected")
 
     def test_invalid_k_rejected(self):
         g = random_digraph(5, 6, seed=0)

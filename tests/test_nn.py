@@ -9,10 +9,9 @@ from diagram.model import TrainConfig, train_edge_model, train_node_model
 from diagram.nn import (
     Adam,
     Linear,
-    apply_dropout,
+    atomic_write,
     dropout_mask,
     finite_diff_check,
-    forward_layer,
     load_checkpoint,
     masked_sq_error,
     save_checkpoint,
@@ -61,20 +60,20 @@ class TestLinearForward:
     def test_zero_layer_gives_zero_output(self):
         layer = Linear(3, 2)
         x = np.random.default_rng(0).normal(size=(4, 3))
-        y = forward_layer(layer, x)
+        y = layer.forward(x)[0]
         assert np.array_equal(y, np.zeros((4, 2)))
 
     def test_scalar_tanh_value(self):
         layer = Linear(1, 1)
         layer.W[0, 0] = 1.0
-        y = forward_layer(layer, np.array([[0.5]]))
+        y = layer.forward(np.array([[0.5]]))[0]
         assert y[0, 0] == pytest.approx(0.46211715726000974, abs=1e-11)
 
     def test_matches_scalar_triple_loop(self):
         rng = np.random.default_rng(3)
         layer = Linear(4, 3, rng=rng)
         x = rng.normal(size=(2, 4))
-        y = forward_layer(layer, x)
+        y = layer.forward(x)[0]
         for r in range(2):
             for o in range(3):
                 acc = layer.b[o]
@@ -85,7 +84,7 @@ class TestLinearForward:
     def test_tanh_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(4)
         layer = Linear(6, 5, rng=rng)
-        y = forward_layer(layer, rng.normal(size=(20, 6)) * 2)
+        y = layer.forward(rng.normal(size=(20, 6)) * 2)[0]
         assert np.all(y > -1.0) and np.all(y < 1.0)
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -97,7 +96,7 @@ class TestLinearForward:
         rng = np.random.default_rng(5)
         layer = Linear(3, 3, activation="identity", rng=rng)
         x = rng.normal(size=(2, 3))
-        y = forward_layer(layer, x)
+        y = layer.forward(x)[0]
         assert np.allclose(y, x @ layer.W.T + layer.b, atol=0)
 
 
@@ -199,28 +198,30 @@ class TestMaskedSqError:
 class TestDropout:
     def test_rate_zero_is_exact_identity(self):
         x = np.random.default_rng(0).normal(size=(4, 4))
-        out = apply_dropout(x, 0.0, np.random.default_rng(1), training=True)
+        out = x * dropout_mask(x.shape, 0.0, np.random.default_rng(1))
         assert np.array_equal(out, x)
 
     def test_inference_is_exact_identity(self):
-        x = np.random.default_rng(0).normal(size=(4, 4))
-        out = apply_dropout(x, 0.5, np.random.default_rng(1), training=False)
-        assert out is x
+        model = gm.DiagramModel(5, 3, trunk_dims=(4,), embedding_dim=2,
+                                rng=np.random.default_rng(0))
+        x = np.random.default_rng(2).random((3, 8))
+        rng = np.random.default_rng(1)
+        got = model.channel_forward("content", x, training=False, dropout=0.5, rng=rng)
+        want = model.channel_forward("content", x)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.random() == np.random.default_rng(1).random()  # no mask was drawn
 
     def test_empirical_zero_fraction(self):
-        rng = np.random.default_rng(123)
-        x = np.ones((1000, 1000))
-        out = apply_dropout(x, 0.2, rng, training=True)
-        frac = np.mean(out == 0.0)
+        m = dropout_mask((1000, 1000), 0.2, np.random.default_rng(123))
+        frac = np.mean(m == 0.0)
         assert abs(frac - 0.2) < 0.003
-        survivors = out[out != 0.0]
+        survivors = m[m != 0.0]
         assert np.allclose(survivors, 1.0 / 0.8, atol=0)
 
     def test_invalid_rate_rejected(self):
-        x = np.zeros((2, 2))
         for rate in (1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
-                apply_dropout(x, rate, np.random.default_rng(0), training=True)
+                dropout_mask((2, 2), rate, np.random.default_rng(0))
 
     def test_mask_values(self):
         m = dropout_mask((100, 100), 0.5, np.random.default_rng(0))
@@ -440,3 +441,25 @@ class TestCheckpoint:
         np.savez(path, w=np.zeros(2), __meta__=np.frombuffer(meta, dtype=np.uint8))
         with pytest.raises(EmbeddingFormatError, match="ckpt.npz"):
             load_checkpoint(path)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_target_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "target.bin"
+        path.write_bytes(b"old contents")
+
+        def fail_midway(fh):
+            fh.write(b"partial")
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            atomic_write(path, fail_midway)
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["target.bin"]
+
+    def test_bytes_and_callable_forms_write_identical_files(self, tmp_path):
+        payload = bytes(range(256)) * 100
+        atomic_write(tmp_path / "a", payload)
+        atomic_write(tmp_path / "b", lambda fh: fh.write(payload))
+        assert (tmp_path / "a").read_bytes() == payload
+        assert (tmp_path / "b").read_bytes() == payload
