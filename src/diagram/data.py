@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,6 @@ class FeatureMatrix:
 
     values: sp.csr_matrix
     mode: str  # "binary" | "count" | "tfidf"
-    vocabulary: list[str] = field(default_factory=list)
     all_zero: bool = False
 
     def __post_init__(self):
@@ -101,8 +100,6 @@ class FeatureMatrix:
                 raise DatasetError("negative feature values")
             if self.mode == "binary" and not np.all(self.values.data == 1.0):
                 raise DatasetError("binary feature matrix has non-unit entries")
-        if not self.vocabulary:
-            self.vocabulary = [f"w{j}" for j in range(self.values.shape[1])]
 
     @property
     def node_count(self) -> int:
@@ -262,7 +259,7 @@ def build_undirected_union(graph: DirectedGraph) -> sp.csr_matrix:
     return u
 
 
-def compute_tfidf(raw_counts, vocabulary=None) -> FeatureMatrix:
+def compute_tfidf(raw_counts) -> FeatureMatrix:
     """TF-IDF weighting of a nonnegative count matrix.
 
     tf is the raw count, idf(w) = ln((1 + n) / (1 + df_w)) + 1 (smoothed),
@@ -270,7 +267,6 @@ def compute_tfidf(raw_counts, vocabulary=None) -> FeatureMatrix:
     all-zero with ``all_zero`` set.
     """
     if isinstance(raw_counts, FeatureMatrix):
-        vocabulary = vocabulary or raw_counts.vocabulary
         raw_counts = raw_counts.values
     counts = sp.csr_matrix(raw_counts, dtype=np.float64)
     counts.eliminate_zeros()
@@ -278,9 +274,7 @@ def compute_tfidf(raw_counts, vocabulary=None) -> FeatureMatrix:
         raise DatasetError("negative counts in TF-IDF input")
     n = counts.shape[0]
     if counts.nnz == 0:
-        return FeatureMatrix(
-            counts, mode="tfidf", vocabulary=list(vocabulary or []), all_zero=True
-        )
+        return FeatureMatrix(counts, mode="tfidf", all_zero=True)
     df = np.bincount(counts.indices, minlength=counts.shape[1])
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     out = counts.copy()
@@ -288,7 +282,7 @@ def compute_tfidf(raw_counts, vocabulary=None) -> FeatureMatrix:
     row_norms = np.sqrt(out.multiply(out).sum(axis=1)).A.ravel()
     scale = np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=row_norms > 0)
     out = sp.diags(scale).dot(out).tocsr()
-    return FeatureMatrix(out, mode="tfidf", vocabulary=list(vocabulary or []))
+    return FeatureMatrix(out, mode="tfidf")
 
 
 @dataclass
@@ -302,9 +296,6 @@ class DatasetSummary:
     max_out_degree: int
     max_in_degree: int
     mean_out_degree: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def dataset_summary(graph: DirectedGraph, features: FeatureMatrix, labels: LabelVector) -> DatasetSummary:

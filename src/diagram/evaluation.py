@@ -52,23 +52,21 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
         if k > max_pairs:
             raise EvaluationError(f"K={k} exceeds candidate pair count {max_pairs}")
 
-    if mode == "directed":
-        dots = emb.o @ emb.i.T
-    else:
-        dots = emb.z @ emb.z.T
-    u_idx = np.repeat(np.arange(n, dtype=np.int32), n)
-    v_idx = np.tile(np.arange(n, dtype=np.int32), n)
-    keep = u_idx != v_idx
-    u_idx, v_idx = u_idx[keep], v_idx[keep]
-    scores = expit(dots.ravel()[keep])
-    del dots
-    order = np.lexsort((v_idx, u_idx, -scores))
-
-    is_edge = np.zeros((n, n), dtype=bool)
-    e = graph.edge_list
-    is_edge[e[:, 0], e[:, 1]] = True
-    top = order[: max(k_list)]
-    hits = np.cumsum(is_edge[u_idx[top], v_idx[top]])
+    a, b = (emb.o, emb.i) if mode == "directed" else (emb.z, emb.z)
+    k_max = max(k_list)
+    # Rank on expit, not on the dots: it rounds to exactly 1.0 above dot≈37,
+    # and those saturated ties must resolve by (u, v) like any other tie.
+    flat = expit(a @ b.T).ravel()
+    flat[:: n + 1] = -1.0  # self-pairs: below every sigmoid, so never in the top K
+    np.negative(flat, out=flat)
+    kth = np.partition(flat, k_max - 1)[k_max - 1]
+    if not kth <= 0.0:  # K reached past the real scores: only NaNs can push it there
+        raise EvaluationError(f"K={k_max} reaches pairs whose score is NaN")
+    # Ascending flat index u*n+v is (u, v) order, which the stable sort keeps
+    # within each run of tied scores.
+    top = np.flatnonzero(flat <= kth)
+    top = top[np.argsort(flat[top], kind="stable")[:k_max]]
+    hits = np.cumsum(graph.out_adjacency[np.divmod(top, n)].A1 != 0)
     table = [{"K": k, "precision": float(hits[k - 1] / k)} for k in sorted(k_list)]
     report = EvalReport(
         kind="network_reconstruction",
@@ -121,30 +119,6 @@ def _bfs_connected(adj, src, dst) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return False
-
-
-def weak_component_count(node_count: int, edges) -> int:
-    """Number of weakly connected components (isolated nodes count)."""
-    adj = [[] for _ in range(node_count)]
-    for u, v in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = np.zeros(node_count, dtype=bool)
-    comps = 0
-    for start in range(node_count):
-        if seen[start]:
-            continue
-        comps += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
-    return comps
 
 
 def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> LinkSample:
@@ -334,16 +308,9 @@ def auc_score(labels, scores) -> float:
     neg = labels.size - pos
     if pos == 0 or neg == 0:
         raise EvaluationError("AUC undefined with a single class")
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tied scores share the mean of their 1-based positions in sorted order.
+    _, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
@@ -400,25 +367,18 @@ def stratified_fold_indices(y, n_folds: int, rng: np.random.Generator):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def stratified_split(y, train_fraction: float, rng: np.random.Generator,
-                     max_retries: int = 10):
+def stratified_split(y, train_fraction: float, rng: np.random.Generator):
     """Per-class random split with at least one training sample per class."""
     y = np.asarray(y).astype(np.int64).ravel()
-    classes = np.unique(y)
-    for _ in range(max_retries):
-        train: list[int] = []
-        test: list[int] = []
-        for c in classes:
-            idx = rng.permutation(np.flatnonzero(y == c))
-            n_train = max(1, int(round(train_fraction * idx.size)))
-            n_train = min(n_train, idx.size)
-            train.extend(int(i) for i in idx[:n_train])
-            test.extend(int(i) for i in idx[n_train:])
-        train_arr = np.array(sorted(train), dtype=np.int64)
-        test_arr = np.array(sorted(test), dtype=np.int64)
-        if set(np.unique(y[train_arr])) == set(classes.tolist()):
-            return train_arr, test_arr
-    raise EvaluationError("could not build a training split covering every class")
+    train: list[int] = []
+    test: list[int] = []
+    for c in np.unique(y):
+        idx = rng.permutation(np.flatnonzero(y == c))
+        n_train = max(1, int(round(train_fraction * idx.size)))
+        n_train = min(n_train, idx.size)
+        train.extend(int(i) for i in idx[:n_train])
+        test.extend(int(i) for i in idx[n_train:])
+    return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
 
 
 # -- protocol: link prediction --------------------------------------------------
@@ -530,7 +490,7 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise EvaluationError("labels must cover every embedded node")
     if features == "z":
         X = emb.z
-    elif features in ("zoi", "concat"):
+    elif features == "zoi":
         X = np.hstack([emb.z, emb.o, emb.i])
     else:
         raise ValueError(f"unknown feature selection {features!r}")

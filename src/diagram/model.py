@@ -106,19 +106,19 @@ class DiagramModel:
         # Layer creation order is fixed: it defines the rng draw order and
         # therefore the reproducibility of seeded initialization.
         self.heads = {
-            "content": Linear(n + d, t[0], "tanh", rng),
-            "directed": Linear(n, t[0], "tanh", rng),
+            "content": Linear(n + d, t[0], rng),
+            "directed": Linear(n, t[0], rng),
         }
         for head in self.heads.values():
             head.input_grad = False  # their inputs are data rows
-        self.encoder_trunk = [Linear(t[i], t[i + 1], "tanh", rng) for i in range(len(t) - 1)]
-        self.embed = Linear(t[-1], k, "tanh", rng)
+        self.encoder_trunk = [Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)]
+        self.embed = Linear(t[-1], k, rng)
         dec_dims = tuple(reversed(t))
         dims = (k,) + dec_dims
-        self.decoder_trunk = [Linear(dims[i], dims[i + 1], "tanh", rng) for i in range(len(dec_dims))]
+        self.decoder_trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dec_dims))]
         self.recon_heads = {
-            "content": Linear(t[0], n + d, "tanh", rng),
-            "directed": Linear(t[0], n, "tanh", rng),
+            "content": Linear(t[0], n + d, rng),
+            "directed": Linear(t[0], n, rng),
         }
 
     @staticmethod
@@ -554,9 +554,9 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
     if fmt == "text":
         fp = emb.fingerprint or "-"
         lines = [f"{_TEXT_MAGIC} {emb.n} {emb.k} {emb.variant} {fp}"]
-        for r, nid in enumerate(emb.node_ids):
-            vals = np.concatenate([emb.z[r], emb.o[r], emb.i[r]])
-            lines.append(nid + " " + " ".join(f"{v:.17g}" for v in vals))
+        row = " ".join(["%.17g"] * (3 * emb.k))
+        for nid, vals in zip(emb.node_ids, np.hstack([emb.z, emb.o, emb.i])):
+            lines.append(nid + " " + row % tuple(vals.tolist()))
         atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     elif fmt == "binary":
         header = json.dumps({

@@ -24,7 +24,7 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 class Linear:
-    """Dense layer ``y = act(x @ W.T + b)`` with W stored (out, in).
+    """Dense layer ``y = tanh(x @ W.T + b)`` with W stored (out, in).
 
     ``forward`` returns the output plus an opaque cache; ``backward``
     consumes the cache, accumulates into ``grad_W`` / ``grad_b`` and
@@ -34,15 +34,11 @@ class Linear:
     ``backward`` then skips the ``dz @ W`` product and returns ``None``.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, activation: str = "tanh",
-                 rng: np.random.Generator | None = None):
-        if activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown activation {activation!r}")
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("layer dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.activation = activation
         self.input_grad = True
         if rng is None:
             self.W = np.zeros((out_dim, in_dim))
@@ -60,7 +56,7 @@ class Linear:
                 f"({self.out_dim}, {self.in_dim})"
             )
         z = x @ self.W.T + self.b
-        y = np.tanh(z) if self.activation == "tanh" else z
+        y = np.tanh(z)
         return y, (x, y)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray | None:
@@ -69,7 +65,7 @@ class Linear:
             raise ValueError(
                 f"gradient shape {dout.shape} incompatible with output {y.shape}"
             )
-        dz = dout * (1.0 - y * y) if self.activation == "tanh" else dout
+        dz = dout * (1.0 - y * y)
         self.grad_W += dz.T @ x
         self.grad_b += dz.sum(axis=0)
         return dz @ self.W if self.input_grad else None

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
+from scipy.special import expit
 
 from diagram.data import DirectedGraph
 from diagram.evaluation import (
@@ -21,7 +24,6 @@ from diagram.evaluation import (
     sample_link_prediction,
     stratified_fold_indices,
     stratified_split,
-    weak_component_count,
 )
 from diagram.exceptions import EvaluationError, SamplingError
 from diagram.model import EmbeddingSet, TrainConfig
@@ -113,6 +115,59 @@ class TestNetworkReconstruction:
         expected = brute_force_p_at_k(emb, g, [10], mode="symmetric")
         assert report.table[0]["precision"] == expected[10]
 
+    @pytest.mark.parametrize("mode", ["directed", "symmetric"])
+    def test_saturated_tie_run_straddling_k_matches_oracle(self, mode):
+        # Nodes 0-4 score exactly expit == 1.0 among themselves: a run of 20
+        # tied pairs that only the (u, v) tie-break can order. The edges sit
+        # early in that order, so another order would change P@7.
+        n = 12
+        emb = make_embeddings(n, 3, seed=21)
+        for mat in (emb.z, emb.o, emb.i):
+            mat *= 0.3
+            mat[:5, 0] = 10.0
+        a, b = (emb.o, emb.i) if mode == "directed" else (emb.z, emb.z)
+        saturated = expit(a @ b.T) == 1.0
+        np.fill_diagonal(saturated, False)
+        assert saturated.sum() == 20
+        edges = [(0, 1), (0, 2), (1, 0), (4, 3), (5, 6), (7, 2), (9, 8), (11, 0)]
+        g = DirectedGraph([f"n{i}" for i in range(n)], np.array(edges))
+        ks = [3, 7, 20, 25, n * n - n]
+        report = network_reconstruction(emb, g, ks, mode=mode)
+        expected = brute_force_p_at_k(emb, g, ks, mode=mode)
+        assert {row["K"]: row["precision"] for row in report.table} == expected
+        assert expected[7] == 3 / 7
+
+    def test_all_pairs_tied_matches_oracle_up_to_every_pair(self):
+        g = random_digraph(9, 20, seed=3)
+        emb = make_embeddings(9, 4, seed=4)
+        for mat in (emb.z, emb.o, emb.i):
+            mat[:] = 0.0  # every score is expit(0) = 0.5
+        ks = [1, 9, 40, 72]
+        report = network_reconstruction(emb, g, ks)
+        expected = brute_force_p_at_k(emb, g, ks)
+        assert {row["K"]: row["precision"] for row in report.table} == expected
+        assert expected[72] == g.edge_count / 72
+
+    def test_peak_memory_stays_near_two_score_matrices(self):
+        n = 600
+        g = random_digraph(n, 3000, seed=5)
+        emb = make_embeddings(n, 16, seed=6)
+        tracemalloc.start()
+        try:
+            network_reconstruction(emb, g, [100, 1000, 5000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
+
+    def test_k_reaching_nan_scores_rejected(self):
+        g = random_digraph(6, 8, seed=0)
+        emb = make_embeddings(6, 3, seed=0)
+        emb.o[3:] = np.nan
+        assert network_reconstruction(emb, g, [10]).table[0]["K"] == 10
+        with pytest.raises(EvaluationError, match="NaN"):
+            network_reconstruction(emb, g, [20])
+
     def test_unknown_mode_rejected(self):
         g = random_digraph(5, 6, seed=0)
         emb = make_embeddings(5, 3, seed=0)
@@ -140,7 +195,7 @@ class TestLinkSampling:
         sample = sample_link_prediction(g, 30.0, seed=0)  # quota 1 of 3
         assert int(sample.labels.sum()) == 1
         res = sample.residual_graph
-        assert weak_component_count(3, res.edge_list) == 1
+        assert connected_components(res.out_adjacency, connection="weak")[0] == 1
 
     def test_quota_beyond_removable_edges_reports_achieved(self):
         g = DirectedGraph(["a", "b", "c"], np.array([(0, 1), (1, 2), (2, 0)]))
@@ -562,11 +617,3 @@ class TestEvalReport:
         with pytest.raises(EvaluationError):
             report.validate()
 
-
-class TestWeakComponents:
-    def test_counts_match_union_find_oracle(self):
-        for seed in range(5):
-            g = random_digraph(15, 14, seed=seed)
-            ours = weak_component_count(15, g.edge_list)
-            oracle = components_union_find(15, g.edge_list)
-            assert ours == oracle
