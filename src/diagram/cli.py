@@ -38,15 +38,17 @@ def _fmt(x) -> str:
 def parse_config_file(path) -> dict:
     """Flat ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DiagramError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise DiagramError(f"{path}:{lineno}: line is not UTF-8: {raw!r}") from exc
+        if not line:
+            continue
+        if "=" not in line:
+            raise DiagramError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -179,8 +181,8 @@ def _train_variant(graph, features, cfg, variant, args):
             "edge variant needs a node checkpoint; pass --transfer-from "
             "or drop --no-auto-node"
         )
-    node_res, result = gm.train_edge_chain(graph, features, cfg, args.node_epochs)
-    result.config["auto_node_epochs"] = len(node_res.loss_trace)
+    node_trace, result = gm.train_edge_chain(graph, features, cfg, args.node_epochs)
+    result.config["auto_node_epochs"] = len(node_trace)
     return result
 
 

@@ -10,7 +10,6 @@ graph metadata so downstream direction-sensitive results are unambiguous.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,14 +18,29 @@ import scipy.sparse as sp
 
 from .exceptions import DatasetError, FingerprintMismatchError
 
-# Fields are split on ASCII whitespace only; ids are opaque strings.
-_WS = re.compile(r"[ \t\r\n\x0b\x0c]+")
-
 EDGE_DIRECTION = "citing->cited"
 
 
-def _split(line: str) -> list[str]:
-    return [tok for tok in _WS.split(line) if tok]
+def _records(path: Path):
+    """Yield ``(line number, byte fields)`` for each nonblank line of a file.
+
+    Lines end at LF, CRLF or a bare CR, as in text mode; fields are split on
+    ASCII whitespace only, and ids are opaque strings."""
+    with open(path, "rb") as fh:
+        lineno = 0
+        for chunk in fh:
+            for line in chunk.splitlines():
+                lineno += 1
+                fields = line.split()
+                if fields:
+                    yield lineno, fields
+
+
+def _text(path: Path, lineno: int, field: bytes) -> str:
+    try:
+        return field.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}:{lineno}: field {field!r} is not UTF-8") from exc
 
 
 class DirectedGraph:
@@ -131,53 +145,48 @@ class LabelVector:
 def _parse_content(content_path: Path):
     ids: list[str] = []
     label_strs: list[str] = []
-    rows, cols, vals = [], [], []
+    indptr, indices, vals = [0], [], []
     width = None
     seen: dict[str, int] = {}
-    with open(content_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = _split(raw)
-            if not fields:
+    for lineno, fields in _records(content_path):
+        if len(fields) < 2:
+            raise DatasetError(
+                f"{content_path}:{lineno}: expected '<id> <features..> <label>', "
+                f"got {len(fields)} fields"
+            )
+        nid, feats = _text(content_path, lineno, fields[0]), fields[1:-1]
+        if width is None:
+            width = len(feats)
+        elif len(feats) != width:
+            raise DatasetError(
+                f"{content_path}:{lineno}: inconsistent feature width "
+                f"(expected {width}, got {len(feats)})"
+            )
+        if nid in seen:
+            raise DatasetError(
+                f"{content_path}:{lineno}: duplicate node id {nid!r} "
+                f"(first seen at line {seen[nid]})"
+            )
+        seen[nid] = lineno
+        for j, tok in enumerate(feats):
+            if tok == b"0":  # most cells; float("0") would give 0.0
                 continue
-            if len(fields) < 2:
+            tok = _text(content_path, lineno, tok)
+            try:
+                v = float(tok)
+            except ValueError as exc:
                 raise DatasetError(
-                    f"{content_path}:{lineno}: expected '<id> <features..> <label>', "
-                    f"got {len(fields)} fields"
-                )
-            nid, feats, label = fields[0], fields[1:-1], fields[-1]
-            if width is None:
-                width = len(feats)
-            elif len(feats) != width:
-                raise DatasetError(
-                    f"{content_path}:{lineno}: inconsistent feature width "
-                    f"(expected {width}, got {len(feats)})"
-                )
-            if nid in seen:
-                raise DatasetError(
-                    f"{content_path}:{lineno}: duplicate node id {nid!r} "
-                    f"(first seen at line {seen[nid]})"
-                )
-            seen[nid] = lineno
-            row = len(ids)
-            for j, tok in enumerate(feats):
-                try:
-                    v = float(tok)
-                except ValueError as exc:
-                    raise DatasetError(
-                        f"{content_path}:{lineno}: non-numeric feature {tok!r}"
-                    ) from exc
-                if v != 0.0:
-                    rows.append(row)
-                    cols.append(j)
-                    vals.append(v)
-            ids.append(nid)
-            label_strs.append(label)
+                    f"{content_path}:{lineno}: non-numeric feature {tok!r}"
+                ) from exc
+            if v != 0.0:
+                indices.append(j)
+                vals.append(v)
+        indptr.append(len(indices))
+        ids.append(nid)
+        label_strs.append(_text(content_path, lineno, fields[-1]))
     if not ids:
         raise DatasetError(f"{content_path}: empty dataset")
-    d = width or 0
-    mat = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(len(ids), d)
-    )
+    mat = sp.csr_matrix((vals, indices, indptr), shape=(len(ids), width or 0))
     return ids, mat, label_strs
 
 
@@ -185,28 +194,24 @@ def _parse_cites(cites_path: Path, id_to_index: dict[str, int]):
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     dropped = dup = self_loops = 0
-    with open(cites_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = _split(raw)
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise DatasetError(
-                    f"{cites_path}:{lineno}: expected '<cited_id> <citing_id>', "
-                    f"got {len(fields)} fields"
-                )
-            cited, citing = fields
-            if cited not in id_to_index or citing not in id_to_index:
-                dropped += 1
-                continue
-            u, v = id_to_index[citing], id_to_index[cited]
-            if (u, v) in seen:
-                dup += 1
-                continue
-            seen.add((u, v))
-            edges.append((u, v))
-            if u == v:
-                self_loops += 1
+    for lineno, fields in _records(cites_path):
+        if len(fields) != 2:
+            raise DatasetError(
+                f"{cites_path}:{lineno}: expected '<cited_id> <citing_id>', "
+                f"got {len(fields)} fields"
+            )
+        cited, citing = (_text(cites_path, lineno, f) for f in fields)
+        if cited not in id_to_index or citing not in id_to_index:
+            dropped += 1
+            continue
+        u, v = id_to_index[citing], id_to_index[cited]
+        if (u, v) in seen:
+            dup += 1
+            continue
+        seen.add((u, v))
+        edges.append((u, v))
+        if u == v:
+            self_loops += 1
     return edges, dropped, dup, self_loops
 
 

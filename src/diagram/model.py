@@ -419,9 +419,8 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
     return trace
 
 
-def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
-                     cfg: TrainConfig) -> TrainResult:
-    """Mini-batch training over nodes; returns model, embeddings, loss trace."""
+def _fit_node_model(graph: DirectedGraph, features: FeatureMatrix,
+                    cfg: TrainConfig) -> tuple[DiagramModel, list[float]]:
     M, MT, A, D = _graph_tensors(graph, features)
     n = graph.node_count
     rng = np.random.default_rng(cfg.seed)
@@ -429,6 +428,13 @@ def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
     epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
     trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, A, D),
                  epochs, cfg, rng)
+    return model, trace
+
+
+def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
+                     cfg: TrainConfig) -> TrainResult:
+    """Mini-batch training over nodes; returns model, embeddings, loss trace."""
+    model, trace = _fit_node_model(graph, features, cfg)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, "node", cfg.as_dict())
 
@@ -477,16 +483,18 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
 
 
 def train_edge_chain(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainConfig,
-                     node_epochs: int | None = None) -> tuple[TrainResult, TrainResult]:
-    """Train a node model, then fine-tune the edge model from it; returns both results.
+                     node_epochs: int | None = None) -> tuple[list[float], TrainResult]:
+    """Train a node model, then fine-tune the edge model from it.
 
     The node stage runs ``node_epochs`` epochs (None: its default) and
     ignores ``cfg.transfer_from``; the edge stage runs ``cfg.epochs``.
+    Returns the node stage's loss trace and the edge result; no node-model
+    embeddings are computed.
     """
-    node = train_node_model(graph, features,
-                            replace(cfg, transfer_from=None, epochs=node_epochs))
-    edge = train_edge_model(graph, features, replace(cfg, transfer_from=node.model))
-    return node, edge
+    node_model, node_trace = _fit_node_model(
+        graph, features, replace(cfg, transfer_from=None, epochs=node_epochs))
+    edge = train_edge_model(graph, features, replace(cfg, transfer_from=node_model))
+    return node_trace, edge
 
 
 def mean_edge_loss(model: DiagramModel, graph: DirectedGraph,
@@ -553,11 +561,13 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
     """
     if fmt == "text":
         fp = emb.fingerprint or "-"
-        lines = [f"{_TEXT_MAGIC} {emb.n} {emb.k} {emb.variant} {fp}"]
-        row = " ".join(["%.17g"] * (3 * emb.k))
-        for nid, vals in zip(emb.node_ids, np.hstack([emb.z, emb.o, emb.i])):
-            lines.append(nid + " " + row % tuple(vals.tolist()))
-        atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        row = " ".join(["%.17g"] * (3 * emb.k)) + "\n"
+
+        def write_rows(fh):
+            fh.write(f"{_TEXT_MAGIC} {emb.n} {emb.k} {emb.variant} {fp}\n".encode("utf-8"))
+            for nid, vals in zip(emb.node_ids, np.hstack([emb.z, emb.o, emb.i])):
+                fh.write((nid + " " + row % tuple(vals.tolist())).encode("utf-8"))
+        atomic_write(path, write_rows)
     elif fmt == "binary":
         header = json.dumps({
             "n": emb.n, "k": emb.k, "variant": emb.variant,

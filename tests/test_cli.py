@@ -40,6 +40,20 @@ class TestInfo:
         assert run(["info", "--dataset", str(tmp_path / "t")]) == 0
         assert "directed edges 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suffix, content, cites, line", [
+        (".content", b"a 1 x\nb 0 y\n\xff 1 z\n", b"a b\n", 3),
+        (".content", b"a 1 x\r\nb 1\xff y\r\n", b"a b\n", 2),
+        (".cites", b"a 1 x\nb 0 y\n", b"a b\r\rb \xffa\n", 3),
+    ], ids=["content-id", "content-feature", "cites"])
+    def test_non_utf8_byte_exits_1_naming_its_line(self, tmp_path, capsys,
+                                                   suffix, content, cites, line):
+        (tmp_path / "t.content").write_bytes(content)
+        (tmp_path / "t.cites").write_bytes(cites)
+        assert run(["info", "--dataset", str(tmp_path / "t")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / ('t' + suffix)}:{line}: ")
+        assert "not UTF-8" in err and len(err.splitlines()) == 1
+
 
 class TestResolveDataset:
     def test_directory_form(self, fixture_dataset):
@@ -165,6 +179,16 @@ class TestConfigFile:
         assert err.startswith("error: ") and message in err
         if text:
             assert str(cfg) in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_utf8_config_exits_1_naming_its_line(self, dataset_arg, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 2\r\nepochs = \xff\n")
+        assert run(["train", "--dataset", dataset_arg, "--config", cfg,
+                    "--out", tmp_path / "run", *FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: ") and "not UTF-8" in err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
     def test_malformed_config_line(self, tmp_path):

@@ -1,9 +1,13 @@
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from diagram import data
 from diagram.data import (
     DirectedGraph,
     FeatureMatrix,
@@ -16,6 +20,9 @@ from diagram.data import (
 from diagram.exceptions import DatasetError
 
 from conftest import random_digraph, require_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 class TestLoadCitationDataset:
@@ -249,3 +256,207 @@ class TestRealDatasets:
         assert graph.node_count == 3312
         assert labels.n_classes == 6
         assert 4400 <= graph.edge_count <= 4800
+
+
+# -- the text-mode parser the byte parser replaced, kept as an oracle --------
+
+_WS = re.compile(r"[ \t\r\n\x0b\x0c]+")
+
+
+def _split(line: str) -> list[str]:
+    return [tok for tok in _WS.split(line) if tok]
+
+
+def reference_parse_content(content_path: Path):
+    ids: list[str] = []
+    label_strs: list[str] = []
+    rows, cols, vals = [], [], []
+    width = None
+    seen: dict[str, int] = {}
+    with open(content_path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = _split(raw)
+            if not fields:
+                continue
+            if len(fields) < 2:
+                raise DatasetError(
+                    f"{content_path}:{lineno}: expected '<id> <features..> <label>', "
+                    f"got {len(fields)} fields"
+                )
+            nid, feats, label = fields[0], fields[1:-1], fields[-1]
+            if width is None:
+                width = len(feats)
+            elif len(feats) != width:
+                raise DatasetError(
+                    f"{content_path}:{lineno}: inconsistent feature width "
+                    f"(expected {width}, got {len(feats)})"
+                )
+            if nid in seen:
+                raise DatasetError(
+                    f"{content_path}:{lineno}: duplicate node id {nid!r} "
+                    f"(first seen at line {seen[nid]})"
+                )
+            seen[nid] = lineno
+            row = len(ids)
+            for j, tok in enumerate(feats):
+                try:
+                    v = float(tok)
+                except ValueError as exc:
+                    raise DatasetError(
+                        f"{content_path}:{lineno}: non-numeric feature {tok!r}"
+                    ) from exc
+                if v != 0.0:
+                    rows.append(row)
+                    cols.append(j)
+                    vals.append(v)
+            ids.append(nid)
+            label_strs.append(label)
+    if not ids:
+        raise DatasetError(f"{content_path}: empty dataset")
+    d = width or 0
+    mat = sp.csr_matrix(
+        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(len(ids), d)
+    )
+    return ids, mat, label_strs
+
+
+def reference_parse_cites(cites_path: Path, id_to_index: dict[str, int]):
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    dropped = dup = self_loops = 0
+    with open(cites_path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = _split(raw)
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise DatasetError(
+                    f"{cites_path}:{lineno}: expected '<cited_id> <citing_id>', "
+                    f"got {len(fields)} fields"
+                )
+            cited, citing = fields
+            if cited not in id_to_index or citing not in id_to_index:
+                dropped += 1
+                continue
+            u, v = id_to_index[citing], id_to_index[cited]
+            if (u, v) in seen:
+                dup += 1
+                continue
+            seen.add((u, v))
+            edges.append((u, v))
+            if u == v:
+                self_loops += 1
+    return edges, dropped, dup, self_loops
+
+
+def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def outcome(parse, *args):
+    """``("ok", result)``, or ``("error", message)`` for a DatasetError; any
+    other exception propagates."""
+    try:
+        return "ok", parse(*args)
+    except DatasetError as exc:
+        return "error", str(exc)
+
+
+def assert_parsers_agree(content: Path, cites: Path):
+    """The byte parser gives what the text-mode oracle gives, wherever the
+    oracle returns or raises a DatasetError. Where the oracle fails to decode
+    UTF-8, the byte parser raises a DatasetError instead."""
+    try:
+        want = outcome(reference_parse_content, content)
+    except UnicodeDecodeError:
+        want = ("error", None)
+    got = outcome(data._parse_content, content)
+    assert got[0] == want[0]
+    if want[0] == "error":
+        assert want[1] is None or got[1] == want[1]
+        return
+    assert got[1][0] == want[1][0] and got[1][2] == want[1][2]
+    assert_same_csr(got[1][1], want[1][1])
+    id_to_index = {nid: i for i, nid in enumerate(got[1][0])}
+    try:
+        want = outcome(reference_parse_cites, cites, id_to_index)
+    except UnicodeDecodeError:
+        want = ("error", None)
+    got = outcome(data._parse_cites, cites, id_to_index)
+    assert got[0] == want[0]
+    assert want[1] is None or got[1] == want[1]
+
+
+# Line 1 ends in CRLF, line 2 in a bare CR and line 3 in LF. Fields are split by
+# tabs, \x0b and \x0c; the \xa0 inside "n\xa0b" and "1\xa0" is not a separator.
+# The last line has no line end, a full-width digit and a non-ASCII label.
+MIXED_CONTENT = (
+    "n1 1 0 1 a\r\n"
+    "n\xa0b\t0\x0b1\x0c0 b\r"
+    "n3 -0 0.0 00 a\n"
+    "\r\n"
+    "n4 1e0 2 1_0 b\n"
+    "n5 ２ 1\xa0 0 \xe7"
+)
+MIXED_CITES = "n1 n\xa0b\r\nn3\tn1\rghost n1\nn1 n\xa0b\n"
+
+
+class TestByteParserMatchesTextOracle:
+    def _write(self, tmp_path, content: str | bytes, cites: str | bytes = ""):
+        paths = tmp_path / "m.content", tmp_path / "m.cites"
+        for path, text in zip(paths, (content, cites)):
+            path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        return paths
+
+    def test_generated_tiny_graph(self, tmp_path):
+        ds = gen.generate("tiny", 0)
+        content, cites = gen.write(ds, tmp_path / "tiny")
+        ids, mat, label_strs = data._parse_content(content)
+        want_ids, want_mat, want_labels = reference_parse_content(content)
+        assert ids == want_ids and label_strs == want_labels
+        assert_same_csr(mat, want_mat)
+        index = {nid: i for i, nid in enumerate(ids)}
+        assert data._parse_cites(cites, index) == reference_parse_cites(cites, index)
+        graph, features, labels = load_citation_dataset(content, cites)
+        assert graph.metadata["dropped_unknown_id_edges"] == 0
+        assert (features.values != ds.features).nnz == 0
+
+    def test_mixed_line_ends_separators_and_numbers(self, tmp_path):
+        content, cites = self._write(tmp_path, MIXED_CONTENT, MIXED_CITES)
+        assert_parsers_agree(content, cites)
+        ids, mat, labels = data._parse_content(content)
+        assert ids == ["n1", "n\xa0b", "n3", "n4", "n5"]
+        assert labels == ["a", "b", "a", "b", "\xe7"]
+        assert mat.toarray().tolist() == [[1, 0, 1], [0, 1, 0], [0, 0, 0],
+                                          [1, 2, 10], [2, 1, 0]]
+        graph, _, _ = load_citation_dataset(content, cites)
+        assert graph.edge_count == 2
+        assert graph.metadata["dropped_unknown_id_edges"] == 1
+        assert graph.metadata["deduplicated_edges"] == 1
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r", "\n"])
+    def test_error_line_number_follows_universal_newlines(self, tmp_path, ending):
+        text = ending.join(["a 1 x", "", "b 0 y", "c one z"]) + ending
+        content, cites = self._write(tmp_path, text)
+        with pytest.raises(DatasetError, match=r"m\.content:4: non-numeric feature 'one'"):
+            data._parse_content(content)
+        assert_parsers_agree(content, cites)
+
+    def test_fuzzed_files_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(20261018)
+        raw_content = MIXED_CONTENT.encode("utf-8")
+        raw_cites = MIXED_CITES.encode("utf-8")
+        alphabet = list(b" \t\r\n\x0b\x0c019.-eax_") + [0xA0, 0xC2, 0xFF, 0xEF]
+        for trial in range(400):
+            content, cites = bytearray(raw_content), bytearray(raw_cites)
+            target = content if trial % 2 == 0 else cites
+            if rng.random() < 0.3:
+                del target[rng.integers(0, len(target) + 1):]
+            for _ in range(rng.integers(1, 4)):
+                if target:
+                    target[rng.integers(0, len(target))] = rng.choice(alphabet)
+            paths = self._write(tmp_path, bytes(content), bytes(cites))
+            assert_parsers_agree(*paths)

@@ -384,6 +384,30 @@ class TestEdgeTraining:
         assert fwd > rev
 
 
+class TestEdgeChain:
+    CFG = dict(seed=4, dropout=0.1, batch_size=4, **SMALL)
+
+    def test_chain_matches_node_then_transfer(self, toy_graph, toy_features, monkeypatch):
+        calls = []
+        original = gm.compute_embeddings
+        monkeypatch.setattr(gm, "compute_embeddings",
+                            lambda *a, **k: calls.append(a[3]) or original(*a, **k))
+        node_trace, edge = gm.train_edge_chain(toy_graph, toy_features,
+                                               TrainConfig(epochs=2, **self.CFG), 3)
+        assert calls == ["edge"]  # one embedding pass per chain, for the edge model
+        monkeypatch.undo()
+
+        node = train_node_model(toy_graph, toy_features, TrainConfig(epochs=3, **self.CFG))
+        want = train_edge_model(toy_graph, toy_features,
+                                TrainConfig(epochs=2, transfer_from=node.model, **self.CFG))
+        assert node_trace == node.loss_trace and len(node_trace) == 3
+        assert edge.loss_trace == want.loss_trace and edge.config == want.config
+        for name, arr in want.model.parameters().items():
+            assert edge.model.parameters()[name].tobytes() == arr.tobytes()
+        for ch in ("z", "o", "i"):
+            assert getattr(edge.embeddings, ch).tobytes() == getattr(want.embeddings, ch).tobytes()
+
+
 class TestCheckpointIO:
     def test_model_round_trip_is_bit_exact(self, toy_graph, toy_features, tmp_path):
         model = small_model(toy_graph, toy_features, seed=12)
@@ -431,6 +455,21 @@ class TestEmbeddingIO:
         assert np.array_equal(back.z, emb.z)
         assert np.array_equal(back.i, emb.i)
         assert back.node_ids == emb.node_ids
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_text_export_bytes_match_one_string_rendering(self, tmp_path, k):
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072009e-308,
+                   1.0 / 3.0, -1e300, 0.0]
+        rng = np.random.default_rng(k)
+        z, o, i = (rng.choice(special, size=(4, k)) for _ in range(3))
+        emb = EmbeddingSet(z, o, i, ["a", "b\xe9", "c", "d"], "edge", "f" * 16)
+        path = tmp_path / "emb.tsv"
+        export_embeddings(emb, path, "text")
+        lines = [f"DIAGRAM v1 4 {k} edge {'f' * 16}"]
+        for r, nid in enumerate(emb.node_ids):
+            vals = [*z[r], *o[r], *i[r]]
+            lines.append(nid + " " + " ".join("%.17g" % v for v in vals))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_wrong_k_in_header_is_typed_error(self, tmp_path):
         emb = self._random_set(n=3, k=2)
