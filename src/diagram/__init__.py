@@ -37,12 +37,9 @@ from .model import (
     TrainConfig,
     TrainResult,
     compute_embeddings,
-    edge_loss,
     export_embeddings,
     import_embeddings,
     load_model,
-    mean_edge_loss,
-    node_loss,
     save_model,
     train_edge_chain,
     train_edge_model,

@@ -170,35 +170,36 @@ class DiagramModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def _forward(self, channel: str, x: np.ndarray, training: bool,
-                 dropout: float, rng: np.random.Generator | None):
-        """Run one channel; returns (embedding, reconstruction, backward ctx).
+    def _encode(self, channel: str, x: np.ndarray, steps: list, training: bool = False,
+                dropout: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Head, encoder trunk and embed layer of one channel; returns the embedding.
 
-        Dropout is applied to every encoder activation (head output and
-        each encoder-trunk output), never to inputs, the embedding, or the
-        decoder side.
+        Appends each layer's (layer, cache, dropout mask) to ``steps`` for
+        the backward pass. Dropout is applied to every encoder activation
+        (head output and each encoder-trunk output), never to inputs or the
+        embedding.
         """
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
-        steps = []
-
-        def run(layer, h, with_dropout):
-            out, cache = layer.forward(h)
-            mask = None
-            if with_dropout and training and dropout > 0.0:
-                mask = dropout_mask(out.shape, dropout, rng)
-                out = out * mask
-            steps.append((layer, cache, mask))
-            return out
-
-        h = run(self.head_for(channel), np.asarray(x, dtype=np.float64), True)
+        rate = dropout if training else 0.0
+        h = _run(self.head_for(channel), np.asarray(x, dtype=np.float64), steps, rate, rng)
         for layer in self.encoder_trunk:
-            h = run(layer, h, True)
-        emb = run(self.embed, h, False)
+            h = _run(layer, h, steps, rate, rng)
+        return _run(self.embed, h, steps)
+
+    def _forward(self, channel: str, x: np.ndarray, training: bool = False,
+                 dropout: float = 0.0, rng: np.random.Generator | None = None):
+        """Run one channel; returns (embedding, reconstruction, backward ctx).
+
+        The decoder side (decoder trunk and reconstruction head) takes no
+        dropout.
+        """
+        steps = []
+        emb = self._encode(channel, x, steps, training, dropout, rng)
         h = emb
         for layer in self.decoder_trunk:
-            h = run(layer, h, False)
-        recon = run(self.recon_for(channel), h, False)
+            h = _run(layer, h, steps)
+        recon = _run(self.recon_for(channel), h, steps)
         return emb, recon, steps
 
     def _backward(self, steps, d_recon: np.ndarray) -> None:
@@ -208,11 +209,17 @@ class DiagramModel:
                 d = d * mask
             d = layer.backward(cache, d)
 
-    def channel_forward(self, channel: str, x: np.ndarray, training: bool = False,
-                        dropout: float = 0.0, rng: np.random.Generator | None = None):
-        """Embedding and reconstruction batches for one channel."""
-        emb, recon, _ = self._forward(channel, x, training, dropout, rng)
-        return emb, recon
+
+def _run(layer: Linear, h: np.ndarray, steps: list, dropout: float = 0.0,
+         rng: np.random.Generator | None = None) -> np.ndarray:
+    """One layer's forward, then dropout at rate ``dropout`` if it is positive."""
+    out, cache = layer.forward(h)
+    mask = None
+    if dropout > 0.0:
+        mask = dropout_mask(out.shape, dropout, rng)
+        out = out * mask
+    steps.append((layer, cache, mask))
+    return out
 
 
 @dataclass
@@ -243,9 +250,9 @@ class EmbeddingSet:
 # -- loss assembly ----------------------------------------------------------
 
 
-def penalty_weights(target: np.ndarray, mu: float) -> np.ndarray:
-    """Per-coordinate weights: mu on the target's support, 1 elsewhere."""
-    return np.where(target > 0, float(mu), 1.0)
+def penalty_weights(target: np.ndarray) -> np.ndarray:
+    """Flat indices of the target's support, where the loss weighs errors by mu."""
+    return np.flatnonzero(target > 0)
 
 
 @dataclass
@@ -301,13 +308,12 @@ def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: flo
         cb = batches.get(channel)
         if cb is None:
             continue
-        weight = penalty_weights(cb.x, mu)
         emb, recon, steps = model._forward(channel, cb.x, training, dropout, rng)
-        loss, grad = masked_sq_error(recon, cb.x, weight)
+        loss, grad = masked_sq_error(recon, cb.x, penalty_weights(cb.x), mu)
         if cb.extra is not None:
             rows, target2 = cb.extra
-            weight2 = penalty_weights(target2, mu)
-            extra_loss, extra_grad = masked_sq_error(recon[rows], target2, weight2)
+            extra_loss, extra_grad = masked_sq_error(recon[rows], target2,
+                                                     penalty_weights(target2), mu)
             loss += extra_loss
             if with_grad:
                 grad[rows] += extra_grad
@@ -315,38 +321,6 @@ def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: flo
         if with_grad:
             model._backward(steps, grad)
     return total
-
-
-def node_loss(model: DiagramModel, nodes, M, A, D, mu: float = 10.0) -> float:
-    """Sum of the three per-channel reconstruction losses over a node batch."""
-    MT = M.T.tocsr()
-    return _run_batches(model, _node_batches(nodes, M, MT, A, D), mu)
-
-
-def edge_loss(model: DiagramModel, edge, M, A, D, mu: float = 10.0,
-              adjusted: bool = True) -> float:
-    """Edge-model loss for one directed edge (u, v).
-
-    Both endpoints contribute their full node losses, except that with
-    ``adjusted=True`` (the edge model proper) u's incoming-reconstruction
-    term is replaced by comparing u's out-channel reconstruction against
-    v's actual incoming neighborhood. With ``adjusted=False`` this is
-    exactly node_loss(u) + node_loss(v).
-    """
-    u, v = int(edge[0]), int(edge[1])
-    if M[u, v] == 0:
-        raise TrainingError(f"edge ({u}, {v}) not present in graph")
-    MT = M.T.tocsr()
-    if adjusted:
-        in_v = np.asarray(MT[[v]].todense(), dtype=np.float64)
-        u_batches = _node_batches([u], M, MT, A, D)
-        u_batches["out"].extra = (slice(0, 1), in_v)
-        del u_batches["in"]
-    else:
-        u_batches = _node_batches([u], M, MT, A, D)
-    loss_u = _run_batches(model, u_batches, mu)
-    loss_v = _run_batches(model, _node_batches([v], M, MT, A, D), mu)
-    return loss_u + loss_v
 
 
 # -- training ---------------------------------------------------------------
@@ -373,7 +347,7 @@ def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix):
 def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
                        features: FeatureMatrix, variant: str,
                        chunk: int = 256) -> EmbeddingSet:
-    """Inference-mode embeddings for every node (no dropout)."""
+    """Inference-mode embeddings for every node: the encoder alone, no dropout."""
     M, MT, A, D = _graph_tensors(graph, features)
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
@@ -382,9 +356,8 @@ def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
         batches = _node_batches(idx, M, MT, A, D)
-        z[idx], _ = model.channel_forward("content", batches["content"].x)
-        o[idx], _ = model.channel_forward("out", batches["out"].x)
-        i[idx], _ = model.channel_forward("in", batches["in"].x)
+        for channel, out in zip(CHANNELS, (z, o, i)):
+            out[idx] = model._encode(channel, batches[channel].x, [])
     return EmbeddingSet(z, o, i, list(graph.node_ids), variant,
                         dataset_fingerprint(graph, features))
 
@@ -495,20 +468,6 @@ def train_edge_chain(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
         graph, features, replace(cfg, transfer_from=None, epochs=node_epochs))
     edge = train_edge_model(graph, features, replace(cfg, transfer_from=node_model))
     return node_trace, edge
-
-
-def mean_edge_loss(model: DiagramModel, graph: DirectedGraph,
-                   features: FeatureMatrix, mu: float = 10.0,
-                   batch_size: int = 256) -> float:
-    """Inference-mode edge-model loss averaged over all directed edges."""
-    M, MT, A, D = _graph_tensors(graph, features)
-    edges = graph.edge_list
-    total = 0.0
-    for start in range(0, edges.shape[0], batch_size):
-        rows = edges[start:start + batch_size]
-        batches = _edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D)
-        total += _run_batches(model, batches, mu)
-    return total / edges.shape[0]
 
 
 # -- model checkpoints -------------------------------------------------------

@@ -32,6 +32,12 @@ class Linear:
     assignment) is what lets several channels share one trunk layer.
     A layer fed by constant data sets ``input_grad = False``; its
     ``backward`` then skips the ``dz @ W`` product and returns ``None``.
+
+    ``zero_grad`` only marks the gradients stale. The first ``backward``
+    after it writes its products into the gradient buffers in place of
+    adding them to zeros, and reading a stale gradient zeroes it first,
+    so a layer no pass touched reads zero. The only difference from
+    zero-then-add is that an entry can read -0.0 where it read +0.0.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
@@ -45,8 +51,25 @@ class Linear:
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
-        self.grad_W = np.zeros_like(self.W)
-        self.grad_b = np.zeros_like(self.b)
+        self._grad_W = np.zeros_like(self.W)
+        self._grad_b = np.zeros_like(self.b)
+        self._stale = False
+
+    @property
+    def grad_W(self) -> np.ndarray:
+        self._settle()
+        return self._grad_W
+
+    @property
+    def grad_b(self) -> np.ndarray:
+        self._settle()
+        return self._grad_b
+
+    def _settle(self) -> None:
+        if self._stale:
+            self._grad_W[...] = 0.0
+            self._grad_b[...] = 0.0
+            self._stale = False
 
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
@@ -55,8 +78,9 @@ class Linear:
                 f"input shape {x.shape} incompatible with layer "
                 f"({self.out_dim}, {self.in_dim})"
             )
-        z = x @ self.W.T + self.b
-        y = np.tanh(z)
+        y = x @ self.W.T
+        y += self.b
+        np.tanh(y, out=y)
         return y, (x, y)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray | None:
@@ -65,34 +89,46 @@ class Linear:
             raise ValueError(
                 f"gradient shape {dout.shape} incompatible with output {y.shape}"
             )
-        dz = dout * (1.0 - y * y)
-        self.grad_W += dz.T @ x
-        self.grad_b += dz.sum(axis=0)
+        dz = y * y
+        np.subtract(1.0, dz, out=dz)
+        dz *= dout
+        if self._stale:
+            np.matmul(dz.T, x, out=self._grad_W)
+            np.sum(dz, axis=0, out=self._grad_b)
+            self._stale = False
+        else:
+            self._grad_W += dz.T @ x
+            self._grad_b += dz.sum(axis=0)
         return dz @ self.W if self.input_grad else None
 
     def zero_grad(self) -> None:
-        self.grad_W[...] = 0.0
-        self.grad_b[...] = 0.0
+        self._stale = True
 
 
-def masked_sq_error(pred: np.ndarray, target: np.ndarray, weight: np.ndarray):
-    """Weighted squared error ``sum(((pred - target) * weight) ** 2)``.
+def masked_sq_error(pred: np.ndarray, target: np.ndarray, support: np.ndarray,
+                    mu: float):
+    """Penalised squared error ``sum(((pred - target) * w) ** 2)``.
 
-    Returns (loss, gradient w.r.t. pred); the gradient is
-    ``2 * (pred - target) * weight**2``.
+    The weight ``w`` is ``mu`` at the flat indices ``support`` and 1
+    elsewhere; only the support coordinates are scaled, so no weight
+    array is built. Returns (loss, gradient w.r.t. pred); the gradient is
+    ``2 * (pred - target) * w * w``, rounded as written. The residual is
+    squared in place before the sum.
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if pred.shape != target.shape or pred.shape != weight.shape:
-        raise ValueError(
-            f"shape mismatch: pred {pred.shape}, target {target.shape}, "
-            f"weight {weight.shape}"
-        )
-    resid = (pred - target) * weight
-    loss = float(np.sum(resid * resid))
-    grad = 2.0 * (pred - target) * weight * weight
-    return loss, grad
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape}, target {target.shape}")
+    diff = pred - target
+    grad = 2.0 * diff
+    d, g = diff.reshape(-1), grad.reshape(-1)  # views: both arrays are fresh
+    d[support] *= mu
+    on = g[support]
+    on *= mu
+    on *= mu
+    g[support] = on
+    diff *= diff
+    return float(np.sum(diff)), grad
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -1,0 +1,156 @@
+"""Reference implementations that tests compare the program against.
+
+``ReferenceLinear``, ``dense_penalty_weights``/``dense_masked_sq_error``
+and ``full_forward_embeddings`` are the earlier, plainer forms of
+``nn.Linear``, the penalised loss and ``model.compute_embeddings``: the
+layer zeroes its gradients eagerly and allocates every temporary, the loss
+builds a dense mu/1 weight array, and the embeddings come from the full
+forward pass with the decoder output dropped. The program must match them
+bit for bit.
+
+``node_loss``, ``edge_loss`` and ``mean_edge_loss`` evaluate the training
+objective outside the training loop. ``edge_loss`` builds the adjusted
+term from node batches, independently of ``model._edge_batches``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import diagram.model as gm
+from diagram.exceptions import TrainingError
+from diagram.nn import glorot_uniform
+
+
+class ReferenceLinear:
+    """``nn.Linear`` with eager gradient zeroing and no reused buffers."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+        if in_dim <= 0 or out_dim <= 0:
+            raise ValueError("layer dimensions must be positive")
+        self.in_dim = in_dim
+        self.out_dim = out_dim
+        self.input_grad = True
+        if rng is None:
+            self.W = np.zeros((out_dim, in_dim))
+        else:
+            self.W = glorot_uniform(rng, out_dim, in_dim)
+        self.b = np.zeros(out_dim)
+        self.grad_W = np.zeros_like(self.W)
+        self.grad_b = np.zeros_like(self.b)
+
+    def forward(self, x: np.ndarray):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ValueError(
+                f"input shape {x.shape} incompatible with layer "
+                f"({self.out_dim}, {self.in_dim})"
+            )
+        z = x @ self.W.T + self.b
+        y = np.tanh(z)
+        return y, (x, y)
+
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray | None:
+        x, y = cache
+        if dout.shape != y.shape:
+            raise ValueError(
+                f"gradient shape {dout.shape} incompatible with output {y.shape}"
+            )
+        dz = dout * (1.0 - y * y)
+        self.grad_W += dz.T @ x
+        self.grad_b += dz.sum(axis=0)
+        return dz @ self.W if self.input_grad else None
+
+    def zero_grad(self) -> None:
+        self.grad_W[...] = 0.0
+        self.grad_b[...] = 0.0
+
+
+def dense_penalty_weights(target: np.ndarray, mu: float) -> np.ndarray:
+    """Per-coordinate weights: mu on the target's support, 1 elsewhere."""
+    return np.where(target > 0, float(mu), 1.0)
+
+
+def dense_masked_sq_error(pred: np.ndarray, target: np.ndarray, weight: np.ndarray):
+    """Weighted squared error ``sum(((pred - target) * weight) ** 2)`` and its gradient."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    if pred.shape != target.shape or pred.shape != weight.shape:
+        raise ValueError(
+            f"shape mismatch: pred {pred.shape}, target {target.shape}, "
+            f"weight {weight.shape}"
+        )
+    resid = (pred - target) * weight
+    loss = float(np.sum(resid * resid))
+    grad = 2.0 * (pred - target) * weight * weight
+    return loss, grad
+
+
+def dense_loss_term(pred, target, support, mu):
+    """The dense-weight loss behind the signature of ``nn.masked_sq_error``.
+
+    ``support`` is ignored: the weights are rebuilt from ``target``, which
+    is what the support was computed from.
+    """
+    return dense_masked_sq_error(pred, target, dense_penalty_weights(target, mu))
+
+
+def full_forward_embeddings(model, graph, features, variant: str,
+                            chunk: int = 256) -> gm.EmbeddingSet:
+    """``compute_embeddings`` through the full forward pass, decoder included."""
+    M, MT, A, D = gm._graph_tensors(graph, features)
+    n, k = graph.node_count, model.embedding_dim
+    z = np.empty((n, k))
+    o = np.empty((n, k))
+    i = np.empty((n, k))
+    for start in range(0, n, chunk):
+        idx = np.arange(start, min(start + chunk, n))
+        batches = gm._node_batches(idx, M, MT, A, D)
+        z[idx] = model._forward("content", batches["content"].x)[0]
+        o[idx] = model._forward("out", batches["out"].x)[0]
+        i[idx] = model._forward("in", batches["in"].x)[0]
+    return gm.EmbeddingSet(z, o, i, list(graph.node_ids), variant,
+                           gm.dataset_fingerprint(graph, features))
+
+
+def node_loss(model, nodes, M, A, D, mu: float = 10.0) -> float:
+    """Sum of the three per-channel reconstruction losses over a node batch."""
+    MT = M.T.tocsr()
+    return gm._run_batches(model, gm._node_batches(nodes, M, MT, A, D), mu)
+
+
+def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> float:
+    """Edge-model loss for one directed edge (u, v).
+
+    Both endpoints contribute their full node losses, except that with
+    ``adjusted=True`` (the edge model proper) u's incoming-reconstruction
+    term is replaced by comparing u's out-channel reconstruction against
+    v's actual incoming neighborhood. With ``adjusted=False`` this is
+    exactly node_loss(u) + node_loss(v).
+    """
+    u, v = int(edge[0]), int(edge[1])
+    if M[u, v] == 0:
+        raise TrainingError(f"edge ({u}, {v}) not present in graph")
+    MT = M.T.tocsr()
+    u_batches = gm._node_batches([u], M, MT, A, D)
+    if adjusted:
+        in_v = np.asarray(MT[[v]].todense(), dtype=np.float64)
+        u_batches["out"].extra = (slice(0, 1), in_v)
+        del u_batches["in"]
+    loss_u = gm._run_batches(model, u_batches, mu)
+    loss_v = gm._run_batches(model, gm._node_batches([v], M, MT, A, D), mu)
+    return loss_u + loss_v
+
+
+def mean_edge_loss(model, graph, features, mu: float = 10.0,
+                   batch_size: int = 256) -> float:
+    """Inference-mode edge-model loss averaged over all directed edges."""
+    M, MT, A, D = gm._graph_tensors(graph, features)
+    edges = graph.edge_list
+    total = 0.0
+    for start in range(0, edges.shape[0], batch_size):
+        rows = edges[start:start + batch_size]
+        batches = gm._edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D)
+        total += gm._run_batches(model, batches, mu)
+    return total / edges.shape[0]

@@ -28,13 +28,13 @@ from diagram.model import (
     TrainConfig,
     _node_batches,
     _run_batches,
-    mean_edge_loss,
     train_edge_model,
     train_node_model,
 )
 from diagram.nn import finite_diff_check
 
 from conftest import find_dataset, random_digraph, random_features
+from oracles import mean_edge_loss
 
 SEEDS = (0, 1, 2)
 

@@ -15,12 +15,9 @@ from diagram.model import (
     _node_batches,
     _run_batches,
     compute_embeddings,
-    edge_loss,
     export_embeddings,
     import_embeddings,
     load_model,
-    mean_edge_loss,
-    node_loss,
     penalty_weights,
     save_model,
     train_edge_model,
@@ -29,6 +26,7 @@ from diagram.model import (
 from diagram.nn import finite_diff_check, masked_sq_error, save_checkpoint
 
 from conftest import random_features
+from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
 
@@ -88,31 +86,31 @@ class TestChannelForward:
     def test_zero_params_give_zero_outputs(self, toy_graph, toy_features):
         model = DiagramModel(6, 4, **SMALL)  # no rng: zero-initialized
         x = np.ones((3, 10))
-        emb, recon = model.channel_forward("content", x)
+        emb, recon, _ = model._forward("content", x)
         assert np.array_equal(emb, np.zeros((3, 3)))
         assert np.array_equal(recon, np.zeros((3, 10)))
 
     def test_default_embedding_width_is_128(self):
         model = DiagramModel(10, 5, rng=np.random.default_rng(0))
-        emb, recon = model.channel_forward("out", np.zeros((2, 10)))
+        emb, recon, _ = model._forward("out", np.zeros((2, 10)))
         assert emb.shape == (2, 128)
         assert recon.shape == (2, 10)
 
     def test_channel_specific_dims(self):
         model = DiagramModel(7, 3, rng=np.random.default_rng(0), **SMALL)
-        emb, recon = model.channel_forward("content", np.zeros((1, 10)))
+        emb, recon, _ = model._forward("content", np.zeros((1, 10)))
         assert recon.shape == (1, 10)
-        emb, recon = model.channel_forward("in", np.zeros((1, 7)))
+        emb, recon, _ = model._forward("in", np.zeros((1, 7)))
         assert recon.shape == (1, 7)
         with pytest.raises(ValueError):
-            model.channel_forward("content", np.zeros((1, 7)))
+            model._forward("content", np.zeros((1, 7)))
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_matches_scalar_oracle(self, toy_graph, toy_features, channel):
         model = small_model(toy_graph, toy_features, seed=5)
         targets = node_targets(toy_graph, toy_features, u=2)
         x = targets[channel][None, :]
-        emb, recon = model.channel_forward(channel, x)
+        emb, recon, _ = model._forward(channel, x)
         ref_emb, ref_recon = scalar_channel_forward(model, channel, x[0])
         assert np.allclose(emb[0], ref_emb, atol=1e-10, rtol=0)
         assert np.allclose(recon[0], ref_recon, atol=1e-10, rtol=0)
@@ -121,9 +119,9 @@ class TestChannelForward:
         model = small_model(toy_graph, toy_features, seed=1)
         inputs = {c: node_targets(toy_graph, toy_features, 0)[c][None, :]
                   for c in CHANNELS}
-        before = {c: model.channel_forward(c, inputs[c])[0] for c in CHANNELS}
+        before = {c: model._forward(c, inputs[c])[0] for c in CHANNELS}
         model.encoder_trunk[0].W += 0.25  # mutate the trunk through one handle
-        after = {c: model.channel_forward(c, inputs[c])[0] for c in CHANNELS}
+        after = {c: model._forward(c, inputs[c])[0] for c in CHANNELS}
         for c in CHANNELS:
             assert not np.allclose(before[c], after[c])
         params = model.parameters()
@@ -138,21 +136,21 @@ class TestChannelForward:
     def test_dropout_only_active_in_training(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=2)
         x = np.ones((4, 10))
-        a = model.channel_forward("content", x)[1]
-        b = model.channel_forward("content", x, training=False, dropout=0.5)[1]
+        a = model._forward("content", x)[1]
+        b = model._forward("content", x, training=False, dropout=0.5)[1]
         assert np.array_equal(a, b)
-        c = model.channel_forward("content", x, training=True, dropout=0.5,
-                                  rng=np.random.default_rng(0))[1]
+        c = model._forward("content", x, training=True, dropout=0.5,
+                           rng=np.random.default_rng(0))[1]
         assert not np.array_equal(a, c)
 
 
 class TestPenaltyWeights:
     def test_mu_exactly_on_support(self):
         rng = np.random.default_rng(0)
-        target = (rng.random((5, 9)) < 0.3) * rng.integers(1, 3, (5, 9))
-        w = penalty_weights(target.astype(float), 10.0)
-        assert set(np.unique(w)) <= {1.0, 10.0}
-        assert np.array_equal(w == 10.0, target > 0)
+        target = ((rng.random((5, 9)) < 0.3) * rng.integers(-1, 3, (5, 9))).astype(float)
+        _, grad = masked_sq_error(target + 1.0, target, penalty_weights(target), 10.0)
+        assert set(np.unique(grad)) <= {2.0, 200.0}
+        assert np.array_equal(grad == 200.0, target > 0)
 
 
 class TestNodeLoss:
@@ -169,8 +167,7 @@ class TestNodeLoss:
         mu = 10.0
         for u in range(toy_graph.node_count):
             for channel, target in node_targets(toy_graph, toy_features, u).items():
-                w = penalty_weights(target, mu)
-                loss, grad = masked_sq_error(target, target, w)
+                loss, grad = masked_sq_error(target, target, penalty_weights(target), mu)
                 assert loss == 0.0 and not grad.any()
 
     def test_matches_scalar_oracle(self, toy_graph, toy_features):
@@ -209,6 +206,25 @@ class TestGradients:
         err = finite_diff_check(loss_fn, params, grads, max_coords=160,
                                 rng=np.random.default_rng(0))
         assert err < 1e-4
+
+    def test_layers_a_pass_skips_read_zero_gradients(self, toy_graph, toy_features):
+        model = small_model(toy_graph, toy_features, seed=5)
+        fresh = model.copy()
+        M, MT = toy_graph.out_adjacency, toy_graph.in_adjacency
+        A = build_undirected_union(toy_graph)
+        batches = _node_batches(range(6), M, MT, A, toy_features.values)
+        model.zero_grad()
+        _run_batches(model, batches, 10.0, with_grad=True)  # every layer gets a gradient
+        content_only = {"content": batches["content"]}
+        model.zero_grad()
+        _run_batches(model, content_only, 10.0, with_grad=True)
+        _run_batches(fresh, content_only, 10.0, with_grad=True)
+        got, want = model.gradients(), fresh.gradients()
+        for name in ("directed_head.W", "directed_head.b",
+                     "directed_recon.W", "directed_recon.b"):
+            assert not got[name].any(), name
+        for name in got:  # equal up to the sign of zero
+            assert np.array_equal(got[name], want[name]), name
 
     def test_edge_batch_gradcheck(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=6)
@@ -255,8 +271,7 @@ class TestEdgeLoss:
         # prediction and the term vanishes regardless of the graph
         g = DirectedGraph(["a", "b"], np.array([[0, 1], [1, 0]]))
         in_v = g.in_adjacency[[1]].toarray()[0]
-        w = penalty_weights(in_v, 10.0)
-        loss, _ = masked_sq_error(in_v, in_v, w)
+        loss, _ = masked_sq_error(in_v, in_v, penalty_weights(in_v), 10.0)
         assert loss == 0.0
 
     def test_matches_scalar_oracle(self, toy_graph, toy_features):
@@ -574,6 +589,20 @@ class TestEmbeddingIO:
                     loaders[name](bad)
                 except DiagramError:
                     pass
+
+    def test_compute_embeddings_runs_the_encoder_alone(self, toy_graph, toy_features):
+        model = small_model(toy_graph, toy_features, seed=14)
+        called = []
+        for name, layer in model.named_layers():
+            def forward(x, name=name, original=layer.forward):
+                called.append(name)
+                return original(x)
+            layer.forward = forward
+        got = compute_embeddings(model, toy_graph, toy_features, "node")
+        assert set(called) == {"content_head", "directed_head", "enc_trunk.0", "embed"}
+        want = full_forward_embeddings(model, toy_graph, toy_features, "node")
+        for ch in ("z", "o", "i"):
+            assert getattr(got, ch).tobytes() == getattr(want, ch).tobytes()
 
     def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=13)

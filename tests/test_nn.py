@@ -17,6 +17,16 @@ from diagram.nn import (
     save_checkpoint,
 )
 
+from oracles import (
+    ReferenceLinear,
+    dense_loss_term,
+    dense_masked_sq_error,
+    dense_penalty_weights,
+    full_forward_embeddings,
+)
+
+NO_SUPPORT = np.array([], dtype=np.intp)  # weight 1 on every coordinate
+
 
 class ReferenceAdam:
     """The unblocked dict-based Adam step, kept as the bit-identity oracle."""
@@ -104,15 +114,14 @@ class TestLinearBackward:
         assert np.array_equal(layer.forward(x)[0],
                               getattr(np, activation)(x @ layer.W.T + layer.b))
         target = rng.normal(size=(3, 4)) * 0.5
-        weight = np.ones_like(target)
 
         def loss_fn():
             y, _ = layer.forward(x)
-            return masked_sq_error(y, target, weight)[0]
+            return masked_sq_error(y, target, NO_SUPPORT, 10.0)[0]
 
         layer.zero_grad()
         y, cache = layer.forward(x)
-        _, grad = masked_sq_error(y, target, weight)
+        _, grad = masked_sq_error(y, target, NO_SUPPORT, 10.0)
         layer.backward(cache, grad)
         err = finite_diff_check(loss_fn, [layer.W, layer.b],
                                 [layer.grad_W, layer.grad_b])
@@ -147,18 +156,34 @@ class TestLinearBackward:
         layer.backward(cache, dout)
         assert np.allclose(layer.grad_W, 2 * once, atol=0)
 
+    def test_stale_gradients_read_zero(self):
+        rng = np.random.default_rng(10)
+        layer = Linear(3, 2, rng=rng)
+        x = rng.normal(size=(2, 3))
+        y, cache = layer.forward(x)
+        layer.zero_grad()
+        layer.backward(cache, np.ones_like(y))
+        once = (layer.grad_W.copy(), layer.grad_b.copy())
+        assert once[0].any() and once[1].any()
+        layer.zero_grad()  # no backward follows
+        assert not layer.grad_W.any() and not layer.grad_b.any()
+        layer.zero_grad()
+        layer.backward(cache, np.ones_like(y))  # overwrites, not adds to, the old sums
+        assert layer.grad_W.tobytes() == once[0].tobytes()
+        assert layer.grad_b.tobytes() == once[1].tobytes()
+
 
 class TestMaskedSqError:
     def test_zero_when_equal(self):
         x = np.random.default_rng(0).normal(size=(3, 3))
-        loss, grad = masked_sq_error(x, x, np.full_like(x, 5.0))
+        loss, grad = masked_sq_error(x, x, np.arange(x.size), 5.0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(x))
 
     def test_closed_form_example(self):
         loss, grad = masked_sq_error(np.array([[1.0, 0.0]]),
                                      np.array([[0.0, 0.0]]),
-                                     np.array([[10.0, 1.0]]))
+                                     np.array([0]), 10.0)
         assert loss == 100.0
         assert np.array_equal(grad, np.array([[200.0, 0.0]]))
 
@@ -166,8 +191,9 @@ class TestMaskedSqError:
         rng = np.random.default_rng(11)
         pred = rng.normal(size=(5, 7))
         target = rng.normal(size=(5, 7))
-        weight = rng.uniform(0.5, 3.0, size=(5, 7))
-        loss, grad = masked_sq_error(pred, target, weight)
+        on = rng.random((5, 7)) < 0.4
+        weight = np.where(on, 3.7, 1.0)
+        loss, grad = masked_sq_error(pred, target, np.flatnonzero(on), 3.7)
         exp_loss = 0.0
         for r in range(5):
             for c in range(7):
@@ -177,19 +203,31 @@ class TestMaskedSqError:
                 assert abs(grad[r, c] - expected_g) < 1e-12
         assert abs(loss - exp_loss) < 1e-12
 
-    def test_zero_iff_agreement_on_support(self):
-        pred = np.array([[1.0, 2.0]])
+    def test_zero_iff_agreement_everywhere(self):
         target = np.array([[1.0, 0.0]])
-        weight = np.array([[3.0, 0.0]])  # disagreement only where weight is 0
-        loss, _ = masked_sq_error(pred, target, weight)
-        assert loss == 0.0
-        weight = np.array([[0.0, 1.0]])
-        loss, _ = masked_sq_error(pred, target, weight)
-        assert loss > 0.0
+        support = np.array([0])
+        assert masked_sq_error(target, target, support, 3.0)[0] == 0.0
+        # every coordinate weighs at least 1, so any disagreement counts
+        assert masked_sq_error(np.array([[1.0, 2.0]]), target, support, 3.0)[0] == 4.0
+        assert masked_sq_error(np.array([[3.0, 0.0]]), target, support, 3.0)[0] == 36.0
+
+    @pytest.mark.parametrize("mu", [10.0, 3.7])
+    def test_equals_dense_weight_formula(self, mu):
+        rng = np.random.default_rng(12)
+        pred = rng.normal(size=(6, 9))
+        # zero, negative and positive targets, and exact agreement in places
+        target = rng.choice([0.0, -0.0, 0.0, 1.0, 0.25, -1.0, -3.5], size=(6, 9))
+        pred[0] = target[0]
+        support = np.flatnonzero(target > 0)
+        loss, grad = masked_sq_error(pred, target, support, mu)
+        want_loss, want_grad = dense_masked_sq_error(pred, target,
+                                                     dense_penalty_weights(target, mu))
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            masked_sq_error(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
+            masked_sq_error(np.zeros((2, 2)), np.zeros((2, 3)), NO_SUPPORT, 10.0)
 
 
 class TestDropout:
@@ -203,9 +241,9 @@ class TestDropout:
                                 rng=np.random.default_rng(0))
         x = np.random.default_rng(2).random((3, 8))
         rng = np.random.default_rng(1)
-        got = model.channel_forward("content", x, training=False, dropout=0.5, rng=rng)
-        want = model.channel_forward("content", x)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        got = model._forward("content", x, training=False, dropout=0.5, rng=rng)
+        want = model._forward("content", x)
+        assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
         assert rng.random() == np.random.default_rng(1).random()  # no mask was drawn
 
     def test_empirical_zero_fraction(self):
@@ -322,7 +360,10 @@ class TestAdam:
 
     def test_training_chain_bit_identical_to_reference(self, toy_graph, toy_features,
                                                         monkeypatch):
-        # default trunk, so the trunk tensors span several blocks
+        # default trunk, so the trunk tensors span several blocks; the
+        # reference side also zeroes gradients eagerly, allocates every
+        # layer temporary, weighs the loss densely and embeds through the
+        # decoder
         def chain():
             cfg = TrainConfig(epochs=3, batch_size=4, seed=5)
             node = train_node_model(toy_graph, toy_features, cfg)
@@ -332,7 +373,11 @@ class TestAdam:
 
         got = chain()
         monkeypatch.setattr(gm, "Adam", ReferenceAdam)
+        monkeypatch.setattr(gm, "Linear", ReferenceLinear)
+        monkeypatch.setattr(gm, "masked_sq_error", dense_loss_term)
+        monkeypatch.setattr(gm, "compute_embeddings", full_forward_embeddings)
         want = chain()
+        assert isinstance(want[0].model.embed, ReferenceLinear)
         for res_got, res_want in zip(got, want):
             assert_bytes_equal(res_got.model.parameters(), res_want.model.parameters())
             for channel in ("z", "o", "i"):
@@ -374,18 +419,18 @@ class TestFiniteDiffCheck:
         l2 = Linear(4, 3, rng=rng)
         x = rng.normal(size=(5, 6))
         target = rng.uniform(-0.5, 0.5, size=(5, 3))
-        weight = np.where(target > 0, 10.0, 1.0)
+        support = np.flatnonzero(target > 0)
 
         def loss_fn():
             h, _ = l1.forward(x)
             y, _ = l2.forward(h)
-            return masked_sq_error(y, target, weight)[0]
+            return masked_sq_error(y, target, support, 10.0)[0]
 
         l1.zero_grad()
         l2.zero_grad()
         h, c1 = l1.forward(x)
         y, c2 = l2.forward(h)
-        _, dy = masked_sq_error(y, target, weight)
+        _, dy = masked_sq_error(y, target, support, 10.0)
         dh = l2.backward(c2, dy)
         l1.backward(c1, dh)
         params = [l1.W, l1.b, l2.W, l2.b]
