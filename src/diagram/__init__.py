@@ -14,7 +14,6 @@ from .evaluation import (
     EvalReport,
     LinkSample,
     auc_score,
-    edge_features,
     link_prediction_eval,
     micro_macro_f1,
     network_reconstruction,

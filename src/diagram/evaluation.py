@@ -234,12 +234,6 @@ def edge_feature_matrix(emb: EmbeddingSet, pairs, constructor: str,
     raise ValueError(f"unknown edge-feature constructor {constructor!r}")
 
 
-def edge_features(emb: EmbeddingSet, pair, constructor: str,
-                  mode: str = "directed") -> np.ndarray:
-    """Feature vector of length k for one (u, v) pair."""
-    return edge_feature_matrix(emb, [pair], constructor, mode)[0]
-
-
 # -- built-in classifier and metrics ------------------------------------------
 
 

@@ -17,6 +17,11 @@ turns that loss into pressure that moves o_u toward i_v (with separate
 heads the decoder can serve the two channels from disjoint latent
 subspaces and the learned proximity dot(o_u, i_v) stays at chance).
 Gradients from all channels accumulate into every shared layer.
+
+The two input heads take each batch's rows of [A | D], M and M^T as CSR
+matrices (``nn.CSRRows``) and keep W as (in, out) in memory; checkpoints
+store every W as (out, in). The reconstruction targets are the same rows
+made dense.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import nn
 from .data import (DirectedGraph, FeatureMatrix, build_undirected_union, check_same_dataset,
                    dataset_fingerprint)
 from .exceptions import EmbeddingFormatError, TrainingError
-from .nn import Adam, Linear, atomic_write, dropout_mask, masked_sq_error
+from .nn import Adam, CSRRows, Linear, atomic_write, dropout_mask, masked_sq_error
 
 CHANNELS = ("content", "out", "in")
 
@@ -106,11 +112,9 @@ class DiagramModel:
         # Layer creation order is fixed: it defines the rng draw order and
         # therefore the reproducibility of seeded initialization.
         self.heads = {
-            "content": Linear(n + d, t[0], rng),
-            "directed": Linear(n, t[0], rng),
+            "content": Linear(n + d, t[0], rng, sparse_input=True),
+            "directed": Linear(n, t[0], rng, sparse_input=True),
         }
-        for head in self.heads.values():
-            head.input_grad = False  # their inputs are data rows
         self.encoder_trunk = [Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)]
         self.embed = Linear(t[-1], k, rng)
         dec_dims = tuple(reversed(t))
@@ -170,24 +174,24 @@ class DiagramModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def _encode(self, channel: str, x: np.ndarray, steps: list, training: bool = False,
+    def _encode(self, channel: str, x: CSRRows, steps: list, training: bool = False,
                 dropout: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
         """Head, encoder trunk and embed layer of one channel; returns the embedding.
 
-        Appends each layer's (layer, cache, dropout mask) to ``steps`` for
-        the backward pass. Dropout is applied to every encoder activation
-        (head output and each encoder-trunk output), never to inputs or the
-        embedding.
+        ``x`` holds the channel's input rows. Appends each layer's (layer,
+        cache, dropout mask) to ``steps`` for the backward pass. Dropout is
+        applied to every encoder activation (head output and each
+        encoder-trunk output), never to inputs or the embedding.
         """
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
         rate = dropout if training else 0.0
-        h = _run(self.head_for(channel), np.asarray(x, dtype=np.float64), steps, rate, rng)
+        h = _run(self.head_for(channel), x, steps, rate, rng)
         for layer in self.encoder_trunk:
             h = _run(layer, h, steps, rate, rng)
         return _run(self.embed, h, steps)
 
-    def _forward(self, channel: str, x: np.ndarray, training: bool = False,
+    def _forward(self, channel: str, x: CSRRows, training: bool = False,
                  dropout: float = 0.0, rng: np.random.Generator | None = None):
         """Run one channel; returns (embedding, reconstruction, backward ctx).
 
@@ -257,27 +261,23 @@ def penalty_weights(target: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ChannelBatch:
-    x: np.ndarray  # the input rows, which are also the reconstruction target
+    x: CSRRows  # the input rows
+    target: np.ndarray  # the same rows made dense: the reconstruction target
     # Optional second loss term on a row slice of the same reconstruction:
     # (row slice, target). Used by the edge model's adjusted term.
     extra: tuple | None = None
 
 
-def _node_batches(idx, M, MT, A, D) -> dict[str, _ChannelBatch]:
+def _batch(rows: sp.csr_matrix, extra: tuple | None = None) -> _ChannelBatch:
+    return _ChannelBatch(CSRRows(rows), rows.toarray(), extra)
+
+
+def _node_batches(idx, M, MT, AD) -> dict[str, _ChannelBatch]:
     idx = np.asarray(idx, dtype=np.int64)
-    a = np.asarray(A[idx].todense(), dtype=np.float64)
-    dd = np.asarray(D[idx].todense(), dtype=np.float64)
-    content = np.hstack([a, dd])
-    out = np.asarray(M[idx].todense(), dtype=np.float64)
-    inc = np.asarray(MT[idx].todense(), dtype=np.float64)
-    return {
-        "content": _ChannelBatch(content),
-        "out": _ChannelBatch(out),
-        "in": _ChannelBatch(inc),
-    }
+    return {"content": _batch(AD[idx]), "out": _batch(M[idx]), "in": _batch(MT[idx])}
 
 
-def _edge_batches(u_idx, v_idx, M, MT, A, D) -> dict[str, _ChannelBatch]:
+def _edge_batches(u_idx, v_idx, M, MT, AD) -> dict[str, _ChannelBatch]:
     """Batched edge-model targets for edges (u, v).
 
     Content and out channels run on [u; v]; the in channel runs on v only.
@@ -287,15 +287,11 @@ def _edge_batches(u_idx, v_idx, M, MT, A, D) -> dict[str, _ChannelBatch]:
     u_idx = np.asarray(u_idx, dtype=np.int64)
     v_idx = np.asarray(v_idx, dtype=np.int64)
     both = np.concatenate([u_idx, v_idx])
-    a = np.asarray(A[both].todense(), dtype=np.float64)
-    dd = np.asarray(D[both].todense(), dtype=np.float64)
-    content = np.hstack([a, dd])
-    out = np.asarray(M[both].todense(), dtype=np.float64)
-    in_v = np.asarray(MT[v_idx].todense(), dtype=np.float64)
+    in_v = _batch(MT[v_idx])
     return {
-        "content": _ChannelBatch(content),
-        "out": _ChannelBatch(out, extra=(slice(0, len(u_idx)), in_v)),
-        "in": _ChannelBatch(in_v),
+        "content": _batch(AD[both]),
+        "out": _batch(M[both], extra=(slice(0, len(u_idx)), in_v.target)),
+        "in": in_v,
     }
 
 
@@ -309,7 +305,7 @@ def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: flo
         if cb is None:
             continue
         emb, recon, steps = model._forward(channel, cb.x, training, dropout, rng)
-        loss, grad = masked_sq_error(recon, cb.x, penalty_weights(cb.x), mu)
+        loss, grad = masked_sq_error(recon, cb.target, penalty_weights(cb.target), mu)
         if cb.extra is not None:
             rows, target2 = cb.extra
             extra_loss, extra_grad = masked_sq_error(recon[rows], target2,
@@ -336,28 +332,34 @@ class TrainResult:
 
 
 def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix):
+    """The channel inputs as CSR matrices: M, M^T and [A | D]."""
     if features.node_count != graph.node_count:
         raise TrainingError(
             f"feature rows ({features.node_count}) != nodes ({graph.node_count})"
         )
-    return (graph.out_adjacency, graph.in_adjacency,
-            build_undirected_union(graph), features.values)
+    AD = sp.hstack([build_undirected_union(graph), features.values], format="csr",
+                   dtype=np.float64)
+    return graph.out_adjacency, graph.in_adjacency, AD
 
 
 def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
                        features: FeatureMatrix, variant: str,
                        chunk: int = 256) -> EmbeddingSet:
-    """Inference-mode embeddings for every node: the encoder alone, no dropout."""
-    M, MT, A, D = _graph_tensors(graph, features)
+    """Inference-mode embeddings for every node: the encoder alone, no dropout.
+
+    Each chunk of nodes feeds its CSR row slices to the input heads; no
+    dense row is built.
+    """
+    M, MT, AD = _graph_tensors(graph, features)
+    inputs = {"content": AD, "out": M, "in": MT}
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
     for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        batches = _node_batches(idx, M, MT, A, D)
+        rows = slice(start, min(start + chunk, n))
         for channel, out in zip(CHANNELS, (z, o, i)):
-            out[idx] = model._encode(channel, batches[channel].x, [])
+            out[rows] = model._encode(channel, CSRRows(inputs[channel][rows]), [])
     return EmbeddingSet(z, o, i, list(graph.node_ids), variant,
                         dataset_fingerprint(graph, features))
 
@@ -394,12 +396,12 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
 
 def _fit_node_model(graph: DirectedGraph, features: FeatureMatrix,
                     cfg: TrainConfig) -> tuple[DiagramModel, list[float]]:
-    M, MT, A, D = _graph_tensors(graph, features)
+    M, MT, AD = _graph_tensors(graph, features)
     n = graph.node_count
     rng = np.random.default_rng(cfg.seed)
     model = DiagramModel(n, features.dim, cfg.trunk_dims, cfg.embedding_dim, rng)
     epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
-    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, A, D),
+    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, AD),
                  epochs, cfg, rng)
     return model, trace
 
@@ -437,7 +439,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
     With ``cfg.transfer_from`` set, parameters start from the given node
     checkpoint and two epochs suffice; from scratch the default is 30.
     """
-    M, MT, A, D = _graph_tensors(graph, features)
+    M, MT, AD = _graph_tensors(graph, features)
     if graph.edge_count == 0:
         raise TrainingError("edge model needs at least one edge")
     rng = np.random.default_rng(cfg.seed)
@@ -449,7 +451,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
                              cfg.embedding_dim, rng)
         epochs = DEFAULT_EDGE_EPOCHS_SCRATCH if cfg.epochs is None else cfg.epochs
     trace = _fit(model, graph.edge_list,
-                 lambda rows: _edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D),
+                 lambda rows: _edge_batches(rows[:, 0], rows[:, 1], M, MT, AD),
                  epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "edge")
     return TrainResult(model, emb, trace, "edge", cfg.as_dict())
@@ -473,7 +475,13 @@ def train_edge_chain(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
 # -- model checkpoints -------------------------------------------------------
 
 
+def _transposed(model: DiagramModel) -> set[str]:
+    """Weights held (in, out) in memory; checkpoints store every W as (out, in)."""
+    return {f"{name}.W" for name, layer in model.named_layers() if layer.sparse_input}
+
+
 def save_model(path, model: DiagramModel, meta: dict | None = None) -> None:
+    """Write the parameters and architecture, every W as (out, in), atomically."""
     header = {
         "kind": "diagram-model",
         "node_count": model.node_count,
@@ -482,10 +490,14 @@ def save_model(path, model: DiagramModel, meta: dict | None = None) -> None:
         "embedding_dim": model.embedding_dim,
     }
     header.update(meta or {})
-    nn.save_checkpoint(path, model.parameters(), header)
+    flip = _transposed(model)
+    tensors = {name: np.ascontiguousarray(arr.T) if name in flip else arr
+               for name, arr in model.parameters().items()}
+    nn.save_checkpoint(path, tensors, header)
 
 
 def load_model(path):
+    """Inverse of :func:`save_model`; returns (model, meta)."""
     tensors, meta = nn.load_checkpoint(path)
     if meta.get("kind") != "diagram-model":
         raise EmbeddingFormatError(f"{path} is not a model checkpoint")
@@ -494,13 +506,14 @@ def load_model(path):
                              tuple(meta["trunk_dims"]), meta["embedding_dim"])
     except (KeyError, TypeError, ValueError) as exc:
         raise EmbeddingFormatError(f"{path}: bad model header: {exc!r}") from exc
-    params = model.parameters()
+    params, flip = model.parameters(), _transposed(model)
     if set(params) != set(tensors):
         raise EmbeddingFormatError(f"{path}: tensor names do not match architecture")
     for name, arr in tensors.items():
-        if params[name].shape != arr.shape:
+        dst = params[name].T if name in flip else params[name]
+        if dst.shape != arr.shape:
             raise EmbeddingFormatError(f"{path}: shape mismatch for {name}")
-        params[name][...] = arr
+        dst[...] = arr
     return model, meta
 
 

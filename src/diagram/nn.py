@@ -1,9 +1,10 @@
-"""Minimal dense-tensor NN core with hand-written reverse-mode gradients.
+"""Minimal NN core with hand-written reverse-mode gradients.
 
 Everything runs in float64: the datasets are small enough that memory is
 a non-issue and the gradient checks need the precision. The architecture
 is fixed upstream, so layers expose an explicit (cache in, gradient out)
-backward instead of a general autodiff graph.
+backward instead of a general autodiff graph. Layers fed data rows take
+them as scipy CSR matrices (``CSRRows``); every other tensor is dense.
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ import tempfile
 import zipfile
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import EmbeddingFormatError, TrainingError
+
+GLOROT_BLOCK = 64
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -23,15 +27,49 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
+def glorot_uniform_transposed(rng: np.random.Generator, out_dim: int,
+                              in_dim: int) -> np.ndarray:
+    """``glorot_uniform(rng, out_dim, in_dim).T`` as a C-contiguous (in, out) array.
+
+    The (out, in) sample is drawn ``GLOROT_BLOCK`` rows at a time and each
+    block is written straight into place, so the values and the rng stream
+    are those of the one-shot draw and no second full-size array exists.
+    """
+    limit = np.sqrt(6.0 / (in_dim + out_dim))
+    W = np.empty((in_dim, out_dim))
+    for lo in range(0, out_dim, GLOROT_BLOCK):
+        block = rng.uniform(-limit, limit, size=(min(GLOROT_BLOCK, out_dim - lo), in_dim))
+        W[:, lo:lo + len(block)] = block.T
+    return W
+
+
+class CSRRows:
+    """A batch of input rows held as a scipy CSR matrix; ``len()`` is the row count."""
+
+    __slots__ = ("csr",)
+
+    def __init__(self, csr: sp.csr_matrix):
+        self.csr = csr
+
+    def __len__(self) -> int:
+        return self.csr.shape[0]
+
+
 class Linear:
-    """Dense layer ``y = tanh(x @ W.T + b)`` with W stored (out, in).
+    """Layer ``y = tanh(x @ W.T + b)`` over dense rows, with W stored (out, in).
 
     ``forward`` returns the output plus an opaque cache; ``backward``
     consumes the cache, accumulates into ``grad_W`` / ``grad_b`` and
     returns the gradient w.r.t. the input. Accumulation (rather than
     assignment) is what lets several channels share one trunk layer.
-    A layer fed by constant data sets ``input_grad = False``; its
-    ``backward`` then skips the ``dz @ W`` product and returns ``None``.
+
+    A layer built with ``sparse_input=True`` takes ``CSRRows`` and stores
+    W as (in, out), so ``y = tanh(rows @ W + b)`` is one CSR-times-dense
+    product. Its weight gradient ``rowsᵀ @ dz`` is nonzero only in the rows
+    of W that the batch's columns touch; ``backward`` computes just those
+    rows and writes them into ``grad_W``, and returns ``None``, since the
+    rows are data and need no gradient. The layer remembers which rows of
+    ``grad_W`` it wrote, and zeroing clears only those.
 
     ``zero_grad`` only marks the gradients stale. The first ``backward``
     after it writes its products into the gradient buffers in place of
@@ -40,20 +78,24 @@ class Linear:
     zero-then-add is that an entry can read -0.0 where it read +0.0.
     """
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
+                 sparse_input: bool = False):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("layer dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.input_grad = True
+        self.sparse_input = sparse_input
         if rng is None:
-            self.W = np.zeros((out_dim, in_dim))
+            self.W = np.zeros((in_dim, out_dim) if sparse_input else (out_dim, in_dim))
+        elif sparse_input:
+            self.W = glorot_uniform_transposed(rng, out_dim, in_dim)
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
         self._grad_W = np.zeros_like(self.W)
         self._grad_b = np.zeros_like(self.b)
         self._stale = False
+        self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
 
     @property
     def grad_W(self) -> np.ndarray:
@@ -67,18 +109,28 @@ class Linear:
 
     def _settle(self) -> None:
         if self._stale:
-            self._grad_W[...] = 0.0
+            if self.sparse_input:
+                self._grad_W[self._touched] = 0.0
+                self._touched = self._touched[:0]
+            else:
+                self._grad_W[...] = 0.0
             self._grad_b[...] = 0.0
             self._stale = False
 
-    def forward(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"input shape {x.shape} incompatible with layer "
-                f"({self.out_dim}, {self.in_dim})"
-            )
-        y = x @ self.W.T
+    def forward(self, x):
+        if self.sparse_input:
+            if not isinstance(x, CSRRows) or x.csr.shape[1] != self.in_dim:
+                raise ValueError(f"layer ({self.in_dim} -> {self.out_dim}) takes CSRRows "
+                                 f"of width {self.in_dim}")
+            y = x.csr @ self.W
+        else:
+            x = np.asarray(x, dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != self.in_dim:
+                raise ValueError(
+                    f"input shape {x.shape} incompatible with layer "
+                    f"({self.out_dim}, {self.in_dim})"
+                )
+            y = x @ self.W.T
         y += self.b
         np.tanh(y, out=y)
         return y, (x, y)
@@ -92,6 +144,9 @@ class Linear:
         dz = y * y
         np.subtract(1.0, dz, out=dz)
         dz *= dout
+        if self.sparse_input:
+            self._sparse_grad(x.csr, dz)
+            return None
         if self._stale:
             np.matmul(dz.T, x, out=self._grad_W)
             np.sum(dz, axis=0, out=self._grad_b)
@@ -99,7 +154,24 @@ class Linear:
         else:
             self._grad_W += dz.T @ x
             self._grad_b += dz.sum(axis=0)
-        return dz @ self.W if self.input_grad else None
+        return dz @ self.W
+
+    def _sparse_grad(self, rows: sp.csr_matrix, dz: np.ndarray) -> None:
+        """Add ``rowsᵀ @ dz`` into the rows of ``grad_W`` that ``rows`` touches."""
+        cols, pos = np.unique(rows.indices, return_inverse=True)
+        # rowsᵀ restricted to the touched columns, renumbered 0..len(cols)-1
+        touched_T = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
+                                  shape=(cols.size, rows.shape[0]))
+        g = touched_T @ dz
+        if self._stale:
+            self._settle()
+            self._grad_W[cols] = g
+            np.sum(dz, axis=0, out=self._grad_b)
+            self._touched = cols
+        else:
+            self._grad_W[cols] += g
+            self._grad_b += dz.sum(axis=0)
+            self._touched = np.union1d(self._touched, cols)
 
     def zero_grad(self) -> None:
         self._stale = True
@@ -176,6 +248,11 @@ class Adam:
         if not p.flags.c_contiguous:  # the sweep updates p through a flat view
             raise ValueError(f"parameter {name} is not C-contiguous")
         flat = g.reshape(-1)
+        # A sum of squares is finite only if every entry is; it overflows
+        # for huge finite entries too, so only then is each block scanned.
+        with np.errstate(over="ignore"):
+            if np.isfinite(np.dot(flat, flat)):
+                return
         for lo in range(0, flat.size, self.BLOCK):
             blk = flat[lo:lo + self.BLOCK]
             ok = self._finite[:blk.size]

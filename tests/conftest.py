@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diagram.data import DirectedGraph, FeatureMatrix
+from diagram.evaluation import edge_feature_matrix
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
 
@@ -57,6 +58,11 @@ def random_features(n: int, d: int, seed: int, density: float = 0.4) -> FeatureM
     dense = (rng.random((n, d)) < density).astype(float)
     import scipy.sparse as sp
     return FeatureMatrix(sp.csr_matrix(dense), mode="binary")
+
+
+def edge_features(emb, pair, constructor: str, mode: str = "directed") -> np.ndarray:
+    """Feature vector of length k for one (u, v) pair."""
+    return edge_feature_matrix(emb, [pair], constructor, mode)[0]
 
 
 @pytest.fixture

@@ -3,10 +3,12 @@
 ``ReferenceLinear``, ``dense_penalty_weights``/``dense_masked_sq_error``
 and ``full_forward_embeddings`` are the earlier, plainer forms of
 ``nn.Linear``, the penalised loss and ``model.compute_embeddings``: the
-layer zeroes its gradients eagerly and allocates every temporary, the loss
-builds a dense mu/1 weight array, and the embeddings come from the full
-forward pass with the decoder output dropped. The program must match them
-bit for bit.
+layer takes dense rows, zeroes its gradients eagerly and allocates every
+temporary, the loss builds a dense mu/1 weight array, and the embeddings
+come from the full forward pass with the decoder output dropped. The
+program's dense layers, loss and embeddings must match them bit for bit;
+its sparse-input heads match ``ReferenceLinear`` on the same rows made
+dense to 1e-12 relative, since a CSR product sums in another order.
 
 ``node_loss``, ``edge_loss`` and ``mean_edge_loss`` evaluate the training
 objective outside the training loop. ``edge_loss`` builds the adjusted
@@ -16,10 +18,11 @@ term from node batches, independently of ``model._edge_batches``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 import diagram.model as gm
 from diagram.exceptions import TrainingError
-from diagram.nn import glorot_uniform
+from diagram.nn import Linear, glorot_uniform
 
 
 class ReferenceLinear:
@@ -30,7 +33,6 @@ class ReferenceLinear:
             raise ValueError("layer dimensions must be positive")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.input_grad = True
         if rng is None:
             self.W = np.zeros((out_dim, in_dim))
         else:
@@ -50,7 +52,7 @@ class ReferenceLinear:
         y = np.tanh(z)
         return y, (x, y)
 
-    def backward(self, cache, dout: np.ndarray) -> np.ndarray | None:
+    def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         x, y = cache
         if dout.shape != y.shape:
             raise ValueError(
@@ -59,11 +61,19 @@ class ReferenceLinear:
         dz = dout * (1.0 - y * y)
         self.grad_W += dz.T @ x
         self.grad_b += dz.sum(axis=0)
-        return dz @ self.W if self.input_grad else None
+        return dz @ self.W
 
     def zero_grad(self) -> None:
         self.grad_W[...] = 0.0
         self.grad_b[...] = 0.0
+
+
+def reference_layer(in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
+                    sparse_input: bool = False):
+    """``ReferenceLinear`` for every dense layer; sparse-input heads stay ``nn.Linear``."""
+    if sparse_input:
+        return Linear(in_dim, out_dim, rng, sparse_input=True)
+    return ReferenceLinear(in_dim, out_dim, rng)
 
 
 def dense_penalty_weights(target: np.ndarray, mu: float) -> np.ndarray:
@@ -99,14 +109,14 @@ def dense_loss_term(pred, target, support, mu):
 def full_forward_embeddings(model, graph, features, variant: str,
                             chunk: int = 256) -> gm.EmbeddingSet:
     """``compute_embeddings`` through the full forward pass, decoder included."""
-    M, MT, A, D = gm._graph_tensors(graph, features)
+    M, MT, AD = gm._graph_tensors(graph, features)
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))
-        batches = gm._node_batches(idx, M, MT, A, D)
+        batches = gm._node_batches(idx, M, MT, AD)
         z[idx] = model._forward("content", batches["content"].x)[0]
         o[idx] = model._forward("out", batches["out"].x)[0]
         i[idx] = model._forward("in", batches["in"].x)[0]
@@ -116,8 +126,8 @@ def full_forward_embeddings(model, graph, features, variant: str,
 
 def node_loss(model, nodes, M, A, D, mu: float = 10.0) -> float:
     """Sum of the three per-channel reconstruction losses over a node batch."""
-    MT = M.T.tocsr()
-    return gm._run_batches(model, gm._node_batches(nodes, M, MT, A, D), mu)
+    MT, AD = M.T.tocsr(), sp.hstack([A, D], format="csr")
+    return gm._run_batches(model, gm._node_batches(nodes, M, MT, AD), mu)
 
 
 def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> float:
@@ -132,25 +142,25 @@ def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> 
     u, v = int(edge[0]), int(edge[1])
     if M[u, v] == 0:
         raise TrainingError(f"edge ({u}, {v}) not present in graph")
-    MT = M.T.tocsr()
-    u_batches = gm._node_batches([u], M, MT, A, D)
+    MT, AD = M.T.tocsr(), sp.hstack([A, D], format="csr")
+    u_batches = gm._node_batches([u], M, MT, AD)
     if adjusted:
-        in_v = np.asarray(MT[[v]].todense(), dtype=np.float64)
+        in_v = MT[[v]].toarray()
         u_batches["out"].extra = (slice(0, 1), in_v)
         del u_batches["in"]
     loss_u = gm._run_batches(model, u_batches, mu)
-    loss_v = gm._run_batches(model, gm._node_batches([v], M, MT, A, D), mu)
+    loss_v = gm._run_batches(model, gm._node_batches([v], M, MT, AD), mu)
     return loss_u + loss_v
 
 
 def mean_edge_loss(model, graph, features, mu: float = 10.0,
                    batch_size: int = 256) -> float:
     """Inference-mode edge-model loss averaged over all directed edges."""
-    M, MT, A, D = gm._graph_tensors(graph, features)
+    M, MT, AD = gm._graph_tensors(graph, features)
     edges = graph.edge_list
     total = 0.0
     for start in range(0, edges.shape[0], batch_size):
         rows = edges[start:start + batch_size]
-        batches = gm._edge_batches(rows[:, 0], rows[:, 1], M, MT, A, D)
+        batches = gm._edge_batches(rows[:, 0], rows[:, 1], M, MT, AD)
         total += gm._run_batches(model, batches, mu)
     return total / edges.shape[0]

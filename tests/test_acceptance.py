@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from diagram.data import build_undirected_union, load_citation_dataset
+from diagram.data import load_citation_dataset
 from diagram.evaluation import (
     auc_score,
-    edge_features,
     link_prediction_eval,
     micro_macro_f1,
     network_reconstruction,
@@ -26,6 +25,7 @@ from diagram.model import (
     DiagramModel,
     EmbeddingSet,
     TrainConfig,
+    _graph_tensors,
     _node_batches,
     _run_batches,
     train_edge_model,
@@ -33,7 +33,7 @@ from diagram.model import (
 )
 from diagram.nn import finite_diff_check
 
-from conftest import find_dataset, random_digraph, random_features
+from conftest import edge_features, find_dataset, random_digraph, random_features
 from oracles import mean_edge_loss
 
 SEEDS = (0, 1, 2)
@@ -99,10 +99,7 @@ def test_criterion_1_gradient_correctness():
     features = random_features(8, 5, seed=22)
     model = DiagramModel(8, 5, trunk_dims=(8, 4), embedding_dim=3,
                          rng=np.random.default_rng(0))
-    M, MT = graph.out_adjacency, graph.in_adjacency
-    A = build_undirected_union(graph)
-    D = features.values
-    batches = _node_batches(range(8), M, MT, A, D)
+    batches = _node_batches(range(8), *_graph_tensors(graph, features))
 
     model.zero_grad()
     _run_batches(model, batches, mu=10.0, with_grad=True)  # dropout off

@@ -5,7 +5,8 @@ import pytest
 
 from diagram.cli import main, parse_config_file, resolve_dataset
 from diagram.exceptions import DiagramError
-from diagram.model import import_embeddings
+from diagram.model import import_embeddings, load_model
+from diagram.nn import save_checkpoint
 
 FAST = ["--epochs", "2", "--k", "4", "--trunk", "8,4", "--seed", "3"]
 
@@ -117,6 +118,25 @@ class TestTrain:
                     "--transfer-from", node_out / "node_checkpoint.npz",
                     "--out", edge_out, *FAST]) == 0
         assert (edge_out / "edge_embeddings.tsv").exists()
+
+    def test_transfer_from_out_in_checkpoint_keeps_its_parameters(self, dataset_arg,
+                                                                  tmp_path):
+        # a checkpoint with every weight stored (out, in), written without
+        # save_model; zero edge epochs leave the transferred parameters as loaded
+        node_out = tmp_path / "node"
+        assert run(["train", "--dataset", dataset_arg, "--out", node_out, *FAST]) == 0
+        model, meta = load_model(node_out / "node_checkpoint.npz")
+        heads = {"content_head.W", "directed_head.W"}
+        old = tmp_path / "old.npz"
+        save_checkpoint(old, {name: np.ascontiguousarray(arr.T) if name in heads else arr
+                              for name, arr in model.parameters().items()}, meta)
+        edge_out = tmp_path / "edge"
+        assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                    "--transfer-from", old, "--out", edge_out, *FAST,
+                    "--epochs", "0"]) == 0
+        edge, _ = load_model(edge_out / "edge_checkpoint.npz")
+        for name, arr in model.parameters().items():
+            assert edge.parameters()[name].tobytes() == arr.tobytes(), name
 
     def test_transfer_from_other_dataset_is_refused(self, fixture_dataset, dataset_arg,
                                                     tmp_path, capsys):

@@ -13,7 +13,6 @@ from diagram.evaluation import (
     EvalReport,
     auc_score,
     binary_f1,
-    edge_features,
     link_prediction_eval,
     logistic_predict_proba,
     logistic_regression_fit,
@@ -28,7 +27,7 @@ from diagram.evaluation import (
 from diagram.exceptions import EvaluationError, SamplingError
 from diagram.model import EmbeddingSet, TrainConfig
 
-from conftest import random_digraph, random_features
+from conftest import edge_features, random_digraph, random_features
 
 
 def make_embeddings(n, k, seed, variant="edge"):

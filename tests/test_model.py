@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import diagram.model as gm
 from diagram.data import DirectedGraph, build_undirected_union
@@ -12,6 +13,7 @@ from diagram.model import (
     EmbeddingSet,
     TrainConfig,
     _edge_batches,
+    _graph_tensors,
     _node_batches,
     _run_batches,
     compute_embeddings,
@@ -23,12 +25,18 @@ from diagram.model import (
     train_edge_model,
     train_node_model,
 )
-from diagram.nn import finite_diff_check, masked_sq_error, save_checkpoint
+from diagram.nn import (CSRRows, finite_diff_check, load_checkpoint, masked_sq_error,
+                        save_checkpoint)
 
 from conftest import random_features
 from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
+
+
+def rows(x) -> CSRRows:
+    """Dense input rows as the CSR batch the input heads take."""
+    return CSRRows(sp.csr_matrix(np.atleast_2d(x)))
 
 
 def small_model(graph, features, seed=0):
@@ -51,7 +59,7 @@ def _affine_tanh(W, b, vec):
 
 def scalar_channel_forward(model, channel, x_row):
     head = model.head_for(channel)
-    h = _affine_tanh(head.W, head.b, x_row)
+    h = _affine_tanh(head.W.T, head.b, x_row)  # input heads hold W as (in, out)
     for layer in model.encoder_trunk:
         h = _affine_tanh(layer.W, layer.b, h)
     emb = _affine_tanh(model.embed.W, model.embed.b, h)
@@ -85,40 +93,38 @@ def node_targets(graph, features, u):
 class TestChannelForward:
     def test_zero_params_give_zero_outputs(self, toy_graph, toy_features):
         model = DiagramModel(6, 4, **SMALL)  # no rng: zero-initialized
-        x = np.ones((3, 10))
-        emb, recon, _ = model._forward("content", x)
+        emb, recon, _ = model._forward("content", rows(np.ones((3, 10))))
         assert np.array_equal(emb, np.zeros((3, 3)))
         assert np.array_equal(recon, np.zeros((3, 10)))
 
     def test_default_embedding_width_is_128(self):
         model = DiagramModel(10, 5, rng=np.random.default_rng(0))
-        emb, recon, _ = model._forward("out", np.zeros((2, 10)))
+        emb, recon, _ = model._forward("out", rows(np.zeros((2, 10))))
         assert emb.shape == (2, 128)
         assert recon.shape == (2, 10)
 
     def test_channel_specific_dims(self):
         model = DiagramModel(7, 3, rng=np.random.default_rng(0), **SMALL)
-        emb, recon, _ = model._forward("content", np.zeros((1, 10)))
+        emb, recon, _ = model._forward("content", rows(np.zeros((1, 10))))
         assert recon.shape == (1, 10)
-        emb, recon, _ = model._forward("in", np.zeros((1, 7)))
+        emb, recon, _ = model._forward("in", rows(np.zeros((1, 7))))
         assert recon.shape == (1, 7)
         with pytest.raises(ValueError):
-            model._forward("content", np.zeros((1, 7)))
+            model._forward("content", rows(np.zeros((1, 7))))
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_matches_scalar_oracle(self, toy_graph, toy_features, channel):
         model = small_model(toy_graph, toy_features, seed=5)
         targets = node_targets(toy_graph, toy_features, u=2)
-        x = targets[channel][None, :]
-        emb, recon, _ = model._forward(channel, x)
-        ref_emb, ref_recon = scalar_channel_forward(model, channel, x[0])
+        x = targets[channel]
+        emb, recon, _ = model._forward(channel, rows(x))
+        ref_emb, ref_recon = scalar_channel_forward(model, channel, x)
         assert np.allclose(emb[0], ref_emb, atol=1e-10, rtol=0)
         assert np.allclose(recon[0], ref_recon, atol=1e-10, rtol=0)
 
     def test_trunk_is_shared_across_channels(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=1)
-        inputs = {c: node_targets(toy_graph, toy_features, 0)[c][None, :]
-                  for c in CHANNELS}
+        inputs = {c: rows(node_targets(toy_graph, toy_features, 0)[c]) for c in CHANNELS}
         before = {c: model._forward(c, inputs[c])[0] for c in CHANNELS}
         model.encoder_trunk[0].W += 0.25  # mutate the trunk through one handle
         after = {c: model._forward(c, inputs[c])[0] for c in CHANNELS}
@@ -135,7 +141,7 @@ class TestChannelForward:
 
     def test_dropout_only_active_in_training(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=2)
-        x = np.ones((4, 10))
+        x = rows(np.ones((4, 10)))
         a = model._forward("content", x)[1]
         b = model._forward("content", x, training=False, dropout=0.5)[1]
         assert np.array_equal(a, b)
@@ -190,11 +196,7 @@ class TestGradients:
     def test_full_three_channel_gradcheck(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=4)
         mu = 10.0
-        M = toy_graph.out_adjacency
-        MT = toy_graph.in_adjacency
-        A = build_undirected_union(toy_graph)
-        D = toy_features.values
-        batches = _node_batches(range(6), M, MT, A, D)
+        batches = _node_batches(range(6), *_graph_tensors(toy_graph, toy_features))
         model.zero_grad()
         _run_batches(model, batches, mu, with_grad=True)
         params = list(model.parameters().values())
@@ -210,9 +212,7 @@ class TestGradients:
     def test_layers_a_pass_skips_read_zero_gradients(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=5)
         fresh = model.copy()
-        M, MT = toy_graph.out_adjacency, toy_graph.in_adjacency
-        A = build_undirected_union(toy_graph)
-        batches = _node_batches(range(6), M, MT, A, toy_features.values)
+        batches = _node_batches(range(6), *_graph_tensors(toy_graph, toy_features))
         model.zero_grad()
         _run_batches(model, batches, 10.0, with_grad=True)  # every layer gets a gradient
         content_only = {"content": batches["content"]}
@@ -229,12 +229,8 @@ class TestGradients:
     def test_edge_batch_gradcheck(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=6)
         mu = 10.0
-        M = toy_graph.out_adjacency
-        MT = toy_graph.in_adjacency
-        A = build_undirected_union(toy_graph)
-        D = toy_features.values
         e = toy_graph.edge_list[:4]
-        batches = _edge_batches(e[:, 0], e[:, 1], M, MT, A, D)
+        batches = _edge_batches(e[:, 0], e[:, 1], *_graph_tensors(toy_graph, toy_features))
         model.zero_grad()
         _run_batches(model, batches, mu, with_grad=True)
         params = list(model.parameters().values())
@@ -432,6 +428,48 @@ class TestCheckpointIO:
         assert meta["variant"] == "node" and meta["seed"] == 12
         for name, arr in model.parameters().items():
             assert np.array_equal(arr, loaded.parameters()[name])
+
+    HEADS = ("content_head.W", "directed_head.W")
+
+    def test_save_model_stores_every_weight_out_in(self, toy_graph, toy_features,
+                                                   tmp_path):
+        model = small_model(toy_graph, toy_features, seed=13)
+        path = tmp_path / "model.npz"
+        save_model(path, model)
+        with np.load(path) as npz:
+            for name, layer in model.named_layers():
+                stored = npz[f"{name}.W"]
+                assert stored.shape == (layer.out_dim, layer.in_dim), name
+                assert stored.flags.c_contiguous, name
+                want = layer.W.T if f"{name}.W" in self.HEADS else layer.W
+                assert np.array_equal(stored, want), name
+
+    def test_out_in_checkpoint_loads_to_the_same_parameters(self, toy_graph,
+                                                            toy_features, tmp_path):
+        # the layout every checkpoint has had on disk, written without save_model
+        model = small_model(toy_graph, toy_features, seed=14)
+        tensors = {name: np.ascontiguousarray(arr.T) if name in self.HEADS else arr
+                   for name, arr in model.parameters().items()}
+        path = tmp_path / "old.npz"
+        save_checkpoint(path, tensors, {"kind": "diagram-model", "node_count": 6,
+                                        "feature_dim": 4, "trunk_dims": [8, 4],
+                                        "embedding_dim": 3})
+        loaded, _ = load_model(path)
+        for name, arr in model.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes(), name
+        assert loaded.heads["content"].W.shape == (10, 8)
+
+    @pytest.mark.parametrize("name", ["content_head.W", "directed_head.W", "embed.W"])
+    def test_weight_in_the_wrong_layout_is_typed_error(self, toy_graph, toy_features,
+                                                       tmp_path, name):
+        model = small_model(toy_graph, toy_features, seed=15)
+        path = tmp_path / "model.npz"
+        save_model(path, model)
+        tensors, meta = load_checkpoint(path)
+        tensors[name] = np.ascontiguousarray(tensors[name].T)
+        save_checkpoint(path, tensors, meta)
+        with pytest.raises(EmbeddingFormatError, match=f"shape mismatch for {name}"):
+            load_model(path)
 
     def test_train_edge_from_checkpoint_path(self, toy_graph, toy_features, tmp_path):
         node_cfg = TrainConfig(epochs=2, seed=0, **SMALL)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import diagram.model as gm
 from diagram.exceptions import EmbeddingFormatError, TrainingError
 from diagram.model import TrainConfig, train_edge_model, train_node_model
 from diagram.nn import (
     Adam,
+    CSRRows,
     Linear,
     atomic_write,
     dropout_mask,
@@ -23,6 +25,7 @@ from oracles import (
     dense_masked_sq_error,
     dense_penalty_weights,
     full_forward_embeddings,
+    reference_layer,
 )
 
 NO_SUPPORT = np.array([], dtype=np.intp)  # weight 1 on every coordinate
@@ -127,23 +130,6 @@ class TestLinearBackward:
                                 [layer.grad_W, layer.grad_b])
         assert err < 1e-7
 
-    @pytest.mark.parametrize("activation", ["tanh"])
-    def test_input_grad_off_returns_none_and_same_param_grads(self, activation):
-        rng = np.random.default_rng(8)
-        layer = Linear(5, 4, rng=rng)
-        x = rng.normal(size=(3, 5))
-        dout = rng.normal(size=(3, 4))
-        y, cache = layer.forward(x)
-        assert np.array_equal(y, getattr(np, activation)(x @ layer.W.T + layer.b))
-        layer.zero_grad()
-        assert layer.backward(cache, dout).shape == x.shape
-        grads_on = (layer.grad_W.copy(), layer.grad_b.copy())
-        layer.input_grad = False
-        layer.zero_grad()
-        assert layer.backward(cache, dout) is None
-        assert layer.grad_W.tobytes() == grads_on[0].tobytes()
-        assert layer.grad_b.tobytes() == grads_on[1].tobytes()
-
     def test_gradients_accumulate_across_calls(self):
         rng = np.random.default_rng(9)
         layer = Linear(3, 2, rng=rng)
@@ -171,6 +157,115 @@ class TestLinearBackward:
         layer.backward(cache, np.ones_like(y))  # overwrites, not adds to, the old sums
         assert layer.grad_W.tobytes() == once[0].tobytes()
         assert layer.grad_b.tobytes() == once[1].tobytes()
+
+
+def assert_close(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal to 1e-12 relative, with entries near zero measured against the largest."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def binary_rows(rng):
+    return (rng.random((12, 300)) < 0.05).astype(float)
+
+
+def count_rows(rng):
+    return rng.poisson(0.2, size=(12, 300)).astype(float)
+
+
+def rows_with_zero_rows(rng):
+    x = binary_rows(rng)
+    x[[0, 5, 11]] = 0.0
+    return x
+
+
+def rows_touching_few_columns(rng):
+    x = np.zeros((12, 300))
+    x[:, [3, 150, 299]] = rng.integers(0, 3, size=(12, 3))
+    return x
+
+
+class TestSparseInputHead:
+    """A sparse-input layer against ``ReferenceLinear`` on the same rows made dense."""
+
+    IN, OUT = 300, 16
+    ROWS = {"binary": binary_rows, "counts": count_rows, "zero_rows": rows_with_zero_rows,
+            "few_columns": rows_touching_few_columns}
+
+    def pair(self, seed):
+        layer = Linear(self.IN, self.OUT, np.random.default_rng(seed), sparse_input=True)
+        ref = ReferenceLinear(self.IN, self.OUT, np.random.default_rng(seed))
+        bias = np.random.default_rng(seed + 1).normal(scale=0.1, size=self.OUT)
+        layer.b[...] = bias
+        ref.b[...] = bias
+        return layer, ref
+
+    @pytest.mark.parametrize("out_dim", [1, 63, 64, 65, 130])
+    def test_init_is_the_dense_draw_transposed(self, out_dim):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        layer = Linear(37, out_dim, rng, sparse_input=True)
+        ref = ReferenceLinear(37, out_dim, ref_rng)
+        assert layer.W.shape == (37, out_dim) and layer.W.flags.c_contiguous
+        assert layer.W.tobytes() == np.ascontiguousarray(ref.W.T).tobytes()
+        assert rng.random() == ref_rng.random()  # the same rng stream consumed
+        assert Linear(37, out_dim, sparse_input=True).W.shape == (37, out_dim)
+
+    @pytest.mark.parametrize("kind", list(ROWS))
+    def test_matches_dense_reference(self, kind):
+        rng = np.random.default_rng(20)
+        x = self.ROWS[kind](rng)
+        layer, ref = self.pair(21)
+        rows = CSRRows(sp.csr_matrix(x))
+        assert len(rows) == 12
+        y, cache = layer.forward(rows)
+        y_ref, cache_ref = ref.forward(x)
+        assert_close(y, y_ref)
+        dout = rng.normal(size=y.shape)
+        layer.zero_grad()
+        ref.zero_grad()
+        assert layer.backward(cache, dout) is None
+        ref.backward(cache_ref, dout)
+        assert_close(layer.grad_W, ref.grad_W.T)
+        assert_close(layer.grad_b, ref.grad_b)
+        untouched = ~x.any(axis=0)
+        assert not layer.grad_W[untouched].any()
+
+    def test_two_backward_calls_accumulate(self):
+        # the directed head gets one backward per directed channel each step
+        rng = np.random.default_rng(22)
+        layer, ref = self.pair(23)
+        layer.zero_grad()
+        ref.zero_grad()
+        for x in (binary_rows(rng), count_rows(rng)):
+            y, cache = layer.forward(CSRRows(sp.csr_matrix(x)))
+            y_ref, cache_ref = ref.forward(x)
+            dout = rng.normal(size=y.shape)
+            layer.backward(cache, dout)
+            ref.backward(cache_ref, dout)
+        assert_close(layer.grad_W, ref.grad_W.T)
+        assert_close(layer.grad_b, ref.grad_b)
+
+    def test_rows_an_earlier_step_touched_read_zero(self):
+        # step one has two backward calls, step two touches three columns
+        rng = np.random.default_rng(24)
+        layer, ref = self.pair(25)
+        for step in ((binary_rows(rng), count_rows(rng)), (rows_touching_few_columns(rng),)):
+            layer.zero_grad()
+            ref.zero_grad()
+            for x in step:
+                y, cache = layer.forward(CSRRows(sp.csr_matrix(x)))
+                y_ref, cache_ref = ref.forward(x)
+                dout = rng.normal(size=y.shape)
+                layer.backward(cache, dout)
+                ref.backward(cache_ref, dout)
+        assert_close(layer.grad_W, ref.grad_W.T)
+        assert np.count_nonzero(layer.grad_W.any(axis=1)) == 3
+
+    def test_rejects_dense_or_misshapen_rows(self):
+        layer, _ = self.pair(26)
+        with pytest.raises(ValueError, match="CSRRows"):
+            layer.forward(np.zeros((2, self.IN)))
+        with pytest.raises(ValueError, match="CSRRows"):
+            layer.forward(CSRRows(sp.csr_matrix((2, self.IN + 1))))
 
 
 class TestMaskedSqError:
@@ -239,7 +334,7 @@ class TestDropout:
     def test_inference_is_exact_identity(self):
         model = gm.DiagramModel(5, 3, trunk_dims=(4,), embedding_dim=2,
                                 rng=np.random.default_rng(0))
-        x = np.random.default_rng(2).random((3, 8))
+        x = CSRRows(sp.csr_matrix(np.random.default_rng(2).random((3, 8))))
         rng = np.random.default_rng(1)
         got = model._forward("content", x, training=False, dropout=0.5, rng=rng)
         want = model._forward("content", x)
@@ -332,6 +427,46 @@ class TestAdam:
         assert opt.t == 0 and opt._m == {} and opt._v == {}
         assert np.array_equal(p["a"], np.ones(3))
 
+    def test_huge_finite_gradient_passes_bit_identical_to_reference(self):
+        # the sum of squares overflows, so the check falls back to the scan
+        rng = np.random.default_rng(4)
+        p_new = {"a": rng.normal(size=3 * Adam.BLOCK + 5), "b": rng.normal(size=4)}
+        p_ref = {k: v.copy() for k, v in p_new.items()}
+        grads = {k: rng.normal(size=v.shape) for k, v in p_new.items()}
+        grads["a"][[0, Adam.BLOCK + 1, -1]] = [1e200, -1e200, 1e200]
+        opt, ref = Adam(lr=1e-3), ReferenceAdam(lr=1e-3)
+        with np.errstate(over="ignore"):  # g * g overflows in both steps
+            assert not np.isfinite(np.dot(grads["a"], grads["a"]))
+            opt.step(p_new, grads)
+            ref.step(p_ref, grads)
+        assert opt.t == 1
+        assert_bytes_equal(p_new, p_ref)
+        assert_bytes_equal(opt._m, ref._m)
+        assert_bytes_equal(opt._v, ref._v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, Adam.BLOCK - 1, Adam.BLOCK, 3 * Adam.BLOCK + 4])
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_non_finite_anywhere_raises_before_any_change(self, bad, where, huge):
+        rng = np.random.default_rng(5)
+        p = {"a": rng.normal(size=2), "big": rng.normal(size=3 * Adam.BLOCK + 5),
+             "c": rng.normal(size=3)}
+        opt = Adam(lr=1e-3)
+        opt.step(p, {k: rng.normal(size=v.shape) for k, v in p.items()})
+        before = ({k: v.copy() for k, v in p.items()},
+                  {k: v.copy() for k, v in opt._m.items()},
+                  {k: v.copy() for k, v in opt._v.items()})
+        grads = {k: rng.normal(size=v.shape) for k, v in p.items()}
+        if huge:  # finite entries that overflow the sum of squares on their own
+            grads["big"][[1, -2]] = 1e200
+        grads["big"][where] = bad
+        with pytest.raises(TrainingError, match="'big'"):
+            opt.step(p, grads)
+        assert opt.t == 1
+        assert_bytes_equal(p, before[0])
+        assert_bytes_equal(opt._m, before[1])
+        assert_bytes_equal(opt._v, before[2])
+
     def test_non_contiguous_parameter_rejected_before_update(self):
         opt = Adam()
         p = {"a": np.ones(3), "b": np.ones((4, 3)).T}
@@ -361,9 +496,9 @@ class TestAdam:
     def test_training_chain_bit_identical_to_reference(self, toy_graph, toy_features,
                                                         monkeypatch):
         # default trunk, so the trunk tensors span several blocks; the
-        # reference side also zeroes gradients eagerly, allocates every
-        # layer temporary, weighs the loss densely and embeds through the
-        # decoder
+        # reference side keeps the sparse-input heads but zeroes the other
+        # layers' gradients eagerly, allocates every layer temporary, weighs
+        # the loss densely and embeds through the decoder
         def chain():
             cfg = TrainConfig(epochs=3, batch_size=4, seed=5)
             node = train_node_model(toy_graph, toy_features, cfg)
@@ -373,11 +508,12 @@ class TestAdam:
 
         got = chain()
         monkeypatch.setattr(gm, "Adam", ReferenceAdam)
-        monkeypatch.setattr(gm, "Linear", ReferenceLinear)
+        monkeypatch.setattr(gm, "Linear", reference_layer)
         monkeypatch.setattr(gm, "masked_sq_error", dense_loss_term)
         monkeypatch.setattr(gm, "compute_embeddings", full_forward_embeddings)
         want = chain()
         assert isinstance(want[0].model.embed, ReferenceLinear)
+        assert isinstance(want[0].model.heads["content"], Linear)
         for res_got, res_want in zip(got, want):
             assert_bytes_equal(res_got.model.parameters(), res_want.model.parameters())
             for channel in ("z", "o", "i"):
