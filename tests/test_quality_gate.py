@@ -3,9 +3,9 @@
 Criteria 3–7 of the acceptance suite need the real Cora and Citeseer
 files. This gate checks the same kind of claims offline, on a seeded
 graph from ``perfbench/gen.py`` (the ``gate`` shape: 400 nodes, out-degree
-2, 200 words, 4 classes), with the paper's learning rate and the
-default schedule shortened to fit: 30 node epochs, then 2 edge epochs by
-transfer. Per seed it asserts that
+2, 200 words, 4 classes), with the paper's learning rate and schedule
+(30 node epochs, then 2 edge epochs by transfer) on a smaller network
+(trunk (128, 64), k=32, batch 16, dropout 0.1). It asserts that
 
 * the edge model reconstructs the graph at least as well as the node
   model (P@K at K = n/4, n/2 and n);
