@@ -21,19 +21,17 @@ from .exceptions import DatasetError, FingerprintMismatchError
 EDGE_DIRECTION = "citing->cited"
 
 
-def _records(path: Path):
-    """Yield ``(line number, byte fields)`` for each nonblank line of a file.
+def _lines(path: Path):
+    """Yield ``(line number, bytes)`` for each line of a file.
 
-    Lines end at LF, CRLF or a bare CR, as in text mode; fields are split on
-    ASCII whitespace only, and ids are opaque strings."""
+    Lines end at LF, CRLF or a bare CR, as in text mode. Both parsers split
+    fields on ASCII whitespace only, and ids are opaque strings."""
     with open(path, "rb") as fh:
         lineno = 0
         for chunk in fh:
             for line in chunk.splitlines():
                 lineno += 1
-                fields = line.split()
-                if fields:
-                    yield lineno, fields
+                yield lineno, line
 
 
 def _text(path: Path, lineno: int, field: bytes) -> str:
@@ -142,25 +140,42 @@ class LabelVector:
         return len(self.class_names)
 
 
+def _token_bounds(line: bytes):
+    """The line as uint8 codes, its non-whitespace mask, and the start and
+    end offsets of its tokens.
+
+    Tokens are what ``bytes.split()`` gives: runs of bytes other than 9-13
+    and 32. End offsets are exclusive."""
+    b = np.frombuffer(line, dtype=np.uint8)
+    padded = np.zeros(b.size + 2, dtype=bool)  # so every run has two edges
+    solid = padded[1:-1]
+    solid[...] = (b != 32) & ((b < 9) | (b > 13))
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    return b, solid, edges[0::2], edges[1::2]
+
+
 def _parse_content(content_path: Path):
     ids: list[str] = []
     label_strs: list[str] = []
-    indptr, indices, vals = [0], [], []
+    indptr, indices, vals = [0], [np.empty(0, np.int64)], [np.empty(0)]
     width = None
     seen: dict[str, int] = {}
-    for lineno, fields in _records(content_path):
-        if len(fields) < 2:
+    for lineno, line in _lines(content_path):
+        b, solid, starts, ends = _token_bounds(line)
+        if starts.size == 0:
+            continue
+        if starts.size < 2:
             raise DatasetError(
                 f"{content_path}:{lineno}: expected '<id> <features..> <label>', "
-                f"got {len(fields)} fields"
+                f"got {starts.size} fields"
             )
-        nid, feats = _text(content_path, lineno, fields[0]), fields[1:-1]
+        nid = _text(content_path, lineno, line[starts[0]:ends[0]])
         if width is None:
-            width = len(feats)
-        elif len(feats) != width:
+            width = starts.size - 2
+        elif starts.size - 2 != width:
             raise DatasetError(
                 f"{content_path}:{lineno}: inconsistent feature width "
-                f"(expected {width}, got {len(feats)})"
+                f"(expected {width}, got {starts.size - 2})"
             )
         if nid in seen:
             raise DatasetError(
@@ -168,25 +183,36 @@ def _parse_content(content_path: Path):
                 f"(first seen at line {seen[nid]})"
             )
         seen[nid] = lineno
-        for j, tok in enumerate(feats):
-            if tok == b"0":  # most cells; float("0") would give 0.0
-                continue
-            tok = _text(content_path, lineno, tok)
+        # Offsets of the feature bytes that are neither whitespace nor b"0":
+        # a cell without one is all zeros, which float() reads as zero.
+        other = (solid & (b != 48)).nonzero()[0]
+        lo, hi = other.searchsorted((ends[0], starts[-1]))
+        token = starts.searchsorted(other[lo:hi], side="right") - 1
+        fresh = np.ones(token.size, dtype=bool)  # first such byte of its token
+        np.not_equal(token[1:], token[:-1], out=fresh[1:])
+        cells = token[fresh]
+        at = starts[cells]
+        v = b[at] - 48.0
+        # A lone byte 1-9 is its digit's value; every other cell, in column
+        # order, gets float()'s value or its error.
+        for k in ((ends[cells] - at != 1) | (v < 1.0) | (v > 9.0)).nonzero()[0]:
+            tok = _text(content_path, lineno, line[at[k]:ends[cells[k]]])
             try:
-                v = float(tok)
+                v[k] = float(tok)
             except ValueError as exc:
                 raise DatasetError(
                     f"{content_path}:{lineno}: non-numeric feature {tok!r}"
                 ) from exc
-            if v != 0.0:
-                indices.append(j)
-                vals.append(v)
-        indptr.append(len(indices))
+        keep = v != 0.0
+        indices.append(cells[keep] - 1)
+        vals.append(v[keep])
+        indptr.append(indptr[-1] + vals[-1].size)
         ids.append(nid)
-        label_strs.append(_text(content_path, lineno, fields[-1]))
+        label_strs.append(_text(content_path, lineno, line[starts[-1]:ends[-1]]))
     if not ids:
         raise DatasetError(f"{content_path}: empty dataset")
-    mat = sp.csr_matrix((vals, indices, indptr), shape=(len(ids), width or 0))
+    mat = sp.csr_matrix((np.concatenate(vals), np.concatenate(indices), indptr),
+                        shape=(len(ids), width or 0))
     return ids, mat, label_strs
 
 
@@ -194,7 +220,10 @@ def _parse_cites(cites_path: Path, id_to_index: dict[str, int]):
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     dropped = dup = self_loops = 0
-    for lineno, fields in _records(cites_path):
+    for lineno, line in _lines(cites_path):
+        fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 2:
             raise DatasetError(
                 f"{cites_path}:{lineno}: expected '<cited_id> <citing_id>', "

@@ -243,48 +243,65 @@ def logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
 
     Returns weights of length d+1 with the (unpenalized) intercept first.
     Deterministic: full-batch updates from a zero start, stopping when the
-    gradient norm drops below ``tol``.
+    gradient norm drops below ``tol``. A 2-D ``y`` of shape (n, k) fits k
+    independent models to its columns and returns them as a (k, d+1) array;
+    they share the design matrix, its checks and the first Newton Hessian,
+    which does not depend on ``y``.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if X.ndim != 2 or X.shape[0] != y.size:
+    y = np.asarray(y, dtype=np.float64)
+    targets = np.ascontiguousarray(y.T) if y.ndim == 2 else y.reshape(1, -1)
+    if X.ndim != 2 or targets.shape[1] != X.shape[0]:
         raise ValueError(f"bad shapes X{X.shape}, y{y.shape}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in classifier input")
     nb = np.hstack([np.ones((X.shape[0], 1)), X])
-    w = np.zeros(nb.shape[1])
-    pen = np.ones_like(w)
+    pen = np.ones(nb.shape[1])
     pen[0] = 0.0
+    ridge = l2 * pen
+    diag = np.diag_indices(nb.shape[1])
 
-    def objective(wv):
-        s = nb @ wv
-        return float(np.sum(np.logaddexp(0.0, s) - y * s) + 0.5 * l2 * np.sum(pen * wv * wv))
+    def objective(s, yt, wv):
+        return float(np.sum(np.logaddexp(0.0, s) - yt * s) + 0.5 * l2 * np.sum(pen * wv * wv))
 
-    obj = objective(w)
-    for _ in range(max_iter):
-        s = nb @ w
-        prob = expit(s)
-        g = nb.T @ (prob - y) + l2 * pen * w
-        if np.linalg.norm(g) < tol:
-            break
+    def hessian(prob):
         r = prob * (1.0 - prob)
         h = (nb * r[:, None]).T @ nb
-        h[np.diag_indices_from(h)] += l2 * pen + 1e-10
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, g, rcond=None)[0]
-        # Backtrack if the full Newton step overshoots (near-separable data).
-        for _ in range(30):
-            cand = w - step
-            cand_obj = objective(cand)
-            if cand_obj <= obj + 1e-12:
-                w, obj = cand, cand_obj
+        h[diag] += ridge + 1e-10
+        return h
+
+    h0 = hessian(expit(np.zeros(nb.shape[0])))  # every start has prob 0.5
+    weights = np.empty((targets.shape[0], nb.shape[1]))
+    for t, yt in enumerate(targets):
+        w = np.zeros(nb.shape[1])
+        s = nb @ w
+        obj = objective(s, yt, w)
+        for it in range(max_iter):
+            prob = expit(s)
+            g = nb.T @ (prob - yt) + ridge * w
+            if np.linalg.norm(g) < tol:
                 break
-            step = step / 2.0
-        else:
-            break
-    return w
+            h = h0 if it == 0 else hessian(prob)
+            # numpy.linalg, not scipy.linalg: scipy links its own OpenBLAS,
+            # whose thread pool contends with numpy's right after the GEMM
+            # above (on 2 cores, cho_solve took 2.9 ms here, solve 0.4 ms).
+            try:
+                step = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(h, g, rcond=None)[0]
+            # Backtrack if the full Newton step overshoots (near-separable data).
+            for _ in range(30):
+                cand = w - step
+                cand_s = nb @ cand
+                cand_obj = objective(cand_s, yt, cand)
+                if cand_obj <= obj + 1e-12:
+                    w, s, obj = cand, cand_s, cand_obj
+                    break
+                step = step / 2.0
+            else:
+                break
+        weights[t] = w
+    return weights if y.ndim == 2 else weights[0]
 
 
 def logistic_predict_proba(weights: np.ndarray, X) -> np.ndarray:
@@ -461,10 +478,10 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
 
 def _ovr_predict(X_train, y_train, X_test, classes, l2, max_iter):
+    one_hot = (y_train[:, None] == classes).astype(np.float64)
+    weights = logistic_regression_fit(X_train, one_hot, l2, max_iter)
     scores = np.empty((X_test.shape[0], len(classes)))
-    for ci, c in enumerate(classes):
-        w = logistic_regression_fit(X_train, (y_train == c).astype(np.float64),
-                                    l2, max_iter)
+    for ci, w in enumerate(weights):
         scores[:, ci] = logistic_predict_proba(w, X_test)
     return classes[np.argmax(scores, axis=1)]
 

@@ -92,7 +92,7 @@ class Linear:
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
-        self._grad_W = np.zeros_like(self.W)
+        self._grad_W = np.zeros(self.W.shape)  # calloc'd: unwritten pages until a backward
         self._grad_b = np.zeros_like(self.b)
         self._stale = False
         self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold

@@ -13,12 +13,19 @@ dense to 1e-12 relative, since a CSR product sums in another order.
 ``node_loss``, ``edge_loss`` and ``mean_edge_loss`` evaluate the training
 objective outside the training loop. ``edge_loss`` builds the adjusted
 term from node batches, independently of ``model._edge_batches``.
+
+``reference_logistic_regression_fit`` and ``reference_ovr_predict`` are the
+earlier classifier: one target per call, its design matrix and first
+Hessian built afresh each time, and one-vs-rest as a loop of such calls.
+The program's classifier and both evaluation protocols must match them bit
+for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 import diagram.model as gm
 from diagram.exceptions import TrainingError
@@ -164,3 +171,66 @@ def mean_edge_loss(model, graph, features, mu: float = 10.0,
         batches = gm._edge_batches(rows[:, 0], rows[:, 1], M, MT, AD)
         total += gm._run_batches(model, batches, mu)
     return total / edges.shape[0]
+
+
+def reference_logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
+                                      tol: float = 1e-6, halvings=None) -> np.ndarray:
+    """One L2-regularized logistic regression by damped Newton steps.
+
+    ``halvings``, if a list, gets one entry per Newton step: how many times
+    the line search halved it."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if X.ndim != 2 or X.shape[0] != y.size:
+        raise ValueError(f"bad shapes X{X.shape}, y{y.shape}")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("non-finite values in classifier input")
+    nb = np.hstack([np.ones((X.shape[0], 1)), X])
+    w = np.zeros(nb.shape[1])
+    pen = np.ones_like(w)
+    pen[0] = 0.0
+
+    def objective(wv):
+        s = nb @ wv
+        return float(np.sum(np.logaddexp(0.0, s) - y * s) + 0.5 * l2 * np.sum(pen * wv * wv))
+
+    obj = objective(w)
+    for _ in range(max_iter):
+        s = nb @ w
+        prob = expit(s)
+        g = nb.T @ (prob - y) + l2 * pen * w
+        if np.linalg.norm(g) < tol:
+            break
+        r = prob * (1.0 - prob)
+        h = (nb * r[:, None]).T @ nb
+        h[np.diag_indices_from(h)] += l2 * pen + 1e-10
+        try:
+            step = np.linalg.solve(h, g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(h, g, rcond=None)[0]
+        for halved in range(30):
+            cand = w - step
+            cand_obj = objective(cand)
+            if cand_obj <= obj + 1e-12:
+                w, obj = cand, cand_obj
+                break
+            step = step / 2.0
+        else:
+            halved = 30
+        if halvings is not None:
+            halvings.append(halved)
+        if halved == 30:
+            break
+    return w
+
+
+def reference_ovr_predict(X_train, y_train, X_test, classes, l2, max_iter,
+                          halvings=None):
+    """One-vs-rest prediction with one ``reference_logistic_regression_fit``
+    per class; ties go to the first class."""
+    scores = np.empty((X_test.shape[0], len(classes)))
+    for ci, c in enumerate(classes):
+        w = reference_logistic_regression_fit(X_train, (y_train == c).astype(np.float64),
+                                              l2, max_iter, halvings=halvings)
+        scores[:, ci] = expit(w[0] + np.asarray(X_test, dtype=np.float64) @ w[1:])
+    return classes[np.argmax(scores, axis=1)]

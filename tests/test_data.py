@@ -403,6 +403,19 @@ MIXED_CONTENT = (
 )
 MIXED_CITES = "n1 n\xa0b\r\nn3\tn1\rghost n1\nn1 n\xa0b\n"
 
+# Cells at the edges of the row scan's shortcuts: all-"0" runs are zero
+# without float(), a lone 1-9 is its digit, and everything else, including
+# cells that start like those, goes through float().
+SCAN_CONTENT = (
+    "p1 01 +0 000 0e5 9 2\x0b0 00 a\n"
+    "p2\t3 4 5 6 7 8\x0c+1 -2 b\n"
+    "p3 1 0.5 10 0 00 007 1e1 +5 a\n"
+    "p4 0 0 0 0 0 0 0 0\tb\n"
+)
+# One bad cell each, behind good ones: "/" and ":" are the bytes either side
+# of the digits, and \xff is not UTF-8.
+SCAN_BAD_CELLS = [b"/", b":", b"-", b"+", b".", b"\x01", b"\xff", b"0\xff", b"00x"]
+
 
 class TestByteParserMatchesTextOracle:
     def _write(self, tmp_path, content: str | bytes, cites: str | bytes = ""):
@@ -437,6 +450,40 @@ class TestByteParserMatchesTextOracle:
         assert graph.metadata["dropped_unknown_id_edges"] == 1
         assert graph.metadata["deduplicated_edges"] == 1
 
+    def test_scan_shortcut_edges(self, tmp_path):
+        content, cites = self._write(tmp_path, SCAN_CONTENT)
+        assert_parsers_agree(content, cites)
+        _, mat, _ = data._parse_content(content)
+        assert mat.toarray().tolist() == [[1, 0, 0, 0, 9, 2, 0, 0],
+                                          [3, 4, 5, 6, 7, 8, 1, -2],
+                                          [1, 0.5, 10, 0, 0, 7, 10, 5],
+                                          [0] * 8]
+
+    @pytest.mark.parametrize("cell", SCAN_BAD_CELLS)
+    def test_scan_bad_cell_is_reported_in_column_order(self, tmp_path, cell):
+        row = b"q2 1 00 " + cell + b" x1 b\n"  # x1 is bad too, but later
+        content, cites = self._write(tmp_path, b"q1 0 9 1 3 a\n" + row)
+        assert_parsers_agree(content, cites)
+        with pytest.raises(DatasetError, match=r"m\.content:2: ") as info:
+            data._parse_content(content)
+        assert "x1" not in str(info.value)
+
+    def test_wide_generated_rows_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(7)
+        cells = np.array(["0", "0", "0", "0", "00", "1", "2", "5", "9", "01",
+                          "0.0", "-0", "+0", "0e5", "3.5", "1e1", "+7", "-2"])
+        seps = np.array([" ", "  ", "\t", "\x0b", "\x0c", " \t"])
+        lines = []
+        for r in range(12):
+            row = rng.choice(cells, size=1200, p=[0.6] + [0.4 / 17] * 17)
+            gaps = rng.choice(seps, size=1201)
+            lines.append(f"w{r}" + "".join(g + c for g, c in zip(gaps, row))
+                         + gaps[-1] + "ab"[r % 2])
+        content, cites = self._write(tmp_path, "\n".join(lines) + "\n")
+        assert_parsers_agree(content, cites)
+        _, mat, _ = data._parse_content(content)
+        assert mat.shape == (12, 1200) and mat.nnz > 12 * 100
+
     @pytest.mark.parametrize("ending", ["\r\n", "\r", "\n"])
     def test_error_line_number_follows_universal_newlines(self, tmp_path, ending):
         text = ending.join(["a 1 x", "", "b 0 y", "c one z"]) + ending
@@ -449,7 +496,7 @@ class TestByteParserMatchesTextOracle:
         rng = np.random.default_rng(20261018)
         raw_content = MIXED_CONTENT.encode("utf-8")
         raw_cites = MIXED_CITES.encode("utf-8")
-        alphabet = list(b" \t\r\n\x0b\x0c019.-eax_") + [0xA0, 0xC2, 0xFF, 0xEF]
+        alphabet = list(b" \t\r\n\x0b\x0c0123456789.-+eax_") + [0xA0, 0xC2, 0xFF, 0xEF]
         for trial in range(400):
             content, cites = bytearray(raw_content), bytearray(raw_cites)
             target = content if trial % 2 == 0 else cites

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
+import diagram.evaluation as evaluation
 from diagram.data import DirectedGraph
 from diagram.evaluation import (
     EDGE_CONSTRUCTORS,
@@ -28,6 +30,7 @@ from diagram.exceptions import EvaluationError, SamplingError
 from diagram.model import EmbeddingSet, TrainConfig
 
 from conftest import edge_features, random_digraph, random_features
+from oracles import reference_logistic_regression_fit, reference_ovr_predict
 
 
 def make_embeddings(n, k, seed, variant="edge"):
@@ -547,6 +550,66 @@ class TestNodeClassification:
         emb = make_embeddings(10, 3, seed=4)
         with pytest.raises(EvaluationError):
             node_classification_eval(emb, np.zeros(7, dtype=int))
+
+
+def near_separable(n=40, seed=5):
+    """Four classes cut by two thresholds, with three far-out points on which
+    full Newton steps overshoot, so the line search has to halve some."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 2))
+    z[:3] *= 30.0
+    labels = (z[:, 0] > 0).astype(np.int64) + 2 * (z[:, 1] > 1.5)
+    return EmbeddingSet(z, z, z, [f"n{j}" for j in range(n)], "node"), labels
+
+
+class TestOneVsRestMatchesPerClassOracle:
+    """One fit of all classes' columns gives the per-class fits' bits."""
+
+    @pytest.mark.parametrize("l2", [1e-3, 1e-2, 0.1])
+    def test_weights_equal_per_class_fits(self, l2):
+        emb, labels = near_separable()
+        one_hot = (labels[:, None] == np.unique(labels)).astype(np.float64)
+        weights = logistic_regression_fit(emb.z, one_hot, l2=l2)
+        assert weights.shape == (4, 3)
+        halvings = []
+        for column, w in zip(one_hot.T, weights):
+            want = reference_logistic_regression_fit(emb.z, column, l2=l2,
+                                                     halvings=halvings)
+            assert w.tobytes() == want.tobytes()
+        assert max(halvings) > 0  # the line search halved a step
+
+    def test_one_column_equals_one_dimensional_target(self):
+        emb, labels = near_separable()
+        y = (labels == 1).astype(np.float64)
+        w = logistic_regression_fit(emb.z, y, l2=0.1)
+        assert w.shape == (3,)
+        assert logistic_regression_fit(emb.z, y[:, None], l2=0.1)[0].tobytes() == w.tobytes()
+
+    def test_node_classification_reports_equal_oracle(self, monkeypatch):
+        cases = [(near_separable(), 0.01, seed) for seed in (0, 4, 5)]
+        noise = np.random.default_rng(3).integers(0, 6, size=1000)
+        cases += [((make_embeddings(n, k, seed=seed), noise[:n]), 1.0, seed)
+                  for n, k, seed in ((300, 16, 1), (1000, 32, 2))]
+        halvings = []
+        for (emb, labels), l2, seed in cases:
+            args = (emb, labels, (10, 30, 50))
+            kwargs = {"repetitions": 3, "seed": seed, "l2": l2}
+            got = node_classification_eval(*args, **kwargs).as_dict()
+            with monkeypatch.context() as m:
+                m.setattr(evaluation, "_ovr_predict",
+                          functools.partial(reference_ovr_predict, halvings=halvings))
+                want = node_classification_eval(*args, **kwargs).as_dict()
+            assert got == want, (l2, seed)
+        assert max(halvings) > 0
+
+    def test_link_prediction_reports_equal_oracle(self, monkeypatch):
+        g = random_digraph(40, 160, seed=12, ensure_connected=True)
+        sample = sample_link_prediction(g, 20.0, seed=3)
+        emb = make_embeddings(40, 6, seed=13)
+        got = link_prediction_eval(emb, sample, seed=3).as_dict()
+        monkeypatch.setattr(evaluation, "logistic_regression_fit",
+                            reference_logistic_regression_fit)
+        assert link_prediction_eval(emb, sample, seed=3).as_dict() == got
 
 
 class TestFullProtocol:
