@@ -26,6 +26,8 @@ from .nn import atomic_write
 
 EDGE_CONSTRUCTORS = ("average", "hadamard", "w-l1", "w-l2")
 SCORER_MODES = ("directed", "symmetric")
+# Scores per block of source rows in network_reconstruction (8 MB of float64).
+RECON_BLOCK_SCORES = 1 << 20
 
 
 # -- network reconstruction ---------------------------------------------------
@@ -54,18 +56,33 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
 
     a, b = (emb.o, emb.i) if mode == "directed" else (emb.z, emb.z)
     k_max = max(k_list)
-    # Rank on expit, not on the dots: it rounds to exactly 1.0 above dot≈37,
-    # and those saturated ties must resolve by (u, v) like any other tie.
-    flat = expit(a @ b.T).ravel()
-    flat[:: n + 1] = -1.0  # self-pairs: below every sigmoid, so never in the top K
-    np.negative(flat, out=flat)
-    kth = np.partition(flat, k_max - 1)[k_max - 1]
-    if not kth <= 0.0:  # K reached past the real scores: only NaNs can push it there
+    # Score a block of source rows at a time and keep a running top K, so
+    # memory is O(RECON_BLOCK_SCORES + n + K), not n^2.
+    rows = max(1, RECON_BLOCK_SCORES // n)
+    best, top = np.empty(0), np.empty(0, dtype=np.int64)  # (-score, u*n+v) order
+    for r0 in range(0, n, rows):
+        # Rank on expit, not on the dots: it rounds to exactly 1.0 above
+        # dot≈37, and those saturated ties must resolve by (u, v) like any
+        # other tie.
+        neg = a[r0:r0 + rows] @ b.T
+        expit(neg, out=neg)
+        np.negative(neg, out=neg)
+        r = np.arange(neg.shape[0])
+        neg[r, r0 + r] = np.nan  # self-pairs are never candidates, like NaN scores
+        neg = neg.ravel()
+        if best.size == k_max:
+            # This block's flat indices all follow the kept ones, so a pair
+            # tied with the K-th kept score loses the (u, v) tie-break.
+            neg[neg >= best[-1]] = np.nan
+        j = min(k_max, neg.size) - 1
+        kth = np.partition(neg, j)[j]  # NaNs sort last
+        cand = np.flatnonzero(~np.isnan(neg) if np.isnan(kth) else neg <= kth)
+        score = np.concatenate([best, neg[cand]])
+        key = np.concatenate([top, r0 * n + cand])
+        order = np.lexsort((key, score))[:k_max]
+        best, top = score[order], key[order]
+    if best.size < k_max:  # K reached past the real scores: only NaNs stop short
         raise EvaluationError(f"K={k_max} reaches pairs whose score is NaN")
-    # Ascending flat index u*n+v is (u, v) order, which the stable sort keeps
-    # within each run of tied scores.
-    top = np.flatnonzero(flat <= kth)
-    top = top[np.argsort(flat[top], kind="stable")[:k_max]]
     hits = np.cumsum(graph.out_adjacency[np.divmod(top, n)].A1 != 0)
     table = [{"K": k, "precision": float(hits[k - 1] / k)} for k in sorted(k_list)]
     report = EvalReport(

@@ -76,6 +76,8 @@ class Linear:
     adding them to zeros, and reading a stale gradient zeroes it first,
     so a layer no pass touched reads zero. The only difference from
     zero-then-add is that an entry can read -0.0 where it read +0.0.
+    The gradient buffers are made by the first ``backward`` or read, so a
+    layer that only runs forward holds none.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
@@ -92,8 +94,7 @@ class Linear:
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
-        self._grad_W = np.zeros(self.W.shape)  # calloc'd: unwritten pages until a backward
-        self._grad_b = np.zeros_like(self.b)
+        self._grad_W = self._grad_b = None  # made by the first backward or read
         self._stale = False
         self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
 
@@ -107,7 +108,13 @@ class Linear:
         self._settle()
         return self._grad_b
 
+    def _buffers(self) -> None:
+        if self._grad_W is None:
+            self._grad_W = np.zeros(self.W.shape)  # calloc'd: unwritten pages until written
+            self._grad_b = np.zeros_like(self.b)
+
     def _settle(self) -> None:
+        self._buffers()
         if self._stale:
             if self.sparse_input:
                 self._grad_W[self._touched] = 0.0
@@ -147,6 +154,7 @@ class Linear:
         if self.sparse_input:
             self._sparse_grad(x.csr, dz)
             return None
+        self._buffers()
         if self._stale:
             np.matmul(dz.T, x, out=self._grad_W)
             np.sum(dz, axis=0, out=self._grad_b)
@@ -163,6 +171,7 @@ class Linear:
         touched_T = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
                                   shape=(cols.size, rows.shape[0]))
         g = touched_T @ dz
+        self._buffers()
         if self._stale:
             self._settle()
             self._grad_W[cols] = g

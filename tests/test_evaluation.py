@@ -162,6 +162,57 @@ class TestNetworkReconstruction:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n * n
 
+    @pytest.mark.parametrize("block", [1, 7, 12, 40, 97])
+    def test_row_blocks_match_oracle(self, monkeypatch, block):
+        # Blocks of 1 row (12 scores) up to 8 rows, so the running top K
+        # takes several merges, and K passes a block's size.
+        monkeypatch.setattr(evaluation, "RECON_BLOCK_SCORES", block)
+        n = 12
+        g = random_digraph(n, 30, seed=block)
+        ks = [1, 5, 13, 50, n * n - n]
+        emb = make_embeddings(n, 4, seed=block + 1)
+        for mode in ("directed", "symmetric"):
+            report = network_reconstruction(emb, g, ks, mode=mode)
+            expected = brute_force_p_at_k(emb, g, ks, mode=mode)
+            assert {row["K"]: row["precision"] for row in report.table} == expected
+        # Saturated and fully tied scores: runs of ties cross block borders.
+        for mat in (emb.z, emb.o, emb.i):
+            mat *= 0.3
+            mat[:5, 0] = 10.0
+        tied = make_embeddings(n, 4, seed=0)
+        for mat in (tied.z, tied.o, tied.i):
+            mat[:] = 0.0
+        for e in (emb, tied):
+            report = network_reconstruction(e, g, ks)
+            assert ({row["K"]: row["precision"] for row in report.table}
+                    == brute_force_p_at_k(e, g, ks))
+
+    @pytest.mark.parametrize("block", [1, 5, 30])
+    def test_row_blocks_reject_k_reaching_nan_scores(self, monkeypatch, block):
+        monkeypatch.setattr(evaluation, "RECON_BLOCK_SCORES", block)
+        g = random_digraph(6, 8, seed=0)
+        emb = make_embeddings(6, 3, seed=0)
+        emb.o[1] = np.nan  # 25 of the 30 pairs keep a score
+        assert network_reconstruction(emb, g, [25]).table[0]["K"] == 25
+        with pytest.raises(EvaluationError, match="NaN"):
+            network_reconstruction(emb, g, [26])
+
+    def test_peak_memory_follows_the_block_not_n_squared(self, monkeypatch):
+        n, k_max = 600, 5000
+        block = 64 * n
+        monkeypatch.setattr(evaluation, "RECON_BLOCK_SCORES", block)
+        g = random_digraph(n, 3000, seed=5)
+        emb = make_embeddings(n, 16, seed=6)
+        tracemalloc.start()
+        try:
+            network_reconstruction(emb, g, [100, 1000, k_max])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A block and its partitioned copy, plus the running top K and its
+        # merge; n^2 scores would be 2.9 MB.
+        assert peak <= 2.5 * 8 * block + 100 * k_max
+
     def test_k_reaching_nan_scores_rejected(self):
         g = random_digraph(6, 8, seed=0)
         emb = make_embeddings(6, 3, seed=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,6 +642,19 @@ class TestEmbeddingIO:
         want = full_forward_embeddings(model, toy_graph, toy_features, "node")
         for ch in ("z", "o", "i"):
             assert getattr(got, ch).tobytes() == getattr(want, ch).tobytes()
+
+    def test_a_new_model_holds_its_parameters_and_no_gradients(self):
+        tracemalloc.start()
+        try:
+            model = gm.DiagramModel(300, 400, rng=np.random.default_rng(0))
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        params = sum(a.nbytes for a in model.parameters().values())
+        assert held <= 1.05 * params  # gradient buffers would double it
+        grads = model.gradients()  # made on first read, as zeros
+        assert all(grads[k].shape == p.shape and not grads[k].any()
+                   for k, p in model.parameters().items())
 
     def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=13)
