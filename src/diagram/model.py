@@ -47,6 +47,8 @@ DEFAULT_EMBEDDING_DIM = 128
 DEFAULT_NODE_EPOCHS = 30
 DEFAULT_EDGE_EPOCHS_TRANSFER = 2
 DEFAULT_EDGE_EPOCHS_SCRATCH = 30
+# Nodes per encoder call in compute_embeddings.
+EMBED_CHUNK = 256
 
 
 @dataclass
@@ -343,12 +345,11 @@ def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix):
 
 
 def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
-                       features: FeatureMatrix, variant: str,
-                       chunk: int = 256) -> EmbeddingSet:
+                       features: FeatureMatrix, variant: str) -> EmbeddingSet:
     """Inference-mode embeddings for every node: the encoder alone, no dropout.
 
-    Each chunk of nodes feeds its CSR row slices to the input heads; no
-    dense row is built.
+    Each chunk of ``EMBED_CHUNK`` nodes feeds its CSR row slices to the
+    input heads; no dense row is built.
     """
     M, MT, AD = _graph_tensors(graph, features)
     inputs = {"content": AD, "out": M, "in": MT}
@@ -356,8 +357,8 @@ def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
+    for start in range(0, n, EMBED_CHUNK):
+        rows = slice(start, min(start + EMBED_CHUNK, n))
         for channel, out in zip(CHANNELS, (z, o, i)):
             out[rows] = model._encode(channel, CSRRows(inputs[channel][rows]), [])
     return EmbeddingSet(z, o, i, list(graph.node_ids), variant,

@@ -223,24 +223,40 @@ def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
 class Adam:
     """Bias-corrected adaptive-moment optimizer, updating params in place.
 
+    The moments are held rescaled, ``m̃ = m/(1-b1)`` and ``ṽ = v/(1-b2)``,
+    so they update as ``m̃ = b1*m̃ + g`` and ``ṽ = b2*ṽ + g*g``, and both
+    bias corrections fold into two scalars (Kingma & Ba 2015, section 2):
+    ``p -= alpha * m̃ / (sqrt(ṽ) + eps_t)``, where ``c = sqrt(1-b2**t) /
+    sqrt(1-b2)``, ``alpha = lr*(1-b1)/(1-b1**t)*c`` and ``eps_t = eps*c``.
+    That is the textbook ``lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t))+eps)``
+    with numerator and denominator multiplied by ``c``, so the two agree in
+    exact arithmetic and differ only in rounding. A huge finite gradient
+    overflows ``ṽ`` to inf and so freezes its coordinate, where the
+    textbook's ``g*g - v`` is inf - inf, NaN, on the next step. The moments
+    are never checkpointed.
+
     ``step`` sweeps each tensor in blocks of ``BLOCK`` values through two
     preallocated block-sized scratch buffers, so a step allocates nothing
-    and its temporaries stay in cache. Per element it runs the textbook
-    expressions ``m += (1-b1)(g-m)``, ``v += (1-b2)(g*g-v)`` and
-    ``p -= lr*(m/b1t) / (sqrt(v/b2t)+eps)`` as the same correctly rounded
-    operations in the same order as the unblocked form, so parameters and
-    moments are bit-identical to it. Moments stay per-name tensors: one
-    flat buffer for all parameters measured no faster and would reach
-    into model construction, ``copy()`` and checkpoints.
+    and its temporaries stay in cache. A block takes ten passes, with one
+    divide and one square root, in the same correctly rounded operations
+    and order as the unblocked form, so parameters and moments are
+    bit-identical to it. Moments stay per-name tensors: one flat buffer
+    for all parameters measured no faster.
 
     A step is atomic: every gradient's shape and finiteness is checked
     before ``t``, a moment or a parameter changes.
     """
 
-    BLOCK = 1 << 14
+    BLOCK = 1 << 15
 
     def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
+        for name, value, ok, bounds in (("lr", lr, 0.0 < lr < np.inf, "(0, inf)"),
+                                        ("beta1", beta1, 0.0 <= beta1 < 1.0, "[0, 1)"),
+                                        ("beta2", beta2, 0.0 <= beta2 < 1.0, "[0, 1)"),
+                                        ("eps", eps, 0.0 < eps < np.inf, "(0, inf)")):
+            if not ok:
+                raise ValueError(f"Adam {name} must be in {bounds}, got {value!r}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -273,9 +289,10 @@ class Adam:
         for name, p in params.items():
             self._check(name, p, grads[name])
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        c1, c2 = 1.0 - self.beta1, 1.0 - self.beta2
+        b1, b2 = self.beta1, self.beta2
+        c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
+        alpha = self.lr * (1.0 - b1) / (1.0 - b1 ** self.t) * c
+        eps = self.eps * c
         for name, p in params.items():
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
@@ -288,19 +305,15 @@ class Adam:
                 hi = lo + self.BLOCK
                 g, m, v, q = gf[lo:hi], mf[lo:hi], vf[lo:hi], pf[lo:hi]
                 a, b = self._buf[0, :g.size], self._buf[1, :g.size]
-                np.subtract(g, m, out=a)
-                a *= c1
-                m += a
+                m *= b1
+                m += g
                 np.multiply(g, g, out=a)
-                a -= v
-                a *= c2
+                v *= b2
                 v += a
-                np.divide(m, b1t, out=a)
-                a *= self.lr
-                np.divide(v, b2t, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
+                np.sqrt(v, out=b)
+                b += eps
+                np.divide(m, b, out=a)
+                a *= alpha
                 q -= a
 
 

@@ -14,6 +14,11 @@ dense to 1e-12 relative, since a CSR product sums in another order.
 objective outside the training loop. ``edge_loss`` builds the adjusted
 term from node batches, independently of ``model._edge_batches``.
 
+``TextbookAdam`` is the earlier Adam step in Kingma & Ba's textbook form,
+with unscaled moments and the bias corrections applied per element;
+``nn.Adam`` agrees with it to rounding. ``ReferenceAdam`` is the unblocked
+form of ``nn.Adam``'s rescaled step, which must match it bit for bit.
+
 ``reference_logistic_regression_fit`` and ``reference_ovr_predict`` are the
 earlier classifier: one target per call, its design matrix and first
 Hessian built afresh each time, and one-vs-rest as a loop of such calls.
@@ -30,6 +35,62 @@ from scipy.special import expit
 import diagram.model as gm
 from diagram.exceptions import TrainingError
 from diagram.nn import Linear, glorot_uniform
+
+
+class TextbookAdam:
+    """The unblocked dict-based Adam step in the textbook form."""
+
+    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.t = 0
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name}")
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            m = self._m.setdefault(name, np.zeros_like(p))
+            v = self._v.setdefault(name, np.zeros_like(p))
+            m += (1.0 - self.beta1) * (g - m)
+            v += (1.0 - self.beta2) * (g * g - v)
+            mhat = m / b1t
+            vhat = v / b2t
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+class ReferenceAdam(TextbookAdam):
+    """The unblocked dict-based form of ``nn.Adam``'s rescaled step."""
+
+    def step(self, params, grads) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
+        alpha = self.lr * (1.0 - b1) / (1.0 - b1 ** self.t) * c
+        eps = self.eps * c
+        for name, p in params.items():
+            g = grads[name]
+            if g.shape != p.shape:
+                raise ValueError(f"gradient shape mismatch for {name}")
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            m = self._m.setdefault(name, np.zeros_like(p))  # m / (1 - b1)
+            v = self._v.setdefault(name, np.zeros_like(p))  # v / (1 - b2)
+            m *= b1
+            m += g
+            v *= b2
+            v += g * g
+            p -= alpha * (m / (np.sqrt(v) + eps))
 
 
 class ReferenceLinear:
@@ -113,16 +174,15 @@ def dense_loss_term(pred, target, support, mu):
     return dense_masked_sq_error(pred, target, dense_penalty_weights(target, mu))
 
 
-def full_forward_embeddings(model, graph, features, variant: str,
-                            chunk: int = 256) -> gm.EmbeddingSet:
+def full_forward_embeddings(model, graph, features, variant: str) -> gm.EmbeddingSet:
     """``compute_embeddings`` through the full forward pass, decoder included."""
     M, MT, AD = gm._graph_tensors(graph, features)
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
+    for start in range(0, n, gm.EMBED_CHUNK):
+        idx = np.arange(start, min(start + gm.EMBED_CHUNK, n))
         batches = gm._node_batches(idx, M, MT, AD)
         z[idx] = model._forward("content", batches["content"].x)[0]
         o[idx] = model._forward("out", batches["out"].x)[0]

@@ -656,10 +656,13 @@ class TestEmbeddingIO:
         assert all(grads[k].shape == p.shape and not grads[k].any()
                    for k, p in model.parameters().items())
 
-    def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features):
+    def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features,
+                                                    monkeypatch):
         model = small_model(toy_graph, toy_features, seed=13)
-        a = compute_embeddings(model, toy_graph, toy_features, "node", chunk=2)
-        b = compute_embeddings(model, toy_graph, toy_features, "node", chunk=64)
+        monkeypatch.setattr(gm, "EMBED_CHUNK", 2)
+        a = compute_embeddings(model, toy_graph, toy_features, "node")
+        monkeypatch.setattr(gm, "EMBED_CHUNK", 64)
+        b = compute_embeddings(model, toy_graph, toy_features, "node")
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.o, b.o)
         assert np.array_equal(a.i, b.i)

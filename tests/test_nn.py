@@ -20,7 +20,9 @@ from diagram.nn import (
 )
 
 from oracles import (
+    ReferenceAdam,
     ReferenceLinear,
+    TextbookAdam,
     dense_loss_term,
     dense_masked_sq_error,
     dense_penalty_weights,
@@ -29,38 +31,6 @@ from oracles import (
 )
 
 NO_SUPPORT = np.array([], dtype=np.intp)  # weight 1 on every coordinate
-
-
-class ReferenceAdam:
-    """The unblocked dict-based Adam step, kept as the bit-identity oracle."""
-
-    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-
-    def step(self, params, grads) -> None:
-        self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for {name}")
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            mhat = m / b1t
-            vhat = v / b2t
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 def assert_bytes_equal(a: dict, b: dict) -> None:
@@ -520,6 +490,59 @@ class TestAdam:
                 assert (getattr(res_got.embeddings, channel).tobytes()
                         == getattr(res_want.embeddings, channel).tobytes())
             assert res_got.loss_trace == res_want.loss_trace
+
+    def test_tracks_textbook_adam_to_rounding(self):
+        # The rescaled moments and folded scalars equal the textbook step in
+        # exact arithmetic. Past t = 350, 1 - b1**t rounds to exactly 1.0.
+        # Parameters start at zero, so their bits hold the summed updates.
+        # Over 10 seeds the largest gap was 9.7e-17; leaving eps unscaled
+        # makes it 1.3e-8.
+        rng = np.random.default_rng(12)
+        p_new = {"w": np.zeros((40, 300)), "b": np.zeros(300)}
+        p_text = {k: v.copy() for k, v in p_new.items()}
+        opt, text = Adam(lr=1e-3), TextbookAdam(lr=1e-3)
+        huge = np.zeros(p_new["w"].shape, dtype=bool)
+        frozen = {}
+        for t in range(420):
+            grads = {k: rng.standard_cauchy(size=v.shape) * (rng.random(v.shape) < 0.7)
+                     for k, v in p_new.items()}
+            if t % 100 == 50:
+                flat = rng.choice(huge.size, 5, replace=False)
+                grads["w"].flat[flat] = 1e200 * rng.choice([-1.0, 1.0], size=5)
+                huge.flat[flat] = True
+                frozen.update((i, p_new["w"].flat[i]) for i in flat)
+            with np.errstate(over="ignore", invalid="ignore"):  # g * g overflows
+                opt.step(p_new, grads)
+                text.step(p_text, grads)
+        # An overflowed v turns the textbook step NaN on the next step
+        # (inf - g*g); the rescaled one holds the coordinate where it was.
+        assert all(np.isfinite(v).all() for v in p_new.values())
+        assert np.isnan(p_text["w"][huge]).all()
+        assert all(p_new["w"].flat[i] == v for i, v in frozen.items())
+        assert np.abs(p_new["w"] - p_text["w"])[~huge].max() <= 1e-15
+        assert np.abs(p_new["b"] - p_text["b"]).max() <= 1e-15
+
+    @pytest.mark.parametrize("name,value", [
+        ("lr", 0.0), ("lr", -1.0), ("lr", np.inf), ("lr", np.nan),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta1", np.nan),
+        ("beta2", -0.1), ("beta2", 1.0), ("beta2", np.nan),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", np.inf), ("eps", np.nan),
+    ])
+    def test_rejects_hyperparameter_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=f"Adam {name} must be in"):
+            Adam(**{name: value})
+
+    def test_zero_betas_step_by_the_gradient_sign(self):
+        # with no averaging, every step is lr * g / (|g| + eps) exactly
+        rng = np.random.default_rng(13)
+        p = {"w": np.zeros(50)}
+        want = np.zeros(50)
+        opt = Adam(lr=1e-3, beta1=0.0, beta2=0.0)
+        for _ in range(5):
+            g = rng.standard_cauchy(size=50)
+            opt.step(p, {"w": g})
+            want -= g / (np.abs(g) + 1e-8) * 1e-3
+        assert p["w"].tobytes() == want.tobytes()
 
     def test_bit_reproducible_trajectories(self):
         def run():
