@@ -415,7 +415,11 @@ class TestAdam:
         assert_bytes_equal(opt._v, ref._v)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", [0, Adam.BLOCK - 1, Adam.BLOCK, 3 * Adam.BLOCK + 4])
+    # block starts and ends, and the same offsets inside a block
+    @pytest.mark.parametrize("where", [
+        0, Adam.BLOCK // 2 - 1, Adam.BLOCK // 2, 3 * Adam.BLOCK // 2 + 4,
+        Adam.BLOCK - 1, Adam.BLOCK, 3 * Adam.BLOCK + 4,
+    ])
     @pytest.mark.parametrize("huge", [False, True])
     def test_non_finite_anywhere_raises_before_any_change(self, bad, where, huge):
         rng = np.random.default_rng(5)
