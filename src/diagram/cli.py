@@ -176,11 +176,6 @@ def _train_variant(graph, features, cfg, variant, args):
         return gm.train_node_model(graph, features, cfg)
     if args.transfer_from is not None:
         return gm.train_edge_model(graph, features, replace(cfg, transfer_from=args.transfer_from))
-    if args.no_auto_node:
-        raise DiagramError(
-            "edge variant needs a node checkpoint; pass --transfer-from "
-            "or drop --no-auto-node"
-        )
     node_trace, result = gm.train_edge_chain(graph, features, cfg, args.node_epochs)
     result.config["auto_node_epochs"] = len(node_trace)
     return result
@@ -339,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="epochs for the auto-chained node model (edge variant)")
     p.add_argument("--transfer-from", default=None, dest="transfer_from",
                    help="node checkpoint to fine-tune from (edge variant)")
-    p.add_argument("--no-auto-node", action="store_true", dest="no_auto_node",
-                   help="fail instead of training a node model first")
     p.add_argument("--format", choices=("text", "binary"), default="text")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -378,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = esub.add_parser("classify", help="one-vs-rest node classification")
     _add_dataset_args(p)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--ratios", default="10,30,50")
+    p.add_argument("--ratios", default="10,30,50",
+                   help="percentages of each class's nodes to train on")
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument("--clf-features", choices=("z", "zoi"), default="z",
                    dest="clf_features")

@@ -83,16 +83,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return self.edge_list.shape[0]
 
-    def validate(self) -> None:
-        """Check structural invariants; raises DatasetError on violation."""
-        m = self.out_adjacency
-        if self.edge_list.shape[0] != m.nnz:
-            raise DatasetError("edge list length disagrees with stored nonzeros")
-        if m.nnz and m.data.min() < 0:
-            raise DatasetError("negative adjacency entries")
-        if (abs(m.T - self.in_adjacency)).nnz != 0:
-            raise DatasetError("transpose view out of sync with adjacency")
-
 
 @dataclass
 class FeatureMatrix:
@@ -100,7 +90,6 @@ class FeatureMatrix:
 
     values: sp.csr_matrix
     mode: str  # "binary" | "count" | "tfidf"
-    all_zero: bool = False
 
     def __post_init__(self):
         self.values = self.values.tocsr()
@@ -268,7 +257,6 @@ def load_citation_dataset(content_path, cites_path):
         "cites_file": str(cites_path),
     }
     graph = DirectedGraph(ids, np.asarray(edges, dtype=np.int64).reshape(-1, 2), metadata)
-    graph.validate()
 
     binary = mat.nnz == 0 or bool(np.all(mat.data == 1.0))
     features = FeatureMatrix(mat, mode="binary" if binary else "count")
@@ -293,22 +281,15 @@ def build_undirected_union(graph: DirectedGraph) -> sp.csr_matrix:
     return u
 
 
-def compute_tfidf(raw_counts) -> FeatureMatrix:
-    """TF-IDF weighting of a nonnegative count matrix.
+def compute_tfidf(raw_counts: FeatureMatrix) -> FeatureMatrix:
+    """TF-IDF weighting of a binary or count feature matrix.
 
     tf is the raw count, idf(w) = ln((1 + n) / (1 + df_w)) + 1 (smoothed),
     and every nonempty row is L2-normalized. An all-zero input comes back
-    all-zero with ``all_zero`` set.
+    all-zero.
     """
-    if isinstance(raw_counts, FeatureMatrix):
-        raw_counts = raw_counts.values
-    counts = sp.csr_matrix(raw_counts, dtype=np.float64)
-    counts.eliminate_zeros()
-    if counts.nnz and counts.data.min() < 0:
-        raise DatasetError("negative counts in TF-IDF input")
+    counts = raw_counts.values  # CSR, nonnegative, no stored zeros
     n = counts.shape[0]
-    if counts.nnz == 0:
-        return FeatureMatrix(counts, mode="tfidf", all_zero=True)
     df = np.bincount(counts.indices, minlength=counts.shape[1])
     idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
     out = counts.copy()
@@ -349,8 +330,8 @@ def dataset_summary(graph: DirectedGraph, features: FeatureMatrix, labels: Label
     )
 
 
-def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix | None = None) -> str:
-    """Stable hash of the graph structure (and features, if given).
+def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix) -> str:
+    """Stable hash of the graph structure and features.
 
     Used to tie checkpoints / embedding files / reports back to the exact
     dataset they were produced from.
@@ -361,12 +342,11 @@ def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix | None = N
     for nid in graph.node_ids:
         h.update(nid.encode("utf-8"))
         h.update(b"\x00")
-    if features is not None:
-        v = features.values
-        h.update(f"d={features.dim};mode={features.mode};".encode())
-        h.update(v.indptr.astype(np.int64).tobytes())
-        h.update(v.indices.astype(np.int64).tobytes())
-        h.update(v.data.astype(np.float64).tobytes())
+    v = features.values
+    h.update(f"d={features.dim};mode={features.mode};".encode())
+    h.update(v.indptr.astype(np.int64).tobytes())
+    h.update(v.indices.astype(np.int64).tobytes())
+    h.update(v.data.astype(np.float64).tobytes())
     return h.hexdigest()
 
 

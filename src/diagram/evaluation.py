@@ -28,6 +28,12 @@ EDGE_CONSTRUCTORS = ("average", "hadamard", "w-l1", "w-l2")
 SCORER_MODES = ("directed", "symmetric")
 # Scores per block of source rows in network_reconstruction (8 MB of float64).
 RECON_BLOCK_SCORES = 1 << 20
+# The classifiers' ridge weight, Newton step cap and gradient-norm stop.
+L2 = 1.0
+MAX_ITER = 200
+TOL = 1e-6
+# Cross-validation folds in link_prediction_eval.
+N_FOLDS = 3
 
 
 # -- network reconstruction ---------------------------------------------------
@@ -254,13 +260,13 @@ def edge_feature_matrix(emb: EmbeddingSet, pairs, constructor: str,
 # -- built-in classifier and metrics ------------------------------------------
 
 
-def logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
-                            tol: float = 1e-6) -> np.ndarray:
+def logistic_regression_fit(X, y) -> np.ndarray:
     """L2-regularized logistic regression via damped Newton iterations.
 
     Returns weights of length d+1 with the (unpenalized) intercept first.
-    Deterministic: full-batch updates from a zero start, stopping when the
-    gradient norm drops below ``tol``. A 2-D ``y`` of shape (n, k) fits k
+    The ridge weight is ``L2``. Deterministic: full-batch updates from a
+    zero start, at most ``MAX_ITER`` of them, stopping when the gradient
+    norm drops below ``TOL``. A 2-D ``y`` of shape (n, k) fits k
     independent models to its columns and returns them as a (k, d+1) array;
     they share the design matrix, its checks and the first Newton Hessian,
     which does not depend on ``y``.
@@ -275,11 +281,11 @@ def logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
     nb = np.hstack([np.ones((X.shape[0], 1)), X])
     pen = np.ones(nb.shape[1])
     pen[0] = 0.0
-    ridge = l2 * pen
+    ridge = L2 * pen
     diag = np.diag_indices(nb.shape[1])
 
     def objective(s, yt, wv):
-        return float(np.sum(np.logaddexp(0.0, s) - yt * s) + 0.5 * l2 * np.sum(pen * wv * wv))
+        return float(np.sum(np.logaddexp(0.0, s) - yt * s) + 0.5 * L2 * np.sum(pen * wv * wv))
 
     def hessian(prob):
         r = prob * (1.0 - prob)
@@ -293,10 +299,10 @@ def logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
         w = np.zeros(nb.shape[1])
         s = nb @ w
         obj = objective(s, yt, w)
-        for it in range(max_iter):
+        for it in range(MAX_ITER):
             prob = expit(s)
             g = nb.T @ (prob - yt) + ridge * w
-            if np.linalg.norm(g) < tol:
+            if np.linalg.norm(g) < TOL:
                 break
             h = h0 if it == 0 else hessian(prob)
             # numpy.linalg, not scipy.linalg: scipy links its own OpenBLAS,
@@ -414,18 +420,18 @@ def stratified_split(y, train_fraction: float, rng: np.random.Generator):
 
 def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
                          constructors=EDGE_CONSTRUCTORS, mode: str = "directed",
-                         seed: int = 0, n_folds: int = 3, l2: float = 1.0,
-                         max_iter: int = 200, folds=None) -> "EvalReport":
-    """Stratified 3-fold CV of a binary classifier on edge features.
+                         seed: int = 0, folds=None) -> "EvalReport":
+    """Stratified ``N_FOLDS``-fold CV of a binary classifier on edge features.
 
     Reports the mean and standard deviation over folds of both AUC and the
-    positive-class F1, per feature constructor.
+    positive-class F1, per feature constructor. ``folds``, a list of test
+    index arrays, replaces the seeded stratified folds.
     """
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
     if folds is None:
-        folds = stratified_fold_indices(y, n_folds, np.random.default_rng(seed))
+        folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
     all_idx = np.arange(y.size)
     table = []
     details: dict = {}
@@ -438,7 +444,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
             train_idx = all_idx[train_mask]
             if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[test_idx])) < 2:
                 raise EvaluationError("degenerate single-class fold")
-            w = logistic_regression_fit(feats[train_idx], y[train_idx], l2, max_iter)
+            w = logistic_regression_fit(feats[train_idx], y[train_idx])
             proba = logistic_predict_proba(w, feats[test_idx])
             aucs.append(auc_score(y[test_idx], proba))
             f1s.append(binary_f1(y[test_idx], (proba >= 0.5).astype(int)))
@@ -455,7 +461,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
         columns=["constructor", "auc_mean", "auc_std", "f1_mean", "f1_std"],
         table=table,
         details=details,
-        config={"mode": mode, "seed": seed, "n_folds": n_folds, "l2": l2,
+        config={"mode": mode, "seed": seed, "n_folds": N_FOLDS, "l2": L2,
                 "percent": sample.percent, "sample_seed": sample.seed,
                 "variant": emb.variant},
         fingerprint=emb.fingerprint,
@@ -494,9 +500,9 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 # -- protocol: node classification ----------------------------------------------
 
 
-def _ovr_predict(X_train, y_train, X_test, classes, l2, max_iter):
+def _ovr_predict(X_train, y_train, X_test, classes):
     one_hot = (y_train[:, None] == classes).astype(np.float64)
-    weights = logistic_regression_fit(X_train, one_hot, l2, max_iter)
+    weights = logistic_regression_fit(X_train, one_hot)
     scores = np.empty((X_test.shape[0], len(classes)))
     for ci, w in enumerate(weights):
         scores[:, ci] = logistic_predict_proba(w, X_test)
@@ -505,13 +511,12 @@ def _ovr_predict(X_train, y_train, X_test, classes, l2, max_iter):
 
 def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50),
                              repetitions: int = 10, features: str = "z",
-                             seed: int = 0, l2: float = 1.0,
-                             max_iter: int = 200) -> "EvalReport":
+                             seed: int = 0) -> "EvalReport":
     """One-vs-rest logistic regression over repeated stratified holdouts.
 
-    ``train_ratios`` may be percentages (10, 30, 50) or fractions; each
-    ratio gets ``repetitions`` seeded splits and the report carries the
-    mean and std of micro- and macro-F1.
+    ``train_ratios`` are percentages of each class's nodes to train on,
+    at least one node per class; each ratio gets ``repetitions`` seeded
+    splits and the report carries the mean and std of micro- and macro-F1.
     """
     y = labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
     if y.size != emb.n:
@@ -527,14 +532,14 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
     table = []
     details: dict = {}
     for ratio in train_ratios:
-        frac = float(ratio) / 100.0 if ratio > 1 else float(ratio)
+        if not 0 < ratio < 100:
+            raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
         micros, macros = [], []
         for _ in range(repetitions):
-            train_idx, test_idx = stratified_split(y, frac, rng)
+            train_idx, test_idx = stratified_split(y, float(ratio) / 100.0, rng)
             if test_idx.size == 0:
                 raise EvaluationError(f"train ratio {ratio} leaves no test data")
-            pred = _ovr_predict(X[train_idx], y[train_idx], X[test_idx], classes,
-                                l2, max_iter)
+            pred = _ovr_predict(X[train_idx], y[train_idx], X[test_idx], classes)
             micro, macro = micro_macro_f1(y[test_idx], pred, int(classes.max()) + 1)
             micros.append(micro)
             macros.append(macro)
@@ -553,7 +558,7 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         table=table,
         details=details,
         config={"features": features, "repetitions": repetitions, "seed": seed,
-                "l2": l2, "variant": emb.variant},
+                "l2": L2, "variant": emb.variant},
         fingerprint=emb.fingerprint,
     )
     report.validate()
@@ -599,12 +604,12 @@ class EvalReport:
     def to_csv(self, path) -> None:
         _write_csv(path, self.columns, ([row[c] for c in self.columns] for row in self.table))
 
-    def to_plot_csv(self, path, metric: str = "auc") -> None:
-        """Plot-ready (label, mean, std) rows for the report's lead metric."""
+    def to_plot_csv(self, path) -> None:
+        """Plot-ready (label, mean, std) rows of the AUC."""
         label_col = self.columns[0]
         _write_csv(path, [label_col, "mean", "std"],
-                   ([row[label_col], row.get(f"{metric}_mean", ""),
-                     row.get(f"{metric}_std", "")] for row in self.table))
+                   ([row[label_col], row.get("auc_mean", ""), row.get("auc_std", "")]
+                    for row in self.table))
 
 
 def _write_csv(path, header, rows) -> None:

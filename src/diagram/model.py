@@ -109,7 +109,6 @@ class DiagramModel:
 
         n, d, k = node_count, feature_dim, self.embedding_dim
         t = self.trunk_dims
-        self.channel_dims = {"content": n + d, "out": n, "in": n}
 
         # Layer creation order is fixed: it defines the rng draw order and
         # therefore the reproducibility of seeded initialization.

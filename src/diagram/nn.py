@@ -19,28 +19,10 @@ import scipy.sparse as sp
 
 from .exceptions import EmbeddingFormatError, TrainingError
 
-GLOROT_BLOCK = 64
-
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-
-def glorot_uniform_transposed(rng: np.random.Generator, out_dim: int,
-                              in_dim: int) -> np.ndarray:
-    """``glorot_uniform(rng, out_dim, in_dim).T`` as a C-contiguous (in, out) array.
-
-    The (out, in) sample is drawn ``GLOROT_BLOCK`` rows at a time and each
-    block is written straight into place, so the values and the rng stream
-    are those of the one-shot draw and no second full-size array exists.
-    """
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    W = np.empty((in_dim, out_dim))
-    for lo in range(0, out_dim, GLOROT_BLOCK):
-        block = rng.uniform(-limit, limit, size=(min(GLOROT_BLOCK, out_dim - lo), in_dim))
-        W[:, lo:lo + len(block)] = block.T
-    return W
 
 
 class CSRRows:
@@ -90,7 +72,7 @@ class Linear:
         if rng is None:
             self.W = np.zeros((in_dim, out_dim) if sparse_input else (out_dim, in_dim))
         elif sparse_input:
-            self.W = glorot_uniform_transposed(rng, out_dim, in_dim)
+            self.W = np.ascontiguousarray(glorot_uniform(rng, out_dim, in_dim).T)
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
@@ -243,29 +225,30 @@ class Adam:
     bit-identical to it. Moments stay per-name tensors: one flat buffer
     for all parameters measured no faster.
 
-    A step is atomic: every gradient's shape and finiteness is checked
-    before ``t``, a moment or a parameter changes.
+    A step is atomic: every gradient's shape is checked, and every entry
+    must be finite and at most ``GRAD_LIMIT`` in magnitude, before ``t``, a
+    moment or a parameter changes. ``|m̃|`` is at most ``max|g|/(1-b1)``, so
+    the limit keeps it finite.
+
+    ``b1``, ``b2`` and ``eps`` are Kingma & Ba's defaults, held as the
+    class constants ``BETA1``, ``BETA2`` and ``EPS``.
     """
 
     BLOCK = 1 << 15
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+    GRAD_LIMIT = 1e306
 
-    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        for name, value, ok, bounds in (("lr", lr, 0.0 < lr < np.inf, "(0, inf)"),
-                                        ("beta1", beta1, 0.0 <= beta1 < 1.0, "[0, 1)"),
-                                        ("beta2", beta2, 0.0 <= beta2 < 1.0, "[0, 1)"),
-                                        ("eps", eps, 0.0 < eps < np.inf, "(0, inf)")):
-            if not ok:
-                raise ValueError(f"Adam {name} must be in {bounds}, got {value!r}")
+    def __init__(self, lr: float = 1e-4):
+        if not 0.0 < lr < np.inf:
+            raise ValueError(f"Adam lr must be in (0, inf), got {lr!r}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._buf = np.empty((2, self.BLOCK))
-        self._finite = np.empty(self.BLOCK, dtype=bool)
+        self._ok = np.empty(self.BLOCK, dtype=bool)
 
     def _check(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
         if g.shape != p.shape:
@@ -273,26 +256,29 @@ class Adam:
         if not p.flags.c_contiguous:  # the sweep updates p through a flat view
             raise ValueError(f"parameter {name} is not C-contiguous")
         flat = g.reshape(-1)
-        # A sum of squares is finite only if every entry is; it overflows
-        # for huge finite entries too, so only then is each block scanned.
+        # A finite sum of squares means every entry is finite and below
+        # about 1e154, so the blocks are scanned only when it is not. NaN
+        # fails the scan's comparison too.
         with np.errstate(over="ignore"):
             if np.isfinite(np.dot(flat, flat)):
                 return
         for lo in range(0, flat.size, self.BLOCK):
             blk = flat[lo:lo + self.BLOCK]
-            ok = self._finite[:blk.size]
-            np.isfinite(blk, out=ok)
+            mag, ok = self._buf[0, :blk.size], self._ok[:blk.size]
+            np.abs(blk, out=mag)
+            np.less_equal(mag, self.GRAD_LIMIT, out=ok)
             if not ok.all():
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+                raise TrainingError(f"gradient for parameter {name!r} is non-finite "
+                                    f"or above {self.GRAD_LIMIT:g} in magnitude")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():
             self._check(name, p, grads[name])
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
         alpha = self.lr * (1.0 - b1) / (1.0 - b1 ** self.t) * c
-        eps = self.eps * c
+        eps = self.EPS * c
         for name, p in params.items():
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)

@@ -103,12 +103,13 @@ class TestTrain:
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["auto_node_epochs"] == 2
 
-    def test_edge_variant_without_checkpoint_can_refuse(self, dataset_arg,
-                                                        tmp_path, capsys):
-        ret = run(["train", "--dataset", dataset_arg, "--variant", "edge",
-                   "--no-auto-node", "--out", tmp_path / "x", *FAST])
-        assert ret == 1
-        assert "node checkpoint" in capsys.readouterr().err
+    def test_no_auto_node_flag_is_unknown(self, dataset_arg, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                 "--no-auto-node", "--out", tmp_path / "x", *FAST])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-auto-node" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_transfer_from_checkpoint(self, dataset_arg, tmp_path):
         node_out = tmp_path / "node"
@@ -268,6 +269,14 @@ class TestExportAndEval:
         report = json.loads((out / "classify.json").read_text())
         assert report["table"][0]["train_ratio"] == 50.0
         assert (out / "classify.csv").exists()
+
+    def test_eval_classify_ratio_1_is_one_percent(self, dataset_arg, trained, tmp_path):
+        out = tmp_path / "cls"
+        assert run(["eval", "classify", "--dataset", dataset_arg,
+                    "--embeddings", trained / "node_embeddings.tsv",
+                    "--ratios", "1", "--repetitions", "2", "--out", out]) == 0
+        report = json.loads((out / "classify.json").read_text())
+        assert report["table"][0]["train_ratio"] == 1.0
 
     def test_eval_linkpred_full_protocol(self, dataset_arg, tmp_path):
         out = tmp_path / "lp"

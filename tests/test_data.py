@@ -111,7 +111,6 @@ class TestLoadCitationDataset:
         graph, _, _ = load_citation_dataset(*fixture_dataset)
         diff = graph.out_adjacency.T - graph.in_adjacency
         assert abs(diff).nnz == 0
-        graph.validate()
 
 
 class TestUndirectedUnion:
@@ -145,9 +144,13 @@ class TestUndirectedUnion:
         assert np.array_equal(a1, a2)
 
 
+def counts_matrix(counts) -> FeatureMatrix:
+    return FeatureMatrix(sp.csr_matrix(counts), "count")
+
+
 class TestTfidf:
     def test_single_entry_row_normalizes_to_one(self):
-        out = compute_tfidf(sp.csr_matrix(np.array([[1.0]])))
+        out = compute_tfidf(counts_matrix(np.array([[1.0]])))
         assert out.values[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert out.mode == "tfidf"
 
@@ -157,7 +160,7 @@ class TestTfidf:
         counts = np.zeros((n, 2))
         counts[:, 0] = 1
         counts[0, 1] = 1
-        out = compute_tfidf(sp.csr_matrix(counts)).values.toarray()
+        out = compute_tfidf(counts_matrix(counts)).values.toarray()
         idf_rare = math.log((1 + n) / 2) + 1
         # ratio of the two weights in doc 0 exposes the idf ratio
         assert out[0, 1] / out[0, 0] == pytest.approx(idf_rare / 1.0, rel=1e-12)
@@ -180,13 +183,13 @@ class TestTfidf:
             if norm > 0:
                 for w in range(d):
                     expected[u, w] /= norm
-        got = compute_tfidf(sp.csr_matrix(counts)).values.toarray()
+        got = compute_tfidf(counts_matrix(counts)).values.toarray()
         assert np.allclose(got, expected, atol=1e-12, rtol=0)
 
     def test_all_zero_matrix_flagged(self):
-        out = compute_tfidf(sp.csr_matrix((3, 4)))
-        assert out.all_zero
+        out = compute_tfidf(counts_matrix(np.zeros((3, 4))))
         assert out.values.nnz == 0
+        assert out.values.shape == (3, 4) and out.mode == "tfidf"
 
     def test_unique_words_give_equal_row_weights(self):
         # every word appears in exactly one document
@@ -194,13 +197,13 @@ class TestTfidf:
             [1, 1, 0, 0, 0],
             [0, 0, 1, 1, 1],
         ], dtype=float)
-        out = compute_tfidf(sp.csr_matrix(counts)).values.toarray()
+        out = compute_tfidf(counts_matrix(counts)).values.toarray()
         assert np.allclose(out[0, :2], 1 / math.sqrt(2), atol=1e-12)
         assert np.allclose(out[1, 2:], 1 / math.sqrt(3), atol=1e-12)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(DatasetError):
-            compute_tfidf(sp.csr_matrix(np.array([[-1.0]])))
+        with pytest.raises(DatasetError, match="negative"):
+            compute_tfidf(counts_matrix(np.array([[-1.0]])))
 
 
 class TestSummaryAndExport:

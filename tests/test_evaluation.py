@@ -344,10 +344,11 @@ class TestEdgeFeatures:
 
 
 class TestLogisticRegression:
-    def test_monotone_probabilities_on_separated_data(self):
+    def test_monotone_probabilities_on_separated_data(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "L2", 0.5)
         x = np.linspace(-2, 2, 20).reshape(-1, 1)
         y = (x.ravel() > 0).astype(float)
-        w = logistic_regression_fit(x, y, l2=0.5)
+        w = logistic_regression_fit(x, y)
         proba = logistic_predict_proba(w, x)
         assert np.all(np.diff(proba) > 0)
         assert np.all(proba[y == 1] > 0.5)
@@ -356,7 +357,7 @@ class TestLogisticRegression:
     def test_zero_variance_feature_gets_zero_weight(self):
         x = np.full((20, 1), 3.0)
         y = np.array([0.0, 1.0] * 10)
-        w = logistic_regression_fit(x, y, l2=1.0)
+        w = logistic_regression_fit(x, y)
         assert abs(w[1]) < 1e-8
         assert abs(w[0]) < 1e-6  # balanced classes: near-pure intercept at 0
 
@@ -364,8 +365,8 @@ class TestLogisticRegression:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(20, 3))
         y = (x @ np.array([1.0, -2.0, 0.5]) + 0.3 * rng.normal(size=20) > 0).astype(float)
-        l2 = 1.0
-        w = logistic_regression_fit(x, y, l2=l2)
+        l2 = evaluation.L2
+        w = logistic_regression_fit(x, y)
 
         xb = np.hstack([np.ones((20, 1)), x])
         pen = np.array([0.0, 1.0, 1.0, 1.0])
@@ -528,6 +529,7 @@ class TestLinkPredictionEval:
         emb = make_embeddings(24, 4, seed=6)
         report = link_prediction_eval(emb, sample, seed=1)
         assert [r["constructor"] for r in report.table] == list(EDGE_CONSTRUCTORS)
+        assert (report.config["n_folds"], report.config["l2"]) == (3, 1.0)
         for ctor in EDGE_CONSTRUCTORS:
             assert len(report.details[ctor]["auc"]) == 3
 
@@ -597,6 +599,30 @@ class TestNodeClassification:
                                           repetitions=2, features="zoi", seed=0)
         assert report.config["features"] == "zoi"
 
+    def test_ratio_1_trains_on_one_percent_of_each_class(self, monkeypatch):
+        labels = np.repeat([0, 1, 2], [300, 100, 50])
+        emb = make_embeddings(labels.size, 4, seed=6)
+        counts = []
+        ovr = evaluation._ovr_predict
+
+        def counting_ovr(X_train, y_train, X_test, classes):
+            counts.append(np.bincount(y_train).tolist())
+            return ovr(X_train, y_train, X_test, classes)
+
+        monkeypatch.setattr(evaluation, "_ovr_predict", counting_ovr)
+        report = node_classification_eval(emb, labels, train_ratios=(1,),
+                                          repetitions=2, seed=0)
+        assert counts == [[3, 1, 1]] * 2  # 1%, and at least one node per class
+        assert report.table[0]["train_ratio"] == 1.0
+        assert report.config["l2"] == 1.0
+
+    @pytest.mark.parametrize("ratio", [0, -5, 100])
+    def test_ratio_outside_0_100_rejected(self, ratio):
+        labels = np.array([0, 1] * 10)
+        emb = make_embeddings(20, 3, seed=3)
+        with pytest.raises(EvaluationError, match="not a percentage"):
+            node_classification_eval(emb, labels, train_ratios=(ratio,))
+
     def test_labels_must_cover_nodes(self):
         emb = make_embeddings(10, 3, seed=4)
         with pytest.raises(EvaluationError):
@@ -617,10 +643,11 @@ class TestOneVsRestMatchesPerClassOracle:
     """One fit of all classes' columns gives the per-class fits' bits."""
 
     @pytest.mark.parametrize("l2", [1e-3, 1e-2, 0.1])
-    def test_weights_equal_per_class_fits(self, l2):
+    def test_weights_equal_per_class_fits(self, l2, monkeypatch):
+        monkeypatch.setattr(evaluation, "L2", l2)
         emb, labels = near_separable()
         one_hot = (labels[:, None] == np.unique(labels)).astype(np.float64)
-        weights = logistic_regression_fit(emb.z, one_hot, l2=l2)
+        weights = logistic_regression_fit(emb.z, one_hot)
         assert weights.shape == (4, 3)
         halvings = []
         for column, w in zip(one_hot.T, weights):
@@ -629,12 +656,13 @@ class TestOneVsRestMatchesPerClassOracle:
             assert w.tobytes() == want.tobytes()
         assert max(halvings) > 0  # the line search halved a step
 
-    def test_one_column_equals_one_dimensional_target(self):
+    def test_one_column_equals_one_dimensional_target(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "L2", 0.1)
         emb, labels = near_separable()
         y = (labels == 1).astype(np.float64)
-        w = logistic_regression_fit(emb.z, y, l2=0.1)
+        w = logistic_regression_fit(emb.z, y)
         assert w.shape == (3,)
-        assert logistic_regression_fit(emb.z, y[:, None], l2=0.1)[0].tobytes() == w.tobytes()
+        assert logistic_regression_fit(emb.z, y[:, None])[0].tobytes() == w.tobytes()
 
     def test_node_classification_reports_equal_oracle(self, monkeypatch):
         cases = [(near_separable(), 0.01, seed) for seed in (0, 4, 5)]
@@ -644,11 +672,14 @@ class TestOneVsRestMatchesPerClassOracle:
         halvings = []
         for (emb, labels), l2, seed in cases:
             args = (emb, labels, (10, 30, 50))
-            kwargs = {"repetitions": 3, "seed": seed, "l2": l2}
-            got = node_classification_eval(*args, **kwargs).as_dict()
+            kwargs = {"repetitions": 3, "seed": seed}
             with monkeypatch.context() as m:
+                m.setattr(evaluation, "L2", l2)
+                got = node_classification_eval(*args, **kwargs).as_dict()
                 m.setattr(evaluation, "_ovr_predict",
-                          functools.partial(reference_ovr_predict, halvings=halvings))
+                          functools.partial(reference_ovr_predict, l2=l2,
+                                            max_iter=evaluation.MAX_ITER,
+                                            halvings=halvings))
                 want = node_classification_eval(*args, **kwargs).as_dict()
             assert got == want, (l2, seed)
         assert max(halvings) > 0

@@ -359,7 +359,7 @@ class TestAdam:
             ref_trace.append(x_ref)
 
         p = {"x": np.array([0.7])}
-        opt = Adam(lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(lr=lr)
         got_trace = []
         for _ in range(5):
             opt.step(p, {"x": 2.0 * p["x"]})
@@ -440,6 +440,32 @@ class TestAdam:
         assert_bytes_equal(p, before[0])
         assert_bytes_equal(opt._m, before[1])
         assert_bytes_equal(opt._v, before[2])
+
+    @pytest.mark.parametrize("huge", [1.7e308, -1.7e308, 2 * Adam.GRAD_LIMIT])
+    def test_gradient_above_limit_raises_before_any_change(self, huge):
+        # m̃ can reach |g| / (1 - b1): a second step at 1.7e308 overflows it
+        # and turns the parameter NaN
+        p = {"a": np.zeros(3), "w": np.zeros(3)}
+        opt = Adam(lr=1e-3)
+        opt.step(p, {"a": np.ones(3), "w": np.ones(3)})
+        before = ({k: v.copy() for k, v in p.items()},
+                  {k: v.copy() for k, v in opt._m.items()},
+                  {k: v.copy() for k, v in opt._v.items()})
+        for _ in range(2):
+            with pytest.raises(TrainingError, match="'w'"):
+                opt.step(p, {"a": np.ones(3), "w": np.array([1.0, huge, 1.0])})
+        assert opt.t == 1
+        assert_bytes_equal(p, before[0])
+        assert_bytes_equal(opt._m, before[1])
+        assert_bytes_equal(opt._v, before[2])
+
+    def test_gradient_at_limit_keeps_moments_and_parameters_finite(self):
+        p = {"w": np.zeros(2)}
+        opt = Adam(lr=1e-3)
+        with np.errstate(over="ignore"):  # g * g overflows
+            for _ in range(100):
+                opt.step(p, {"w": np.array([Adam.GRAD_LIMIT, -Adam.GRAD_LIMIT])})
+        assert np.isfinite(opt._m["w"]).all() and np.isfinite(p["w"]).all()
 
     def test_non_contiguous_parameter_rejected_before_update(self):
         opt = Adam()
@@ -533,15 +559,21 @@ class TestAdam:
         ("eps", 0.0), ("eps", -1e-8), ("eps", np.inf), ("eps", np.nan),
     ])
     def test_rejects_hyperparameter_out_of_range(self, name, value):
-        with pytest.raises(ValueError, match=f"Adam {name} must be in"):
+        # b1, b2 and eps are the constants BETA1, BETA2 and EPS, so no value
+        # of them is accepted as an argument
+        error, match = ((ValueError, "Adam lr must be in") if name == "lr"
+                        else (TypeError, f"unexpected keyword argument '{name}'"))
+        with pytest.raises(error, match=match):
             Adam(**{name: value})
 
-    def test_zero_betas_step_by_the_gradient_sign(self):
+    def test_zero_betas_step_by_the_gradient_sign(self, monkeypatch):
         # with no averaging, every step is lr * g / (|g| + eps) exactly
+        monkeypatch.setattr(Adam, "BETA1", 0.0)
+        monkeypatch.setattr(Adam, "BETA2", 0.0)
         rng = np.random.default_rng(13)
         p = {"w": np.zeros(50)}
         want = np.zeros(50)
-        opt = Adam(lr=1e-3, beta1=0.0, beta2=0.0)
+        opt = Adam(lr=1e-3)
         for _ in range(5):
             g = rng.standard_cauchy(size=50)
             opt.step(p, {"w": g})
