@@ -22,7 +22,6 @@ from . import data as gdata
 from . import evaluation as ev
 from . import model as gm
 from .exceptions import DiagramError
-from .nn import atomic_write
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
 # The keys a --config file may set; each has a flag of the same name.
@@ -92,12 +91,15 @@ def _default_dropout(name: str) -> float:
     return 0.1 if "citeseer" in name.lower() else 0.2
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok for tok in str(text).replace(",", " ").split()]
+def _list_arg(flag: str, text, cast=str) -> list:
+    """``text`` split at commas and spaces into a nonempty list of ``cast`` entries."""
+    try:
+        items = [cast(tok) for tok in str(text).replace(",", " ").split()]
+    except ValueError as exc:
+        raise DiagramError(f"{flag}: bad entry in {text!r}: {exc}") from exc
+    if not items:
+        raise DiagramError(f"{flag}: empty list")
+    return items
 
 
 def build_train_config(args, name: str) -> gm.TrainConfig:
@@ -132,7 +134,10 @@ def build_train_config(args, name: str) -> gm.TrainConfig:
             mu=setting("mu", 10.0, float),
             seed=setting("seed", 0, int),
             embedding_dim=setting("k", 128, int),
-            trunk_dims=tuple(setting("trunk", gm.DEFAULT_TRUNK, _int_list)),
+            # Not _list_arg: a bad trunk may come from the --config file, which
+            # setting() names, and an empty one is TrainConfig's to reject.
+            trunk_dims=tuple(setting("trunk", gm.DEFAULT_TRUNK,
+                                     lambda raw: [int(t) for t in raw.replace(",", " ").split()])),
         )
     except ValueError as exc:
         raise DiagramError(f"{', '.join(dict.fromkeys(origins))}: {exc}") from exc
@@ -140,16 +145,6 @@ def build_train_config(args, name: str) -> gm.TrainConfig:
 
 def _config_fingerprint(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-
-
-def _write_json(path, payload: dict) -> None:
-    atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
-
-
-def _write_loss_trace(path, trace) -> None:
-    lines = ["epoch,mean_loss"]
-    lines += [f"{i + 1},{val!r}" for i, val in enumerate(trace)]
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # -- commands -----------------------------------------------------------------
@@ -184,6 +179,8 @@ def _train_variant(graph, features, cfg, variant, args):
 def cmd_train(args) -> int:
     graph, features, labels, name = load_dataset(args)
     cfg = build_train_config(args, name)
+    if args.node_epochs is not None and args.node_epochs < 0:
+        raise DiagramError(f"--node-epochs: must be >= 0, got {args.node_epochs}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = _train_variant(graph, features, cfg, args.variant, args)
@@ -205,8 +202,9 @@ def cmd_train(args) -> int:
     ext = "tsv" if args.format == "text" else "bin"
     emb_path = out / f"{args.variant}_embeddings.{ext}"
     gm.export_embeddings(result.embeddings, emb_path, args.format)
-    _write_loss_trace(out / f"{args.variant}_loss_trace.csv", result.loss_trace)
-    _write_json(out / "run_config.json", run_cfg)
+    ev.write_csv(out / f"{args.variant}_loss_trace.csv", ["epoch", "mean_loss"],
+                 enumerate(result.loss_trace, start=1))
+    ev.write_json(out / "run_config.json", run_cfg)
 
     print(f"trained {args.variant} model on {name} "
           f"({len(result.loss_trace)} epochs, seed {cfg.seed})")
@@ -235,7 +233,13 @@ def _load_embeddings_checked(args, graph, features):
     return emb
 
 
-def _print_table(report: ev.EvalReport) -> None:
+def _write_report(report: ev.EvalReport, out, stem: str, title: str) -> None:
+    """Write ``<stem>.json`` and ``<stem>.csv`` under ``out``, then print the table."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    report.to_json(out / f"{stem}.json")
+    report.to_csv(out / f"{stem}.csv")
+    print(title)
     print("  " + "  ".join(report.columns))
     for row in report.table:
         print("  " + "  ".join(_fmt(row[c]) for c in report.columns))
@@ -244,13 +248,10 @@ def _print_table(report: ev.EvalReport) -> None:
 def cmd_eval_reconstruct(args) -> int:
     graph, features, labels, name = load_dataset(args)
     emb = _load_embeddings_checked(args, graph, features)
-    report = ev.network_reconstruction(emb, graph, _int_list(args.k_list), args.mode)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_json(out / "reconstruct.json")
-    report.to_csv(out / "reconstruct.csv")
-    print(f"network reconstruction on {name} ({args.mode}, variant {emb.variant})")
-    _print_table(report)
+    report = ev.network_reconstruction(emb, graph, _list_arg("--k-list", args.k_list, int),
+                                       args.mode)
+    _write_report(report, args.out, "reconstruct",
+                  f"network reconstruction on {name} ({args.mode}, variant {emb.variant})")
     return 0
 
 
@@ -260,17 +261,13 @@ def cmd_eval_linkpred(args) -> int:
     modes = ("directed", "symmetric") if args.mode == "both" else (args.mode,)
     reports, sample, _result = ev.run_link_prediction_protocol(
         graph, features, args.p, cfg.seed, args.variant, cfg,
-        constructors=_str_list(args.constructors), modes=modes,
+        constructors=_list_arg("--constructors", args.constructors), modes=modes,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for mode, report in reports.items():
-        report.to_json(out / f"linkpred_{mode}.json")
-        report.to_csv(out / f"linkpred_{mode}.csv")
-        report.to_plot_csv(out / f"linkpred_{mode}_plot.csv")
-        print(f"link prediction on {name} (p={_fmt(args.p)}, {mode}, "
-              f"variant {args.variant}, |true|={int(sample.labels.sum())})")
-        _print_table(report)
+        _write_report(report, args.out, f"linkpred_{mode}",
+                      f"link prediction on {name} (p={_fmt(args.p)}, {mode}, "
+                      f"variant {args.variant}, |true|={int(sample.labels.sum())})")
+        report.to_plot_csv(Path(args.out) / f"linkpred_{mode}_plot.csv")
     return 0
 
 
@@ -278,16 +275,12 @@ def cmd_eval_classify(args) -> int:
     graph, features, labels, name = load_dataset(args)
     emb = _load_embeddings_checked(args, graph, features)
     report = ev.node_classification_eval(
-        emb, labels, train_ratios=_int_list(args.ratios),
+        emb, labels, train_ratios=_list_arg("--ratios", args.ratios, int),
         repetitions=args.repetitions, features=args.clf_features, seed=args.seed or 0,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.to_json(out / "classify.json")
-    report.to_csv(out / "classify.csv")
-    print(f"node classification on {name} (variant {emb.variant}, "
-          f"features {args.clf_features})")
-    _print_table(report)
+    _write_report(report, args.out, "classify",
+                  f"node classification on {name} (variant {emb.variant}, "
+                  f"features {args.clf_features})")
     return 0
 
 

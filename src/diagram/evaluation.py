@@ -14,7 +14,7 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -53,6 +53,8 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     if graph.node_count != n:
         raise EvaluationError("embedding and graph disagree on node count")
     k_list = [int(k) for k in k_list]
+    if not k_list:
+        raise EvaluationError("K list is empty")
     max_pairs = n * n - n
     for k in k_list:
         if k <= 0:
@@ -154,6 +156,8 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     """
     m = graph.edge_count
     n = graph.node_count
+    if not math.isfinite(percent):
+        raise SamplingError(f"percent={percent} is not a finite number")
     quota = math.ceil(percent * m / 100.0)
     if quota <= 0:
         raise SamplingError(f"percent={percent} requests zero edges from m={m}")
@@ -349,15 +353,27 @@ def auc_score(labels, scores) -> float:
     return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
 
+def _class_counts(true, pred, n_classes: int):
+    """Per-class (tp, fp, fn) counts for classes 0 .. n_classes-1."""
+    true = np.asarray(true).astype(np.int64).ravel()
+    pred = np.asarray(pred).astype(np.int64).ravel()
+    if np.any(true < 0) or np.any(pred < 0):
+        raise EvaluationError("class labels must be nonnegative")
+    tp = np.bincount(true[true == pred], minlength=n_classes)[:n_classes]
+    fp = np.bincount(pred, minlength=n_classes)[:n_classes] - tp
+    fn = np.bincount(true, minlength=n_classes)[:n_classes] - tp
+    return tp, fp, fn
+
+
+def _f1(tp, fp, fn) -> np.ndarray:
+    """2tp / (2tp + fp + fn), and 0 where that denominator is 0."""
+    denom = 2 * tp + fp + fn
+    return np.divide(2.0 * tp, denom, out=np.zeros(np.shape(denom)), where=denom != 0)
+
+
 def binary_f1(labels, preds) -> float:
     """F1 of the positive class; 0 when precision+recall degenerate."""
-    labels = np.asarray(labels).astype(np.int64).ravel()
-    preds = np.asarray(preds).astype(np.int64).ravel()
-    tp = int(np.sum((labels == 1) & (preds == 1)))
-    fp = int(np.sum((labels == 0) & (preds == 1)))
-    fn = int(np.sum((labels == 1) & (preds == 0)))
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom else 0.0
+    return float(_f1(*_class_counts(labels, preds, 2))[1])
 
 
 def micro_macro_f1(true, pred, n_classes: int) -> tuple[float, float]:
@@ -365,24 +381,11 @@ def micro_macro_f1(true, pred, n_classes: int) -> tuple[float, float]:
 
     A class with neither true nor predicted samples contributes F1 = 0.
     """
-    true = np.asarray(true).astype(np.int64).ravel()
-    pred = np.asarray(pred).astype(np.int64).ravel()
-    if true.size == 0 or true.size != pred.size:
+    if np.size(true) == 0 or np.size(true) != np.size(pred):
         raise EvaluationError("micro/macro F1 needs matching nonempty arrays")
-    tp_sum = fp_sum = fn_sum = 0
-    per_class = []
-    for c in range(n_classes):
-        tp = int(np.sum((true == c) & (pred == c)))
-        fp = int(np.sum((true != c) & (pred == c)))
-        fn = int(np.sum((true == c) & (pred != c)))
-        tp_sum += tp
-        fp_sum += fp
-        fn_sum += fn
-        denom = 2 * tp + fp + fn
-        per_class.append(2.0 * tp / denom if denom else 0.0)
-    micro_denom = 2 * tp_sum + fp_sum + fn_sum
-    micro = 2.0 * tp_sum / micro_denom if micro_denom else 0.0
-    macro = float(np.mean(per_class)) if per_class else 0.0
+    tp, fp, fn = _class_counts(true, pred, n_classes)
+    micro = float(_f1(tp.sum(), fp.sum(), fn.sum()))
+    macro = float(_f1(tp, fp, fn).mean()) if n_classes else 0.0
     return micro, macro
 
 
@@ -420,21 +423,18 @@ def stratified_split(y, train_fraction: float, rng: np.random.Generator):
 
 def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
                          constructors=EDGE_CONSTRUCTORS, mode: str = "directed",
-                         seed: int = 0, folds=None) -> "EvalReport":
+                         seed: int = 0) -> "EvalReport":
     """Stratified ``N_FOLDS``-fold CV of a binary classifier on edge features.
 
     Reports the mean and standard deviation over folds of both AUC and the
-    positive-class F1, per feature constructor. ``folds``, a list of test
-    index arrays, replaces the seeded stratified folds.
+    positive-class F1, per feature constructor.
     """
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
-    if folds is None:
-        folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
+    folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
     all_idx = np.arange(y.size)
-    table = []
-    details: dict = {}
+    groups = []
     for ctor in constructors:
         feats = edge_feature_matrix(emb, sample.pairs, ctor, mode)
         aucs, f1s = [], []
@@ -448,26 +448,11 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
             proba = logistic_predict_proba(w, feats[test_idx])
             aucs.append(auc_score(y[test_idx], proba))
             f1s.append(binary_f1(y[test_idx], (proba >= 0.5).astype(int)))
-        table.append({
-            "constructor": ctor,
-            "auc_mean": float(np.mean(aucs)),
-            "auc_std": float(np.std(aucs)),
-            "f1_mean": float(np.mean(f1s)),
-            "f1_std": float(np.std(f1s)),
-        })
-        details[ctor] = {"auc": aucs, "f1": f1s}
-    report = EvalReport(
-        kind="link_prediction",
-        columns=["constructor", "auc_mean", "auc_std", "f1_mean", "f1_std"],
-        table=table,
-        details=details,
-        config={"mode": mode, "seed": seed, "n_folds": N_FOLDS, "l2": L2,
-                "percent": sample.percent, "sample_seed": sample.seed,
-                "variant": emb.variant},
-        fingerprint=emb.fingerprint,
-    )
-    report.validate()
-    return report
+        groups.append((ctor, ctor, {"auc": aucs, "f1": f1s}))
+    return _summary_report(
+        "link_prediction", "constructor", ("auc", "f1"), groups, emb,
+        {"mode": mode, "seed": seed, "n_folds": N_FOLDS, "l2": L2,
+         "percent": sample.percent, "sample_seed": sample.seed})
 
 
 def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
@@ -479,6 +464,10 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
     Returns (reports keyed by scorer mode, sample, train result).
     """
+    unknown = [c for c in constructors if c.lower() not in EDGE_CONSTRUCTORS]
+    if unknown:
+        raise EvaluationError(f"unknown edge-feature constructor(s) {', '.join(unknown)} "
+                              f"(accepted: {' '.join(EDGE_CONSTRUCTORS)})")
     sample = sample_link_prediction(graph, percent, seed)
     cfg = cfg or TrainConfig(seed=seed)
     if variant == "node":
@@ -527,10 +516,11 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         X = np.hstack([emb.z, emb.o, emb.i])
     else:
         raise ValueError(f"unknown feature selection {features!r}")
+    if repetitions < 1:
+        raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
     classes = np.unique(y)
     rng = np.random.default_rng(seed)
-    table = []
-    details: dict = {}
+    groups = []
     for ratio in train_ratios:
         if not 0 < ratio < 100:
             raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
@@ -543,29 +533,35 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
             micro, macro = micro_macro_f1(y[test_idx], pred, int(classes.max()) + 1)
             micros.append(micro)
             macros.append(macro)
-        table.append({
-            "train_ratio": float(ratio),
-            "micro_f1_mean": float(np.mean(micros)),
-            "micro_f1_std": float(np.std(micros)),
-            "macro_f1_mean": float(np.mean(macros)),
-            "macro_f1_std": float(np.std(macros)),
-        })
-        details[str(ratio)] = {"micro_f1": micros, "macro_f1": macros}
-    report = EvalReport(
-        kind="node_classification",
-        columns=["train_ratio", "micro_f1_mean", "micro_f1_std",
-                 "macro_f1_mean", "macro_f1_std"],
-        table=table,
-        details=details,
-        config={"features": features, "repetitions": repetitions, "seed": seed,
-                "l2": L2, "variant": emb.variant},
-        fingerprint=emb.fingerprint,
-    )
-    report.validate()
-    return report
+        groups.append((str(ratio), float(ratio), {"micro_f1": micros, "macro_f1": macros}))
+    return _summary_report(
+        "node_classification", "train_ratio", ("micro_f1", "macro_f1"), groups, emb,
+        {"features": features, "repetitions": repetitions, "seed": seed, "l2": L2})
 
 
 # -- report container ------------------------------------------------------------
+
+
+def _summary_report(kind: str, label_column: str, metrics, groups, emb: EmbeddingSet,
+                    config: dict) -> "EvalReport":
+    """Validated report of (details key, row label, {metric: per-split values}) groups.
+
+    A group's row holds its label and each metric's ``_mean`` and ``_std``.
+    """
+    columns = [label_column] + [f"{m}_{s}" for m in metrics for s in ("mean", "std")]
+    table = []
+    for _, label, values in groups:
+        row = {label_column: label}
+        for m in metrics:
+            row[f"{m}_mean"] = float(np.mean(values[m]))
+            row[f"{m}_std"] = float(np.std(values[m]))
+        table.append(row)
+    report = EvalReport(kind=kind, columns=columns, table=table,
+                        details={key: values for key, _, values in groups},
+                        config={**config, "variant": emb.variant},
+                        fingerprint=emb.fingerprint)
+    report.validate()
+    return report
 
 
 @dataclass
@@ -588,31 +584,29 @@ class EvalReport:
                         raise EvaluationError(f"metric {key}={val} outside [0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "columns": self.columns,
-            "table": self.table,
-            "details": self.details,
-            "config": self.config,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     def to_json(self, path) -> None:
-        text = json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-        atomic_write(path, text.encode("utf-8"))
+        write_json(path, self.as_dict())
 
     def to_csv(self, path) -> None:
-        _write_csv(path, self.columns, ([row[c] for c in self.columns] for row in self.table))
+        write_csv(path, self.columns, ([row[c] for c in self.columns] for row in self.table))
 
     def to_plot_csv(self, path) -> None:
         """Plot-ready (label, mean, std) rows of the AUC."""
         label_col = self.columns[0]
-        _write_csv(path, [label_col, "mean", "std"],
-                   ([row[label_col], row.get("auc_mean", ""), row.get("auc_std", "")]
-                    for row in self.table))
+        write_csv(path, [label_col, "mean", "std"],
+                  ([row[label_col], row.get("auc_mean", ""), row.get("auc_std", "")]
+                   for row in self.table))
 
 
-def _write_csv(path, header, rows) -> None:
+def write_json(path, payload: dict) -> None:
+    """Atomically write ``payload`` as indented JSON with sorted keys."""
+    atomic_write(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+def write_csv(path, header, rows) -> None:
+    """Atomically write ``header`` and ``rows`` as CSV lines ending in a bare newline."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)

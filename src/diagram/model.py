@@ -175,32 +175,31 @@ class DiagramModel:
 
     # -- forward / backward ------------------------------------------------
 
-    def _encode(self, channel: str, x: CSRRows, steps: list, training: bool = False,
-                dropout: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:
+    def _encode(self, channel: str, x: CSRRows, steps: list, dropout: float = 0.0,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         """Head, encoder trunk and embed layer of one channel; returns the embedding.
 
         ``x`` holds the channel's input rows. Appends each layer's (layer,
-        cache, dropout mask) to ``steps`` for the backward pass. Dropout is
-        applied to every encoder activation (head output and each
-        encoder-trunk output), never to inputs or the embedding.
+        cache, dropout mask) to ``steps`` for the backward pass. Dropout at
+        rate ``dropout`` is applied to every encoder activation (head output
+        and each encoder-trunk output), never to inputs or the embedding.
         """
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
-        rate = dropout if training else 0.0
-        h = _run(self.head_for(channel), x, steps, rate, rng)
+        h = _run(self.head_for(channel), x, steps, dropout, rng)
         for layer in self.encoder_trunk:
-            h = _run(layer, h, steps, rate, rng)
+            h = _run(layer, h, steps, dropout, rng)
         return _run(self.embed, h, steps)
 
-    def _forward(self, channel: str, x: CSRRows, training: bool = False,
-                 dropout: float = 0.0, rng: np.random.Generator | None = None):
+    def _forward(self, channel: str, x: CSRRows, dropout: float = 0.0,
+                 rng: np.random.Generator | None = None):
         """Run one channel; returns (embedding, reconstruction, backward ctx).
 
         The decoder side (decoder trunk and reconstruction head) takes no
         dropout.
         """
         steps = []
-        emb = self._encode(channel, x, steps, training, dropout, rng)
+        emb = self._encode(channel, x, steps, dropout, rng)
         h = emb
         for layer in self.decoder_trunk:
             h = _run(layer, h, steps)
@@ -297,15 +296,14 @@ def _edge_batches(u_idx, v_idx, M, MT, AD) -> dict[str, _ChannelBatch]:
 
 
 def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: float,
-                 training: bool = False, dropout: float = 0.0,
-                 rng: np.random.Generator | None = None,
+                 dropout: float = 0.0, rng: np.random.Generator | None = None,
                  with_grad: bool = False) -> float:
     total = 0.0
     for channel in CHANNELS:  # fixed order keeps rng consumption reproducible
         cb = batches.get(channel)
         if cb is None:
             continue
-        emb, recon, steps = model._forward(channel, cb.x, training, dropout, rng)
+        emb, recon, steps = model._forward(channel, cb.x, dropout, rng)
         loss, grad = masked_sq_error(recon, cb.target, penalty_weights(cb.target), mu)
         if cb.extra is not None:
             rows, target2 = cb.extra
@@ -384,8 +382,8 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
             chunk = items[order[start:start + cfg.batch_size]]
             model.zero_grad()
             batches = assemble(chunk)
-            loss = _run_batches(model, batches, cfg.mu, training=True,
-                                dropout=cfg.dropout, rng=rng, with_grad=True)
+            loss = _run_batches(model, batches, cfg.mu, dropout=cfg.dropout, rng=rng,
+                                with_grad=True)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
             opt.step(model.parameters(), model.gradients())

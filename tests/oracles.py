@@ -19,6 +19,10 @@ with unscaled moments and the bias corrections applied per element;
 ``nn.Adam`` agrees with it to rounding. ``ReferenceAdam`` is the unblocked
 form of ``nn.Adam``'s rescaled step, which must match it bit for bit.
 
+``reference_f1`` is the earlier F1: one pass over the labels per class,
+counting tp, fp and fn with boolean masks. ``evaluation.micro_macro_f1`` and
+``evaluation.binary_f1`` must match it bit for bit.
+
 ``reference_logistic_regression_fit`` and ``reference_ovr_predict`` are the
 earlier classifier: one target per call, its design matrix and first
 Hessian built afresh each time, and one-vs-rest as a loop of such calls.
@@ -294,3 +298,24 @@ def reference_ovr_predict(X_train, y_train, X_test, classes, l2, max_iter,
                                               l2, max_iter, halvings=halvings)
         scores[:, ci] = expit(w[0] + np.asarray(X_test, dtype=np.float64) @ w[1:])
     return classes[np.argmax(scores, axis=1)]
+
+
+def reference_f1(true, pred, n_classes: int):
+    """(per-class F1 list, micro-F1, macro-F1) for classes 0 .. n_classes-1."""
+    true = np.asarray(true).astype(np.int64).ravel()
+    pred = np.asarray(pred).astype(np.int64).ravel()
+    tp_sum = fp_sum = fn_sum = 0
+    per_class = []
+    for c in range(n_classes):
+        tp = int(np.sum((true == c) & (pred == c)))
+        fp = int(np.sum((true != c) & (pred == c)))
+        fn = int(np.sum((true == c) & (pred != c)))
+        tp_sum += tp
+        fp_sum += fp
+        fn_sum += fn
+        denom = 2 * tp + fp + fn
+        per_class.append(2.0 * tp / denom if denom else 0.0)
+    micro_denom = 2 * tp_sum + fp_sum + fn_sum
+    micro = 2.0 * tp_sum / micro_denom if micro_denom else 0.0
+    macro = float(np.mean(per_class)) if per_class else 0.0
+    return per_class, micro, macro

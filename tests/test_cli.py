@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import diagram.evaluation as ev
+import diagram.model as gm
 from diagram.cli import main, parse_config_file, resolve_dataset
 from diagram.exceptions import DiagramError
 from diagram.model import import_embeddings, load_model
@@ -277,6 +279,34 @@ class TestExportAndEval:
                     "--ratios", "1", "--repetitions", "2", "--out", out]) == 0
         report = json.loads((out / "classify.json").read_text())
         assert report["table"][0]["train_ratio"] == 1.0
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval reconstruct", ["--k-list", ""], "--k-list: empty list"),
+        ("eval reconstruct", ["--k-list", "10,abc"], "--k-list: bad entry in '10,abc'"),
+        ("eval classify", ["--ratios", "x"], "--ratios: bad entry in 'x'"),
+        ("eval classify", ["--ratios", ""], "--ratios: empty list"),
+        ("eval classify", ["--repetitions", "0"], "repetitions must be >= 1, got 0"),
+        ("eval linkpred", ["--constructors", ""], "--constructors: empty list"),
+        ("eval linkpred", ["--constructors", "foo"], "unknown edge-feature constructor(s) foo"),
+        ("eval linkpred", ["--p", "nan"], "percent=nan is not a finite number"),
+        ("eval linkpred", ["--p", "inf"], "percent=inf is not a finite number"),
+        ("train", ["--variant", "edge", "--node-epochs", "-1"], "--node-epochs: must be >= 0"),
+    ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
+            "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs"])
+    def test_malformed_argument_exits_1_before_any_training(
+            self, dataset_arg, trained, tmp_path, capsys, monkeypatch, command, flags, message):
+        trainings = []
+        for module in (ev, gm):
+            for fn in ("train_node_model", "train_edge_chain"):
+                monkeypatch.setattr(module, fn, lambda *a, fn=fn, **k: trainings.append(fn))
+        extra = (["--embeddings", trained / "node_embeddings.tsv"]
+                 if command in ("eval reconstruct", "eval classify") else FAST)
+        assert run([*command.split(), "--dataset", dataset_arg, "--out", tmp_path / "o",
+                    *extra, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err and "Traceback" not in err
+        assert trainings == [] and not (tmp_path / "o").exists()
 
     def test_eval_linkpred_full_protocol(self, dataset_arg, tmp_path):
         out = tmp_path / "lp"

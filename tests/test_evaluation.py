@@ -30,7 +30,7 @@ from diagram.exceptions import EvaluationError, SamplingError
 from diagram.model import EmbeddingSet, TrainConfig
 
 from conftest import edge_features, random_digraph, random_features
-from oracles import reference_logistic_regression_fit, reference_ovr_predict
+from oracles import reference_f1, reference_logistic_regression_fit, reference_ovr_predict
 
 
 def make_embeddings(n, k, seed, variant="edge"):
@@ -234,6 +234,8 @@ class TestNetworkReconstruction:
             network_reconstruction(emb, g, [0])
         with pytest.raises(EvaluationError):
             network_reconstruction(emb, g, [21])  # only 20 ordered pairs
+        with pytest.raises(EvaluationError, match="empty"):
+            network_reconstruction(emb, g, [])
 
 
 class TestLinkSampling:
@@ -296,6 +298,12 @@ class TestLinkSampling:
         g = random_digraph(10, 15, seed=0)
         with pytest.raises(SamplingError):
             sample_link_prediction(g, 0.0, seed=0)
+
+    @pytest.mark.parametrize("percent", [math.nan, math.inf, -math.inf])
+    def test_non_finite_percent_rejected(self, percent):
+        g = random_digraph(10, 15, seed=0)
+        with pytest.raises(SamplingError, match="not a finite number"):
+            sample_link_prediction(g, percent, seed=0)
 
 
 class TestEdgeFeatures:
@@ -470,6 +478,33 @@ class TestF1:
         # tp=2 fp=1 fn=1 -> f1 = 4/6
         assert binary_f1(y, p) == pytest.approx(2 / 3)
 
+    # labels 0..2, with class 1 emptied in some cases; n_classes 0, below,
+    # at and above the largest label
+    @pytest.mark.parametrize("n_classes", [0, 1, 3, 5])
+    @pytest.mark.parametrize("seed, empty_class", [(0, None), (1, None), (2, 1), (3, 1)])
+    def test_micro_macro_match_per_class_loop_bit_for_bit(self, seed, empty_class, n_classes):
+        rng = np.random.default_rng(seed)
+        true, pred = rng.integers(0, 3, size=(2, 29))
+        if empty_class is not None:
+            true[true == empty_class] = 2
+            pred[pred == empty_class] = 0
+        _, micro, macro = reference_f1(true, pred, n_classes)
+        assert micro_macro_f1(true, pred, n_classes) == (micro, macro)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binary_f1_matches_per_class_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        y, p = rng.integers(0, 2, size=(2, 17))
+        assert binary_f1(y, p) == reference_f1(y, p, 2)[0][1]
+        zeros = np.zeros(5, dtype=int)  # no positive anywhere: F1 is 0
+        assert binary_f1(zeros, zeros) == reference_f1(zeros, zeros, 2)[0][1] == 0.0
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(EvaluationError, match="nonnegative"):
+            micro_macro_f1([0, -1, 1], [0, 1, 1], 2)
+        with pytest.raises(EvaluationError, match="nonnegative"):
+            binary_f1([0, 1], [-1, 1])
+
 
 class TestStratification:
     def test_folds_partition_and_balance(self):
@@ -533,12 +568,12 @@ class TestLinkPredictionEval:
         for ctor in EDGE_CONSTRUCTORS:
             assert len(report.details[ctor]["auc"]) == 3
 
-    def test_row_permutation_with_mapped_folds_is_invariant(self):
+    def test_row_permutation_with_mapped_folds_is_invariant(self, monkeypatch):
         emb, sample = self._label_revealing_setup(q=6)
         rng = np.random.default_rng(2)
         folds = stratified_fold_indices(sample.labels, 3, rng)
-        base = link_prediction_eval(emb, sample, constructors=("average",),
-                                    folds=folds)
+        monkeypatch.setattr(evaluation, "stratified_fold_indices", lambda *a: folds)
+        base = link_prediction_eval(emb, sample, constructors=("average",))
 
         perm = np.random.default_rng(3).permutation(len(sample.labels))
         from diagram.evaluation import LinkSample
@@ -546,8 +581,8 @@ class TestLinkPredictionEval:
                               sample.residual_graph, sample.seed, sample.percent)
         inv = np.argsort(perm)
         mapped_folds = [np.sort(inv[f]) for f in folds]
-        again = link_prediction_eval(emb, permuted, constructors=("average",),
-                                     folds=mapped_folds)
+        monkeypatch.setattr(evaluation, "stratified_fold_indices", lambda *a: mapped_folds)
+        again = link_prediction_eval(emb, permuted, constructors=("average",))
         assert again.table[0]["auc_mean"] == base.table[0]["auc_mean"]
         assert again.table[0]["f1_mean"] == base.table[0]["f1_mean"]
 
@@ -622,6 +657,12 @@ class TestNodeClassification:
         emb = make_embeddings(20, 3, seed=3)
         with pytest.raises(EvaluationError, match="not a percentage"):
             node_classification_eval(emb, labels, train_ratios=(ratio,))
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_1_rejected(self, repetitions):
+        emb = make_embeddings(20, 3, seed=3)
+        with pytest.raises(EvaluationError, match="repetitions must be >= 1"):
+            node_classification_eval(emb, np.array([0, 1] * 10), repetitions=repetitions)
 
     def test_labels_must_cover_nodes(self):
         emb = make_embeddings(10, 3, seed=4)
@@ -718,6 +759,16 @@ class TestFullProtocol:
         reports["directed"].to_json(p1)
         reports2["directed"].to_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_unknown_constructor_rejected_before_sampling(self, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled before the constructors were checked")
+
+        monkeypatch.setattr(evaluation, "sample_link_prediction", sample)
+        with pytest.raises(EvaluationError, match="constructor.*foo"):
+            run_link_prediction_protocol(random_digraph(20, 60, seed=10),
+                                         random_features(20, 6, seed=11), 10.0, 1,
+                                         constructors=("Hadamard", "foo"))
 
 
 class TestEvalReport:

@@ -144,10 +144,9 @@ class TestChannelForward:
         model = small_model(toy_graph, toy_features, seed=2)
         x = rows(np.ones((4, 10)))
         a = model._forward("content", x)[1]
-        b = model._forward("content", x, training=False, dropout=0.5)[1]
+        b = model._forward("content", x, dropout=0.0, rng=np.random.default_rng(0))[1]
         assert np.array_equal(a, b)
-        c = model._forward("content", x, training=True, dropout=0.5,
-                           rng=np.random.default_rng(0))[1]
+        c = model._forward("content", x, dropout=0.5, rng=np.random.default_rng(0))[1]
         assert not np.array_equal(a, c)
 
 

@@ -306,7 +306,7 @@ class TestDropout:
                                 rng=np.random.default_rng(0))
         x = CSRRows(sp.csr_matrix(np.random.default_rng(2).random((3, 8))))
         rng = np.random.default_rng(1)
-        got = model._forward("content", x, training=False, dropout=0.5, rng=rng)
+        got = model._forward("content", x, dropout=0.0, rng=rng)
         want = model._forward("content", x)
         assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
         assert rng.random() == np.random.default_rng(1).random()  # no mask was drawn
