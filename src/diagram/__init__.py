@@ -40,7 +40,6 @@ from .model import (
     import_embeddings,
     load_model,
     save_model,
-    train_edge_chain,
     train_edge_model,
     train_node_model,
 )

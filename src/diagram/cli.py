@@ -24,8 +24,18 @@ from . import model as gm
 from .exceptions import DiagramError
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
-# The keys a --config file may set; each has a flag of the same name.
-CONFIG_KEYS = ("trunk", "epochs", "batch_size", "lr", "dropout", "mu", "seed", "k")
+# The keys a --config file may set, each with a flag of the same name, mapped
+# to the TrainConfig field it sets and the parser of its value.
+CONFIG_KEYS = {
+    "trunk": ("trunk_dims", lambda raw: tuple(int(t) for t in raw.replace(",", " ").split())),
+    "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int),
+    "lr": ("learning_rate", float),
+    "dropout": ("dropout", float),
+    "mu": ("mu", float),
+    "seed": ("seed", int),
+    "k": ("embedding_dim", int),
+}
 
 
 def _fmt(x) -> str:
@@ -92,53 +102,43 @@ def _default_dropout(name: str) -> float:
 
 
 def _list_arg(flag: str, text, cast=str) -> list:
-    """``text`` split at commas and spaces into a nonempty list of ``cast`` entries."""
+    """``text`` split at commas and spaces into a nonempty list of distinct ``cast`` entries."""
     try:
         items = [cast(tok) for tok in str(text).replace(",", " ").split()]
     except ValueError as exc:
         raise DiagramError(f"{flag}: bad entry in {text!r}: {exc}") from exc
     if not items:
         raise DiagramError(f"{flag}: empty list")
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise DiagramError(f"{flag}: repeated entry {item!r} in {text!r}")
     return items
 
 
 def build_train_config(args, name: str) -> gm.TrainConfig:
-    """Settings by precedence: flag, then ``--config`` file, then default."""
+    """Settings by precedence: flag, then ``--config`` file, then TrainConfig's default."""
     path = getattr(args, "config", None)
     file_cfg = parse_config_file(path) if path else {}
     unknown = sorted(set(file_cfg) - set(CONFIG_KEYS))
     if unknown:
         raise DiagramError(f"{path}: unknown key(s) {', '.join(unknown)} "
                            f"(accepted: {' '.join(CONFIG_KEYS)})")
-    origins = []  # where each setting that is not a default came from
-
-    def setting(key, default, cast):
+    settings = {"dropout": _default_dropout(name)}
+    origins = []  # where each given setting came from
+    for key, (name_in_cfg, parse) in CONFIG_KEYS.items():
         if getattr(args, key, None) is not None:
             origin, raw = "--" + key.replace("_", "-"), getattr(args, key)
         elif key in file_cfg:
             origin, raw = str(path), file_cfg[key]
         else:
-            return default
+            continue
         origins.append(origin)
         try:
-            return cast(raw)
+            settings[name_in_cfg] = parse(raw)
         except ValueError as exc:
             raise DiagramError(f"{origin}: bad {key} {raw!r}: {exc}") from exc
-
     try:
-        return gm.TrainConfig(
-            epochs=setting("epochs", None, int),
-            batch_size=setting("batch_size", 64, int),
-            learning_rate=setting("lr", 1e-4, float),
-            dropout=setting("dropout", _default_dropout(name), float),
-            mu=setting("mu", 10.0, float),
-            seed=setting("seed", 0, int),
-            embedding_dim=setting("k", 128, int),
-            # Not _list_arg: a bad trunk may come from the --config file, which
-            # setting() names, and an empty one is TrainConfig's to reject.
-            trunk_dims=tuple(setting("trunk", gm.DEFAULT_TRUNK,
-                                     lambda raw: [int(t) for t in raw.replace(",", " ").split()])),
-        )
+        return gm.TrainConfig(**settings)
     except ValueError as exc:
         raise DiagramError(f"{', '.join(dict.fromkeys(origins))}: {exc}") from exc
 
@@ -166,14 +166,12 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _train_variant(graph, features, cfg, variant, args):
-    if variant == "node":
-        return gm.train_node_model(graph, features, cfg)
-    if args.transfer_from is not None:
-        return gm.train_edge_model(graph, features, replace(cfg, transfer_from=args.transfer_from))
-    node_trace, result = gm.train_edge_chain(graph, features, cfg, args.node_epochs)
-    result.config["auto_node_epochs"] = len(node_trace)
-    return result
+def _load_checkpoint(path, graph, features):
+    """A model checkpoint and its meta, refused unless trained on this dataset."""
+    model, meta = gm.load_model(path)
+    gdata.check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
+                             f"checkpoint {path}")
+    return model, meta
 
 
 def cmd_train(args) -> int:
@@ -181,9 +179,17 @@ def cmd_train(args) -> int:
     cfg = build_train_config(args, name)
     if args.node_epochs is not None and args.node_epochs < 0:
         raise DiagramError(f"--node-epochs: must be >= 0, got {args.node_epochs}")
+    provenance = {}  # where the edge model's starting node model came from
+    if args.variant == "edge" and args.transfer_from is not None:
+        cfg = replace(cfg, transfer_from=_load_checkpoint(args.transfer_from, graph, features)[0])
+        provenance["transfer_from"] = args.transfer_from
+    elif args.variant == "edge":
+        provenance["auto_node_epochs"] = (gm.DEFAULT_NODE_EPOCHS if args.node_epochs is None
+                                          else args.node_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = _train_variant(graph, features, cfg, args.variant, args)
+    result = (gm.train_node_model(graph, features, cfg) if args.variant == "node"
+              else gm.train_edge_model(graph, features, cfg, args.node_epochs))
 
     fingerprint = gdata.dataset_fingerprint(graph, features)
     run_cfg = {
@@ -192,6 +198,7 @@ def cmd_train(args) -> int:
         "variant": args.variant,
         "dataset_fingerprint": fingerprint,
         **result.config,
+        **provenance,
     }
     run_cfg["config_fingerprint"] = _config_fingerprint(run_cfg)
 
@@ -218,9 +225,7 @@ def cmd_train(args) -> int:
 
 def cmd_export(args) -> int:
     graph, features, labels, name = load_dataset(args)
-    model, meta = gm.load_model(args.checkpoint)
-    gdata.check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
-                             f"checkpoint {args.checkpoint}")
+    model, meta = _load_checkpoint(args.checkpoint, graph, features)
     emb = gm.compute_embeddings(model, graph, features, meta.get("variant", "node"))
     gm.export_embeddings(emb, args.out, args.format)
     print(f"wrote {args.format} embeddings for {name} to {args.out}")

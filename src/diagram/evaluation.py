@@ -14,14 +14,14 @@ import io
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
 
 from .data import DirectedGraph, FeatureMatrix
 from .exceptions import EvaluationError, SamplingError
-from .model import EmbeddingSet, TrainConfig, train_edge_chain, train_node_model
+from .model import EmbeddingSet, TrainConfig, train_edge_model, train_node_model
 from .nn import atomic_write
 
 EDGE_CONSTRUCTORS = ("average", "hadamard", "w-l1", "w-l2")
@@ -473,7 +473,9 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
     if variant == "node":
         result = train_node_model(sample.residual_graph, features, cfg)
     elif variant == "edge":
-        result = train_edge_chain(sample.residual_graph, features, cfg)[1]
+        # from a node model fitted on the residual graph, never one that saw the removed edges
+        result = train_edge_model(sample.residual_graph, features,
+                                  replace(cfg, transfer_from=None))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     reports = {
@@ -549,15 +551,17 @@ def _summary_report(kind: str, label_column: str, metrics, groups, emb: Embeddin
     A group's row holds its label and each metric's ``_mean`` and ``_std``.
     """
     columns = [label_column] + [f"{m}_{s}" for m in metrics for s in ("mean", "std")]
-    table = []
-    for _, label, values in groups:
+    table, details = [], {}
+    for key, label, values in groups:
+        if key in details:
+            raise EvaluationError(f"two {label_column} groups share the details key {key!r}")
+        details[key] = values
         row = {label_column: label}
         for m in metrics:
             row[f"{m}_mean"] = float(np.mean(values[m]))
             row[f"{m}_std"] = float(np.std(values[m]))
         table.append(row)
-    report = EvalReport(kind=kind, columns=columns, table=table,
-                        details={key: values for key, _, values in groups},
+    report = EvalReport(kind=kind, columns=columns, table=table, details=details,
                         config={**config, "variant": emb.variant},
                         fingerprint=emb.fingerprint)
     report.validate()

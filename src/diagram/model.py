@@ -27,7 +27,6 @@ made dense.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -35,8 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import nn
-from .data import (DirectedGraph, FeatureMatrix, build_undirected_union, check_same_dataset,
-                   dataset_fingerprint)
+from .data import DirectedGraph, FeatureMatrix, build_undirected_union, dataset_fingerprint
 from .exceptions import EmbeddingFormatError, TrainingError
 from .nn import Adam, CSRRows, Linear, atomic_write, dropout_mask, masked_sq_error
 
@@ -45,15 +43,17 @@ CHANNELS = ("content", "out", "in")
 DEFAULT_TRUNK = (512, 256)
 DEFAULT_EMBEDDING_DIM = 128
 DEFAULT_NODE_EPOCHS = 30
-DEFAULT_EDGE_EPOCHS_TRANSFER = 2
-DEFAULT_EDGE_EPOCHS_SCRATCH = 30
+DEFAULT_EDGE_EPOCHS = 2
 # Nodes per encoder call in compute_embeddings.
 EMBED_CHUNK = 256
 
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters; ``epochs=None`` picks the variant default."""
+    """Training hyperparameters; ``epochs=None`` picks the variant default.
+
+    ``transfer_from`` is None or the node model an edge model starts from.
+    """
 
     epochs: int | None = None
     batch_size: int = 64
@@ -63,7 +63,7 @@ class TrainConfig:
     seed: int = 0
     embedding_dim: int = DEFAULT_EMBEDDING_DIM
     trunk_dims: tuple[int, ...] = DEFAULT_TRUNK
-    transfer_from: object = None  # path or DiagramModel
+    transfer_from: DiagramModel | None = None
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 0:
@@ -80,15 +80,13 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
         if self.embedding_dim <= 0 or not self.trunk_dims or min(self.trunk_dims) <= 0:
             raise ValueError("layer dimensions must be positive, with a nonempty trunk")
+        if not (self.transfer_from is None or isinstance(self.transfer_from, DiagramModel)):
+            raise ValueError("transfer_from must be None or a DiagramModel, "
+                             f"not {type(self.transfer_from).__name__}")
 
     def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "transfer_from"}
-        d["trunk_dims"] = list(self.trunk_dims)
-        d["transfer_from"] = (
-            str(self.transfer_from) if isinstance(self.transfer_from, (str, os.PathLike))
-            else bool(self.transfer_from is not None)
-        )
-        return d
+        return {**self.__dict__, "trunk_dims": list(self.trunk_dims),
+                "transfer_from": self.transfer_from is not None}
 
 
 class DiagramModel:
@@ -392,12 +390,12 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
     return trace
 
 
-def _fit_node_model(graph: DirectedGraph, features: FeatureMatrix,
+def _fit_node_model(M, MT, AD, feature_dim: int,
                     cfg: TrainConfig) -> tuple[DiagramModel, list[float]]:
-    M, MT, AD = _graph_tensors(graph, features)
-    n = graph.node_count
+    """A fresh node model fitted on the channel inputs; returns it and its loss trace."""
+    n = M.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    model = DiagramModel(n, features.dim, cfg.trunk_dims, cfg.embedding_dim, rng)
+    model = DiagramModel(n, feature_dim, cfg.trunk_dims, cfg.embedding_dim, rng)
     epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
     trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, AD),
                  epochs, cfg, rng)
@@ -407,67 +405,41 @@ def _fit_node_model(graph: DirectedGraph, features: FeatureMatrix,
 def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
                      cfg: TrainConfig) -> TrainResult:
     """Mini-batch training over nodes; returns model, embeddings, loss trace."""
-    model, trace = _fit_node_model(graph, features, cfg)
+    model, trace = _fit_node_model(*_graph_tensors(graph, features), features.dim, cfg)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, "node", cfg.as_dict())
 
 
-def _resolve_transfer(cfg: TrainConfig, graph, features):
-    src = cfg.transfer_from
-    if isinstance(src, DiagramModel):
-        base = src.copy()
-    else:
-        base, meta = load_model(src)
-        check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
-                           f"transfer checkpoint {src}")
-    expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)
-    got = (base.node_count, base.feature_dim, base.trunk_dims, base.embedding_dim)
-    if expected != got:
-        raise TrainingError(
-            f"transfer checkpoint architecture {got} does not match "
-            f"requested {expected}"
-        )
-    return base
-
-
-def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
-                     cfg: TrainConfig) -> TrainResult:
+def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainConfig,
+                     node_epochs: int | None = None) -> TrainResult:
     """Edge-iteration training with the adjusted incoming-target trick.
 
-    With ``cfg.transfer_from`` set, parameters start from the given node
-    checkpoint and two epochs suffice; from scratch the default is 30.
+    The edge model always starts from a node model. With ``cfg.transfer_from``
+    set it starts from a copy of that model; otherwise a node model is first
+    fitted here for ``node_epochs`` epochs (None: ``DEFAULT_NODE_EPOCHS``) and
+    trained on in place, with no node embeddings computed. The edge stage
+    runs ``cfg.epochs`` epochs (None: ``DEFAULT_EDGE_EPOCHS``); the loss
+    trace is the edge stage's.
     """
-    M, MT, AD = _graph_tensors(graph, features)
     if graph.edge_count == 0:
         raise TrainingError("edge model needs at least one edge")
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.transfer_from is not None:
-        model = _resolve_transfer(cfg, graph, features)
-        epochs = DEFAULT_EDGE_EPOCHS_TRANSFER if cfg.epochs is None else cfg.epochs
+    M, MT, AD = _graph_tensors(graph, features)
+    if cfg.transfer_from is None:
+        model = _fit_node_model(M, MT, AD, features.dim, replace(cfg, epochs=node_epochs))[0]
     else:
-        model = DiagramModel(graph.node_count, features.dim, cfg.trunk_dims,
-                             cfg.embedding_dim, rng)
-        epochs = DEFAULT_EDGE_EPOCHS_SCRATCH if cfg.epochs is None else cfg.epochs
+        model = cfg.transfer_from.copy()
+        expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)
+        got = (model.node_count, model.feature_dim, model.trunk_dims, model.embedding_dim)
+        if expected != got:
+            raise TrainingError(
+                f"transfer model architecture {got} does not match requested {expected}")
+    rng = np.random.default_rng(cfg.seed)
+    epochs = DEFAULT_EDGE_EPOCHS if cfg.epochs is None else cfg.epochs
     trace = _fit(model, graph.edge_list,
                  lambda rows: _edge_batches(rows[:, 0], rows[:, 1], M, MT, AD),
                  epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "edge")
-    return TrainResult(model, emb, trace, "edge", cfg.as_dict())
-
-
-def train_edge_chain(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainConfig,
-                     node_epochs: int | None = None) -> tuple[list[float], TrainResult]:
-    """Train a node model, then fine-tune the edge model from it.
-
-    The node stage runs ``node_epochs`` epochs (None: its default) and
-    ignores ``cfg.transfer_from``; the edge stage runs ``cfg.epochs``.
-    Returns the node stage's loss trace and the edge result; no node-model
-    embeddings are computed.
-    """
-    node_model, node_trace = _fit_node_model(
-        graph, features, replace(cfg, transfer_from=None, epochs=node_epochs))
-    edge = train_edge_model(graph, features, replace(cfg, transfer_from=node_model))
-    return node_trace, edge
+    return TrainResult(model, emb, trace, "edge", {**cfg.as_dict(), "transfer_from": True})
 
 
 # -- model checkpoints -------------------------------------------------------
@@ -553,26 +525,28 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
         raise ValueError(f"unknown embedding format {fmt!r}")
 
 
-def _import_text(text: str, path) -> EmbeddingSet:
-    lines = text.splitlines()
+def _import_text(raw: bytes, path) -> EmbeddingSet:
+    """Split lines at LF, CR or CRLF and fields at ASCII whitespace, as the
+    dataset loader does, so every id it accepts comes back whole."""
+    lines = raw.splitlines()
     if not lines:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
     head = lines[0].split()
-    if len(head) < 6 or " ".join(head[:2]) != _TEXT_MAGIC:
+    if len(head) < 6 or b" ".join(head[:2]) != _TEXT_MAGIC.encode():
         raise EmbeddingFormatError(f"{path}: bad header {lines[0]!r}")
     try:
         n, k = int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: bad n or k in header {lines[0]!r}") from exc
+        variant, fingerprint = head[4].decode("utf-8"), head[5].decode("utf-8")
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise EmbeddingFormatError(f"{path}: bad header {lines[0]!r}: {exc}") from exc
     if n < 0 or k < 0:
         raise EmbeddingFormatError(f"{path}: negative n or k in header {lines[0]!r}")
-    variant, fingerprint = head[4], head[5]
     if fingerprint == "-":
         fingerprint = ""
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != n:
         raise EmbeddingFormatError(f"{path}: expected {n} rows, found {len(body)}")
-    if 3 * n * k > len(text):  # each value takes a character: bounds the allocation
+    if 3 * n * k > len(raw):  # each value takes a byte: bounds the allocation
         raise EmbeddingFormatError(f"{path}: header n={n}, k={k} exceeds the file size")
     ids = []
     z = np.empty((n, k))
@@ -584,8 +558,8 @@ def _import_text(text: str, path) -> EmbeddingSet:
             raise EmbeddingFormatError(
                 f"{path}: row {r} has {len(parts) - 1} values, header says k={k}"
             )
-        ids.append(parts[0])
         try:
+            ids.append(parts[0].decode("utf-8"))
             vals = np.array([float(tok) for tok in parts[1:]])
         except ValueError as exc:
             raise EmbeddingFormatError(f"{path}: row {r}: {exc}") from exc
@@ -634,8 +608,4 @@ def import_embeddings(path) -> EmbeddingSet:
         raw = fh.read()
     if raw.startswith(_BIN_MAGIC):
         return _import_binary(raw, path)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EmbeddingFormatError(f"{path}: not a recognized embedding file") from exc
-    return _import_text(text, path)
+    return _import_text(raw, path)

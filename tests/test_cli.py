@@ -105,6 +105,33 @@ class TestTrain:
         cfg = json.loads((out / "run_config.json").read_text())
         assert cfg["auto_node_epochs"] == 2
 
+    def test_edge_variant_on_edgeless_graph_fails_before_training(
+            self, fixture_dataset, tmp_path, capsys, monkeypatch):
+        content, _ = fixture_dataset
+        (tmp_path / "bare.content").write_text(content.read_text())
+        (tmp_path / "bare.cites").write_text("")
+        steps = []
+        monkeypatch.setattr(gm.DiagramModel, "zero_grad", lambda self: steps.append(self))
+        assert run(["train", "--dataset", tmp_path / "bare", "--variant", "edge",
+                    "--out", tmp_path / "run", *FAST]) == 1
+        assert capsys.readouterr().err == "error: edge model needs at least one edge\n"
+        assert steps == []
+
+    def test_ids_with_unicode_spaces_survive_the_text_embeddings(self, fixture_dataset,
+                                                                tmp_path):
+        # the loader splits on ASCII whitespace only, so each of these is one id
+        renamed = {"p3": "paper\xa03", "p5": "x\u20285", "p7": "w\u30007"}
+        prefix = tmp_path / "uni"
+        for path in fixture_dataset:
+            rows = (" ".join(renamed.get(t, t) for t in ln.split())
+                    for ln in path.read_text().splitlines())
+            prefix.with_suffix(path.suffix).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        emb = tmp_path / "run" / "node_embeddings.tsv"
+        assert run(["train", "--dataset", prefix, "--out", emb.parent, *FAST]) == 0
+        assert set(renamed.values()) <= set(import_embeddings(emb).node_ids)
+        assert run(["eval", "classify", "--dataset", prefix, "--repetitions", "1",
+                    "--embeddings", emb, "--out", tmp_path / "cls"]) == 0
+
     def test_no_auto_node_flag_is_unknown(self, dataset_arg, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--dataset", dataset_arg, "--variant", "edge",
@@ -291,13 +318,19 @@ class TestExportAndEval:
         ("eval linkpred", ["--p", "nan"], "percent=nan is not a finite number"),
         ("eval linkpred", ["--p", "inf"], "percent=inf is not a finite number"),
         ("train", ["--variant", "edge", "--node-epochs", "-1"], "--node-epochs: must be >= 0"),
+        ("eval reconstruct", ["--k-list", "5 10,5"], "--k-list: repeated entry 5 in '5 10,5'"),
+        ("eval classify", ["--ratios", "10,30,30,50"],
+         "--ratios: repeated entry 30 in '10,30,30,50'"),
+        ("eval linkpred", ["--constructors", "hadamard,w-l1,hadamard"],
+         "--constructors: repeated entry 'hadamard' in 'hadamard,w-l1,hadamard'"),
     ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
-            "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs"])
+            "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs",
+            "repeated-k", "repeated-ratio", "repeated-constructor"])
     def test_malformed_argument_exits_1_before_any_training(
             self, dataset_arg, trained, tmp_path, capsys, monkeypatch, command, flags, message):
         trainings = []
         for module in (ev, gm):
-            for fn in ("train_node_model", "train_edge_chain"):
+            for fn in ("train_node_model", "train_edge_model"):
                 monkeypatch.setattr(module, fn, lambda *a, fn=fn, **k: trainings.append(fn))
         extra = (["--embeddings", trained / "node_embeddings.tsv"]
                  if command in ("eval reconstruct", "eval classify") else FAST)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from diagram.evaluation import (
     stratified_split,
 )
 from diagram.exceptions import EvaluationError, SamplingError
-from diagram.model import EmbeddingSet, TrainConfig
+from diagram.model import EmbeddingSet, TrainConfig, train_node_model
 
 from conftest import edge_features, random_digraph, random_features
 from oracles import reference_f1, reference_logistic_regression_fit, reference_ovr_predict
@@ -592,6 +593,11 @@ class TestLinkPredictionEval:
         with pytest.raises(EvaluationError, match="balanced"):
             link_prediction_eval(emb, sample)
 
+    def test_repeated_constructor_rejected(self):
+        emb, sample = self._label_revealing_setup()
+        with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
+            link_prediction_eval(emb, sample, constructors=("hadamard", "average", "hadamard"))
+
 
 class TestNodeClassification:
     def test_one_hot_embeddings_classify_perfectly(self):
@@ -663,6 +669,12 @@ class TestNodeClassification:
         emb = make_embeddings(20, 3, seed=3)
         with pytest.raises(EvaluationError, match="repetitions must be >= 1"):
             node_classification_eval(emb, np.array([0, 1] * 10), repetitions=repetitions)
+
+    def test_repeated_ratio_rejected(self):
+        emb = make_embeddings(20, 3, seed=3)
+        with pytest.raises(EvaluationError, match="share the details key '30'"):
+            node_classification_eval(emb, np.array([0, 1] * 10), train_ratios=(10, 30, 30, 50),
+                                     repetitions=1)
 
     def test_labels_must_cover_nodes(self):
         emb = make_embeddings(10, 3, seed=4)
@@ -759,6 +771,19 @@ class TestFullProtocol:
         reports["directed"].to_json(p1)
         reports2["directed"].to_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_edge_variant_ignores_a_given_transfer_model(self):
+        # the edge model must start from a node model fitted on the residual
+        # graph, never from one that saw the removed edges
+        g = random_digraph(20, 60, seed=10, ensure_connected=True)
+        feats = random_features(20, 6, seed=11)
+        cfg = TrainConfig(epochs=1, batch_size=16, seed=0, trunk_dims=(8, 4), embedding_dim=3)
+        full = train_node_model(g, feats, replace(cfg, epochs=2)).model
+        _, _, want = run_link_prediction_protocol(g, feats, 10.0, 1, cfg=cfg)
+        _, _, got = run_link_prediction_protocol(g, feats, 10.0, 1,
+                                                 cfg=replace(cfg, transfer_from=full))
+        for name, arr in want.model.parameters().items():
+            assert got.model.parameters()[name].tobytes() == arr.tobytes(), name
 
     def test_unknown_constructor_rejected_before_sampling(self, monkeypatch):
         def sample(*args):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +374,14 @@ class TestEdgeTraining:
         with pytest.raises(TrainingError, match="architecture"):
             train_edge_model(toy_graph, toy_features, cfg)
 
+    def test_edgeless_graph_fails_before_the_node_stage(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(DiagramModel, "zero_grad", lambda self: steps.append(self))
+        g = DirectedGraph([f"n{i}" for i in range(50)], np.empty((0, 2), dtype=np.int64))
+        with pytest.raises(TrainingError, match="needs at least one edge"):
+            train_edge_model(g, random_features(50, 4, seed=1), TrainConfig(seed=0, **SMALL))
+        assert steps == []
+
     def test_isolated_nodes_are_skipped_but_embedded(self, toy_features):
         edges = np.array([(0, 1), (1, 2), (2, 0)])
         g = DirectedGraph([f"n{i}" for i in range(6)], edges)
@@ -403,15 +412,17 @@ class TestEdgeChain:
         original = gm.compute_embeddings
         monkeypatch.setattr(gm, "compute_embeddings",
                             lambda *a, **k: calls.append(a[3]) or original(*a, **k))
-        node_trace, edge = gm.train_edge_chain(toy_graph, toy_features,
-                                               TrainConfig(epochs=2, **self.CFG), 3)
+        copies = []
+        monkeypatch.setattr(DiagramModel, "copy", lambda self: copies.append(self))
+        edge = train_edge_model(toy_graph, toy_features, TrainConfig(epochs=2, **self.CFG),
+                                node_epochs=3)
         assert calls == ["edge"]  # one embedding pass per chain, for the edge model
+        assert copies == []  # the fitted node model is trained on in place
         monkeypatch.undo()
 
         node = train_node_model(toy_graph, toy_features, TrainConfig(epochs=3, **self.CFG))
         want = train_edge_model(toy_graph, toy_features,
                                 TrainConfig(epochs=2, transfer_from=node.model, **self.CFG))
-        assert node_trace == node.loss_trace and len(node_trace) == 3
         assert edge.loss_trace == want.loss_trace and edge.config == want.config
         for name, arr in want.model.parameters().items():
             assert edge.model.parameters()[name].tobytes() == arr.tobytes()
@@ -471,14 +482,11 @@ class TestCheckpointIO:
         with pytest.raises(EmbeddingFormatError, match=f"shape mismatch for {name}"):
             load_model(path)
 
-    def test_train_edge_from_checkpoint_path(self, toy_graph, toy_features, tmp_path):
-        node_cfg = TrainConfig(epochs=2, seed=0, **SMALL)
-        node_res = train_node_model(toy_graph, toy_features, node_cfg)
-        path = tmp_path / "node.npz"
-        save_model(path, node_res.model, {"variant": "node"})
-        cfg = TrainConfig(epochs=1, seed=0, transfer_from=str(path), **SMALL)
-        res = train_edge_model(toy_graph, toy_features, cfg)
-        assert res.variant == "edge"
+    @pytest.mark.parametrize("as_type", [str, Path])
+    def test_checkpoint_path_as_transfer_from_is_rejected(self, tmp_path, as_type):
+        # a checkpoint is loaded, and its provenance checked, by the caller
+        with pytest.raises(ValueError, match="transfer_from must be None or a DiagramModel"):
+            TrainConfig(epochs=1, transfer_from=as_type(tmp_path / "node.npz"), **SMALL)
 
 
 class TestEmbeddingIO:
@@ -499,8 +507,19 @@ class TestEmbeddingIO:
         assert back.node_ids == emb.node_ids
         assert back.variant == "edge" and back.fingerprint == emb.fingerprint
 
+    def test_non_utf8_id_is_typed_error(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        export_embeddings(self._random_set(n=3, k=2), path, "text")
+        path.write_bytes(path.read_bytes().replace(b"id1 ", b"id\xff1 "))
+        with pytest.raises(EmbeddingFormatError, match="emb.tsv: row 1"):
+            import_embeddings(path)
+
     def test_text_round_trip_exact(self, tmp_path):
         emb = self._random_set(n=50)
+        # the dataset loader splits only on ASCII whitespace and LF/CR, so
+        # Unicode spaces and line separators stay inside an id
+        emb.node_ids[:6] = ["paper\xa03", "x\u20285", "w\u30007", "nel\x85", "fs\x1c",
+                            "\u2029p\xe9"]
         path = tmp_path / "emb.tsv"
         export_embeddings(emb, path, "text")
         back = import_embeddings(path)
