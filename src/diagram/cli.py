@@ -175,12 +175,19 @@ def _load_checkpoint(path, graph, features):
 
 
 def cmd_train(args) -> int:
-    graph, features, labels, name = load_dataset(args)
-    cfg = build_train_config(args, name)
+    if args.variant == "node" and args.transfer_from is not None:
+        raise DiagramError("--transfer-from: applies to --variant edge only")
+    if args.variant == "node" and args.node_epochs is not None:
+        raise DiagramError("--node-epochs: applies to --variant edge only")
+    if args.transfer_from is not None and args.node_epochs is not None:
+        raise DiagramError("--node-epochs: does not apply with --transfer-from, "
+                           "whose checkpoint is the node model")
     if args.node_epochs is not None and args.node_epochs < 0:
         raise DiagramError(f"--node-epochs: must be >= 0, got {args.node_epochs}")
+    graph, features, labels, name = load_dataset(args)
+    cfg = build_train_config(args, name)
     provenance = {}  # where the edge model's starting node model came from
-    if args.variant == "edge" and args.transfer_from is not None:
+    if args.transfer_from is not None:
         cfg = replace(cfg, transfer_from=_load_checkpoint(args.transfer_from, graph, features)[0])
         provenance["transfer_from"] = args.transfer_from
     elif args.variant == "edge":
@@ -266,7 +273,7 @@ def cmd_eval_linkpred(args) -> int:
     modes = ("directed", "symmetric") if args.mode == "both" else (args.mode,)
     reports, sample, _result = ev.run_link_prediction_protocol(
         graph, features, args.p, cfg.seed, args.variant, cfg,
-        constructors=_list_arg("--constructors", args.constructors), modes=modes,
+        constructors=_list_arg("--constructors", args.constructors, str.lower), modes=modes,
     )
     for mode, report in reports.items():
         _write_report(report, args.out, f"linkpred_{mode}",

@@ -427,7 +427,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     """Stratified ``N_FOLDS``-fold CV of a binary classifier on edge features.
 
     Reports the mean and standard deviation over folds of both AUC and the
-    positive-class F1, per feature constructor.
+    positive-class F1, per feature constructor, keyed by its lower-case name.
     """
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
@@ -435,7 +435,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
     all_idx = np.arange(y.size)
     groups = []
-    for ctor in constructors:
+    for ctor in (c.lower() for c in constructors):
         feats = edge_feature_matrix(emb, sample.pairs, ctor, mode)
         aucs, f1s = [], []
         for test_idx in folds:

@@ -28,17 +28,20 @@ from __future__ import annotations
 
 import json
 import struct
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import nn
 from .data import DirectedGraph, FeatureMatrix, build_undirected_union, dataset_fingerprint
 from .exceptions import EmbeddingFormatError, TrainingError
 from .nn import Adam, CSRRows, Linear, atomic_write, dropout_mask, masked_sq_error
 
 CHANNELS = ("content", "out", "in")
+# The input and reconstruction heads each channel runs: "<head>_head" and
+# "<head>_recon". The two directed channels share theirs.
+HEAD = {"content": "content", "out": "directed", "in": "directed"}
 
 DEFAULT_TRUNK = (512, 256)
 DEFAULT_EMBEDDING_DIM = 128
@@ -46,6 +49,8 @@ DEFAULT_NODE_EPOCHS = 30
 DEFAULT_EDGE_EPOCHS = 2
 # Nodes per encoder call in compute_embeddings.
 EMBED_CHUNK = 256
+# The checkpoint format's version, written in every checkpoint's header.
+CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -90,7 +95,11 @@ class TrainConfig:
 
 
 class DiagramModel:
-    """The shared autoencoder: per-channel heads around a common trunk."""
+    """The shared autoencoder: per-channel heads around a common trunk.
+
+    ``layers`` maps each layer's name to its ``Linear``; the trunk lists hold
+    the same objects in the order they run.
+    """
 
     def __init__(self, node_count: int, feature_dim: int,
                  trunk_dims: tuple[int, ...] = DEFAULT_TRUNK,
@@ -108,59 +117,35 @@ class DiagramModel:
         n, d, k = node_count, feature_dim, self.embedding_dim
         t = self.trunk_dims
 
-        # Layer creation order is fixed: it defines the rng draw order and
-        # therefore the reproducibility of seeded initialization.
-        self.heads = {
-            "content": Linear(n + d, t[0], rng, sparse_input=True),
-            "directed": Linear(n, t[0], rng, sparse_input=True),
+        # One table of every layer, in creation order: that order fixes the rng
+        # draws of a seeded initialization and the order of parameters(),
+        # Adam's sweep and the checkpoint's entries.
+        dec = (k,) + tuple(reversed(t))
+        self.layers = {
+            "content_head": Linear(n + d, t[0], rng, sparse_input=True),
+            "directed_head": Linear(n, t[0], rng, sparse_input=True),
+            **{f"enc_trunk.{i}": Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)},
+            "embed": Linear(t[-1], k, rng),
+            **{f"dec_trunk.{i}": Linear(dec[i], dec[i + 1], rng) for i in range(len(t))},
+            "content_recon": Linear(t[0], n + d, rng),
+            "directed_recon": Linear(t[0], n, rng),
         }
-        self.encoder_trunk = [Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)]
-        self.embed = Linear(t[-1], k, rng)
-        dec_dims = tuple(reversed(t))
-        dims = (k,) + dec_dims
-        self.decoder_trunk = [Linear(dims[i], dims[i + 1], rng) for i in range(len(dec_dims))]
-        self.recon_heads = {
-            "content": Linear(t[0], n + d, rng),
-            "directed": Linear(t[0], n, rng),
-        }
-
-    @staticmethod
-    def _head_key(channel: str) -> str:
-        return "content" if channel == "content" else "directed"
-
-    def head_for(self, channel: str) -> Linear:
-        return self.heads[self._head_key(channel)]
-
-    def recon_for(self, channel: str) -> Linear:
-        return self.recon_heads[self._head_key(channel)]
+        self.encoder_trunk = [self.layers[f"enc_trunk.{i}"] for i in range(len(t) - 1)]
+        self.decoder_trunk = [self.layers[f"dec_trunk.{i}"] for i in range(len(t))]
 
     def named_layers(self):
-        for key in ("content", "directed"):
-            yield f"{key}_head", self.heads[key]
-        for i, layer in enumerate(self.encoder_trunk):
-            yield f"enc_trunk.{i}", layer
-        yield "embed", self.embed
-        for i, layer in enumerate(self.decoder_trunk):
-            yield f"dec_trunk.{i}", layer
-        for key in ("content", "directed"):
-            yield f"{key}_recon", self.recon_heads[key]
+        return self.layers.items()
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self.named_layers():
-            out[f"{name}.W"] = layer.W
-            out[f"{name}.b"] = layer.b
-        return out
+        return {f"{name}.{p}": getattr(layer, p)
+                for name, layer in self.layers.items() for p in ("W", "b")}
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self.named_layers():
-            out[f"{name}.W"] = layer.grad_W
-            out[f"{name}.b"] = layer.grad_b
-        return out
+        return {f"{name}.{p}": getattr(layer, f"grad_{p}")
+                for name, layer in self.layers.items() for p in ("W", "b")}
 
     def zero_grad(self) -> None:
-        for _, layer in self.named_layers():
+        for layer in self.layers.values():
             layer.zero_grad()
 
     def copy(self) -> "DiagramModel":
@@ -184,10 +169,10 @@ class DiagramModel:
         """
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
-        h = _run(self.head_for(channel), x, steps, dropout, rng)
+        h = _run(self.layers[f"{HEAD[channel]}_head"], x, steps, dropout, rng)
         for layer in self.encoder_trunk:
             h = _run(layer, h, steps, dropout, rng)
-        return _run(self.embed, h, steps)
+        return _run(self.layers["embed"], h, steps)
 
     def _forward(self, channel: str, x: CSRRows, dropout: float = 0.0,
                  rng: np.random.Generator | None = None):
@@ -201,7 +186,7 @@ class DiagramModel:
         h = emb
         for layer in self.decoder_trunk:
             h = _run(layer, h, steps)
-        recon = _run(self.recon_for(channel), h, steps)
+        recon = _run(self.layers[f"{HEAD[channel]}_recon"], h, steps)
         return emb, recon, steps
 
     def _backward(self, steps, d_recon: np.ndarray) -> None:
@@ -451,24 +436,53 @@ def _transposed(model: DiagramModel) -> set[str]:
 
 
 def save_model(path, model: DiagramModel, meta: dict | None = None) -> None:
-    """Write the parameters and architecture, every W as (out, in), atomically."""
+    """Write the parameters, every W as (out, in), atomically to an npz archive.
+
+    Its ``__meta__`` entry is a JSON header: version, kind and architecture,
+    then ``meta``, whose keys override those.
+    """
     header = {
+        "version": CHECKPOINT_VERSION,
         "kind": "diagram-model",
         "node_count": model.node_count,
         "feature_dim": model.feature_dim,
         "trunk_dims": list(model.trunk_dims),
         "embedding_dim": model.embedding_dim,
+        **(meta or {}),
     }
-    header.update(meta or {})
     flip = _transposed(model)
-    tensors = {name: np.ascontiguousarray(arr.T) if name in flip else arr
+    payload = {name: np.ascontiguousarray(arr.T) if name in flip else arr
                for name, arr in model.parameters().items()}
-    nn.save_checkpoint(path, tensors, header)
+    payload["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
+                                        dtype=np.uint8)
+    atomic_write(path, lambda fh: np.savez(fh, **payload))
 
 
 def load_model(path):
     """Inverse of :func:`save_model`; returns (model, meta)."""
-    tensors, meta = nn.load_checkpoint(path)
+    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
+    # compression method or version as NotImplementedError, and a bogus
+    # encryption flag as RuntimeError.
+    try:
+        with np.load(path) as npz:
+            tensors = {k: npz[k] for k in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
+            RuntimeError) as exc:
+        raise EmbeddingFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = tensors.pop("__meta__", None)
+    if raw is None:
+        raise EmbeddingFormatError(f"checkpoint {path} has no meta block")
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"checkpoint {path} has a bad meta block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise EmbeddingFormatError(f"checkpoint {path} meta block is not an object")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise EmbeddingFormatError(
+            f"checkpoint {path} has version {meta.get('version')}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
     if meta.get("kind") != "diagram-model":
         raise EmbeddingFormatError(f"{path} is not a model checkpoint")
     try:

@@ -9,15 +9,13 @@ them as scipy CSR matrices (``CSRRows``); every other tensor is dense.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-import zipfile
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import EmbeddingFormatError, TrainingError
+from .exceptions import TrainingError
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -336,9 +334,6 @@ def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5,
     return worst
 
 
-CHECKPOINT_VERSION = 1
-
-
 def atomic_write(path, payload) -> None:
     """Replace ``path`` by way of a temp file in its directory and a rename.
 
@@ -359,41 +354,3 @@ def atomic_write(path, payload) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Named-tensor container with a JSON meta block; written atomically."""
-    payload = dict(tensors)
-    header = {"version": CHECKPOINT_VERSION, **meta}
-    payload["__meta__"] = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    atomic_write(path, lambda fh: np.savez(fh, **payload))
-
-
-def load_checkpoint(path):
-    """Inverse of :func:`save_checkpoint`; returns (tensors, meta)."""
-    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
-    # compression method or version as NotImplementedError, and a bogus
-    # encryption flag as RuntimeError.
-    try:
-        with np.load(path) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
-            RuntimeError) as exc:
-        raise EmbeddingFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    raw = arrays.pop("__meta__", None)
-    if raw is None:
-        raise EmbeddingFormatError(f"checkpoint {path} has no meta block")
-    try:
-        meta = json.loads(raw.tobytes().decode("utf-8"))
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"checkpoint {path} has a bad meta block: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise EmbeddingFormatError(f"checkpoint {path} meta block is not an object")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise EmbeddingFormatError(
-            f"checkpoint {path} has version {meta.get('version')}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
-    return arrays, meta

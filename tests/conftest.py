@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -63,6 +64,13 @@ def random_features(n: int, d: int, seed: int, density: float = 0.4) -> FeatureM
 def edge_features(emb, pair, constructor: str, mode: str = "directed") -> np.ndarray:
     """Feature vector of length k for one (u, v) pair."""
     return edge_feature_matrix(emb, [pair], constructor, mode)[0]
+
+
+def write_checkpoint(path, tensors: dict, meta) -> None:
+    """A checkpoint written by hand: ``tensors`` as npz entries, then ``meta``
+    as the JSON ``__meta__`` block (pass bytes to write them as they are)."""
+    raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
+    np.savez(path, **tensors, __meta__=np.frombuffer(raw, dtype=np.uint8))
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ import diagram.model as gm
 from diagram.cli import main, parse_config_file, resolve_dataset
 from diagram.exceptions import DiagramError
 from diagram.model import import_embeddings, load_model
-from diagram.nn import save_checkpoint
+
+from conftest import write_checkpoint
 
 FAST = ["--epochs", "2", "--k", "4", "--trunk", "8,4", "--seed", "3"]
 
@@ -158,8 +159,8 @@ class TestTrain:
         model, meta = load_model(node_out / "node_checkpoint.npz")
         heads = {"content_head.W", "directed_head.W"}
         old = tmp_path / "old.npz"
-        save_checkpoint(old, {name: np.ascontiguousarray(arr.T) if name in heads else arr
-                              for name, arr in model.parameters().items()}, meta)
+        write_checkpoint(old, {name: np.ascontiguousarray(arr.T) if name in heads else arr
+                               for name, arr in model.parameters().items()}, meta)
         edge_out = tmp_path / "edge"
         assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
                     "--transfer-from", old, "--out", edge_out, *FAST,
@@ -323,9 +324,18 @@ class TestExportAndEval:
          "--ratios: repeated entry 30 in '10,30,30,50'"),
         ("eval linkpred", ["--constructors", "hadamard,w-l1,hadamard"],
          "--constructors: repeated entry 'hadamard' in 'hadamard,w-l1,hadamard'"),
+        ("eval linkpred", ["--constructors", "hadamard,HADAMARD"],
+         "--constructors: repeated entry 'hadamard' in 'hadamard,HADAMARD'"),
+        # the checkpoint does not exist: the flag is refused before it is opened
+        ("train", ["--transfer-from", "missing.npz"],
+         "--transfer-from: applies to --variant edge only"),
+        ("train", ["--node-epochs", "3"], "--node-epochs: applies to --variant edge only"),
+        ("train", ["--variant", "edge", "--transfer-from", "missing.npz", "--node-epochs", "3"],
+         "--node-epochs: does not apply with --transfer-from"),
     ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
             "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs",
-            "repeated-k", "repeated-ratio", "repeated-constructor"])
+            "repeated-k", "repeated-ratio", "repeated-constructor", "mixed-case-constructor",
+            "node-transfer-from", "node-node-epochs", "edge-transfer-from-node-epochs"])
     def test_malformed_argument_exits_1_before_any_training(
             self, dataset_arg, trained, tmp_path, capsys, monkeypatch, command, flags, message):
         trainings = []

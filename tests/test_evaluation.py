@@ -598,6 +598,14 @@ class TestLinkPredictionEval:
         with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
             link_prediction_eval(emb, sample, constructors=("hadamard", "average", "hadamard"))
 
+    def test_constructors_keyed_by_lower_case_name(self):
+        emb, sample = self._label_revealing_setup()
+        report = link_prediction_eval(emb, sample, constructors=("Hadamard", "W-L1"))
+        assert [row["constructor"] for row in report.table] == ["hadamard", "w-l1"]
+        assert list(report.details) == ["hadamard", "w-l1"]
+        with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
+            link_prediction_eval(emb, sample, constructors=("hadamard", "HADAMARD"))
+
 
 class TestNodeClassification:
     def test_one_hot_embeddings_classify_perfectly(self):

@@ -11,6 +11,7 @@ from diagram.data import DirectedGraph, build_undirected_union
 from diagram.exceptions import DiagramError, EmbeddingFormatError, TrainingError
 from diagram.model import (
     CHANNELS,
+    HEAD,
     DiagramModel,
     EmbeddingSet,
     TrainConfig,
@@ -27,10 +28,9 @@ from diagram.model import (
     train_edge_model,
     train_node_model,
 )
-from diagram.nn import (CSRRows, finite_diff_check, load_checkpoint, masked_sq_error,
-                        save_checkpoint)
+from diagram.nn import CSRRows, finite_diff_check, glorot_uniform, masked_sq_error
 
-from conftest import random_features
+from conftest import random_features, write_checkpoint
 from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
@@ -60,15 +60,16 @@ def _affine_tanh(W, b, vec):
 
 
 def scalar_channel_forward(model, channel, x_row):
-    head = model.head_for(channel)
+    layers = model.layers
+    head = layers[f"{HEAD[channel]}_head"]
     h = _affine_tanh(head.W.T, head.b, x_row)  # input heads hold W as (in, out)
     for layer in model.encoder_trunk:
         h = _affine_tanh(layer.W, layer.b, h)
-    emb = _affine_tanh(model.embed.W, model.embed.b, h)
+    emb = _affine_tanh(layers["embed"].W, layers["embed"].b, h)
     h = emb
     for layer in model.decoder_trunk:
         h = _affine_tanh(layer.W, layer.b, h)
-    recon = model.recon_for(channel)
+    recon = layers[f"{HEAD[channel]}_recon"]
     recon = _affine_tanh(recon.W, recon.b, h)
     return emb, recon
 
@@ -134,12 +135,40 @@ class TestChannelForward:
             assert not np.allclose(before[c], after[c])
         params = model.parameters()
         assert params["enc_trunk.0.W"] is model.encoder_trunk[0].W
+        assert model.encoder_trunk[0] is model.layers["enc_trunk.0"]
 
     def test_directed_channels_share_their_heads(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=1)
-        assert model.head_for("out") is model.head_for("in")
-        assert model.recon_for("out") is model.recon_for("in")
-        assert model.head_for("content") is not model.head_for("out")
+        inputs = node_targets(toy_graph, toy_features, 0)
+        ran = {c: [step[0] for step in model._forward(c, rows(inputs[c]))[2]]
+               for c in CHANNELS}
+        assert ran["out"] == ran["in"]
+        assert ran["out"][0] is model.layers["directed_head"]
+        assert ran["out"][-1] is model.layers["directed_recon"]
+        assert ran["content"][0] is model.layers["content_head"]
+        assert ran["content"][-1] is model.layers["content_recon"]
+        assert ran["content"][1:-1] == ran["out"][1:-1]  # one shared trunk and embed
+
+    def test_one_layer_table_in_creation_order(self, toy_graph, toy_features, tmp_path):
+        # the rng draw order, the parameter and Adam order, and the checkpoint order
+        model = DiagramModel(toy_graph.node_count, toy_features.dim, trunk_dims=(8, 6, 4),
+                             embedding_dim=3, rng=np.random.default_rng(0))
+        order = ["content_head", "directed_head", "enc_trunk.0", "enc_trunk.1", "embed",
+                 "dec_trunk.0", "dec_trunk.1", "dec_trunk.2", "content_recon",
+                 "directed_recon"]
+        assert list(model.layers) == order
+        assert [name for name, _ in model.named_layers()] == order
+        tensors = [f"{name}.{p}" for name in order for p in ("W", "b")]
+        assert list(model.parameters()) == tensors
+        assert list(model.gradients()) == tensors
+        save_model(tmp_path / "m.npz", model)
+        with np.load(tmp_path / "m.npz") as npz:
+            assert [f for f in npz.files if f != "__meta__"] == tensors
+        # each layer draws from the rng in table order
+        rng = np.random.default_rng(0)
+        for name, layer in model.layers.items():
+            want = glorot_uniform(rng, layer.out_dim, layer.in_dim)
+            assert np.array_equal(layer.W.T if layer.sparse_input else layer.W, want), name
 
     def test_dropout_only_active_in_training(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=2)
@@ -436,9 +465,9 @@ class TestCheckpointIO:
         path = tmp_path / "model.npz"
         save_model(path, model, {"variant": "node", "seed": 12})
         loaded, meta = load_model(path)
-        assert meta["variant"] == "node" and meta["seed"] == 12
+        assert meta["variant"] == "node" and meta["seed"] == 12 and meta["version"] == 1
         for name, arr in model.parameters().items():
-            assert np.array_equal(arr, loaded.parameters()[name])
+            assert arr.tobytes() == loaded.parameters()[name].tobytes(), name
 
     HEADS = ("content_head.W", "directed_head.W")
 
@@ -462,13 +491,13 @@ class TestCheckpointIO:
         tensors = {name: np.ascontiguousarray(arr.T) if name in self.HEADS else arr
                    for name, arr in model.parameters().items()}
         path = tmp_path / "old.npz"
-        save_checkpoint(path, tensors, {"kind": "diagram-model", "node_count": 6,
-                                        "feature_dim": 4, "trunk_dims": [8, 4],
-                                        "embedding_dim": 3})
+        write_checkpoint(path, tensors, {"version": 1, "kind": "diagram-model",
+                                         "node_count": 6, "feature_dim": 4,
+                                         "trunk_dims": [8, 4], "embedding_dim": 3})
         loaded, _ = load_model(path)
         for name, arr in model.parameters().items():
             assert loaded.parameters()[name].tobytes() == arr.tobytes(), name
-        assert loaded.heads["content"].W.shape == (10, 8)
+        assert loaded.layers["content_head"].W.shape == (10, 8)
 
     @pytest.mark.parametrize("name", ["content_head.W", "directed_head.W", "embed.W"])
     def test_weight_in_the_wrong_layout_is_typed_error(self, toy_graph, toy_features,
@@ -476,9 +505,10 @@ class TestCheckpointIO:
         model = small_model(toy_graph, toy_features, seed=15)
         path = tmp_path / "model.npz"
         save_model(path, model)
-        tensors, meta = load_checkpoint(path)
+        with np.load(path) as npz:
+            tensors = {key: npz[key] for key in npz.files}
         tensors[name] = np.ascontiguousarray(tensors[name].T)
-        save_checkpoint(path, tensors, meta)
+        np.savez(path, **tensors)
         with pytest.raises(EmbeddingFormatError, match=f"shape mismatch for {name}"):
             load_model(path)
 
@@ -614,8 +644,9 @@ class TestEmbeddingIO:
                                                           toy_features):
         path = tmp_path / "m.npz"
         model = small_model(toy_graph, toy_features)
-        save_checkpoint(path, model.parameters(), {"kind": "diagram-model", "node_count": 6})
-        with pytest.raises(EmbeddingFormatError, match="m.npz"):
+        write_checkpoint(path, model.parameters(),
+                         {"version": 1, "kind": "diagram-model", "node_count": 6})
+        with pytest.raises(EmbeddingFormatError, match="m.npz: bad model header"):
             load_model(path)
 
     def test_fuzzed_artifacts_raise_only_diagram_errors(self, tmp_path, toy_graph,

@@ -6,7 +6,8 @@ import scipy.sparse as sp
 
 import diagram.model as gm
 from diagram.exceptions import EmbeddingFormatError, TrainingError
-from diagram.model import TrainConfig, train_edge_model, train_node_model
+from diagram.model import (DiagramModel, TrainConfig, load_model, save_model,
+                           train_edge_model, train_node_model)
 from diagram.nn import (
     Adam,
     CSRRows,
@@ -14,11 +15,10 @@ from diagram.nn import (
     atomic_write,
     dropout_mask,
     finite_diff_check,
-    load_checkpoint,
     masked_sq_error,
-    save_checkpoint,
 )
 
+from conftest import write_checkpoint
 from oracles import (
     ReferenceAdam,
     ReferenceLinear,
@@ -512,8 +512,8 @@ class TestAdam:
         monkeypatch.setattr(gm, "masked_sq_error", dense_loss_term)
         monkeypatch.setattr(gm, "compute_embeddings", full_forward_embeddings)
         want = chain()
-        assert isinstance(want[0].model.embed, ReferenceLinear)
-        assert isinstance(want[0].model.heads["content"], Linear)
+        assert isinstance(want[0].model.layers["embed"], ReferenceLinear)
+        assert isinstance(want[0].model.layers["content_head"], Linear)
         for res_got, res_want in zip(got, want):
             assert_bytes_equal(res_got.model.parameters(), res_want.model.parameters())
             for channel in ("z", "o", "i"):
@@ -646,38 +646,39 @@ class TestFiniteDiffCheck:
 
 
 class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        tensors = {"layer.W": rng.normal(size=(4, 7)), "layer.b": rng.normal(size=4)}
-        meta = {"seed": 17, "note": "unit"}
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, tensors, meta)
-        loaded, got_meta = load_checkpoint(path)
-        assert got_meta["seed"] == 17 and got_meta["version"] == 1
-        for k in tensors:
-            assert np.array_equal(loaded[k], tensors[k])
+    """``load_model``'s checks of the checkpoint container and its meta block."""
 
-    def test_rejects_wrong_version(self, tmp_path):
+    @pytest.fixture
+    def saved(self, toy_graph, toy_features, tmp_path):
+        """A model checkpoint's tensors, and a path to write variants of it to."""
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, {"w": np.zeros(2)}, {"x": 1})
-        import json
+        model = DiagramModel(toy_graph.node_count, toy_features.dim, trunk_dims=(8, 4),
+                             embedding_dim=3, rng=np.random.default_rng(0))
+        save_model(path, model)
+        with np.load(path) as npz:
+            tensors = {k: npz[k] for k in npz.files if k != "__meta__"}
+        return tensors, path
 
-        import diagram.nn as nn_mod
-        raw, meta = load_checkpoint(path)
-        meta["version"] = 99
-        payload = dict(raw)
-        payload["__meta__"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **payload)
-        with pytest.raises(nn_mod.EmbeddingFormatError):
-            load_checkpoint(path)
+    def test_rejects_wrong_version(self, saved):
+        tensors, path = saved
+        write_checkpoint(path, tensors, {"version": 99, "kind": "diagram-model",
+                                         "node_count": 6, "feature_dim": 4,
+                                         "trunk_dims": [8, 4], "embedding_dim": 3})
+        with pytest.raises(EmbeddingFormatError, match="ckpt.npz has version 99, expected 1"):
+            load_model(path)
 
     @pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe", b"[1, 2]"])
-    def test_unreadable_meta_is_typed_error(self, tmp_path, meta):
-        path = tmp_path / "ckpt.npz"
-        np.savez(path, w=np.zeros(2), __meta__=np.frombuffer(meta, dtype=np.uint8))
+    def test_unreadable_meta_is_typed_error(self, saved, meta):
+        tensors, path = saved
+        write_checkpoint(path, tensors, meta)
         with pytest.raises(EmbeddingFormatError, match="ckpt.npz"):
-            load_checkpoint(path)
+            load_model(path)
+
+    def test_missing_meta_block_is_typed_error(self, saved):
+        tensors, path = saved
+        np.savez(path, **tensors)
+        with pytest.raises(EmbeddingFormatError, match="ckpt.npz has no meta block"):
+            load_model(path)
 
 
 class TestAtomicWrite:
