@@ -659,6 +659,20 @@ class TestCheckpoint:
             tensors = {k: npz[k] for k in npz.files if k != "__meta__"}
         return tensors, path
 
+    def test_bit_exact_round_trip(self, saved, tmp_path):
+        tensors, path = saved
+        model, _ = load_model(path)
+        save_model(path, model, {"seed": 17, "note": "unit"})
+        loaded, meta = load_model(path)
+        assert meta["seed"] == 17 and meta["note"] == "unit" and meta["version"] == 1
+        for name, arr in model.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes(), name
+        # the container's tensors come back as they were written
+        with np.load(path) as npz:
+            assert sorted(f for f in npz.files if f != "__meta__") == sorted(tensors)
+            for name, arr in tensors.items():
+                assert npz[name].dtype == arr.dtype and npz[name].tobytes() == arr.tobytes()
+
     def test_rejects_wrong_version(self, saved):
         tensors, path = saved
         write_checkpoint(path, tensors, {"version": 99, "kind": "diagram-model",
