@@ -92,14 +92,19 @@ class FeatureMatrix:
     mode: str  # "binary" | "count" | "tfidf"
 
     def __post_init__(self):
-        self.values = self.values.tocsr()
-        self.values.eliminate_zeros()
+        self.values = v = self.values.tocsr()
+        v.eliminate_zeros()
         if self.mode not in ("binary", "count", "tfidf"):
             raise DatasetError(f"unknown feature mode {self.mode!r}")
-        if self.values.nnz:
-            if self.values.data.min() < 0:
+        if v.nnz:
+            if v.data.min() < 0:
                 raise DatasetError("negative feature values")
-            if self.mode == "binary" and not np.all(self.values.data == 1.0):
+            # Not sum_duplicates(): it would reorder entries that later bytes depend on.
+            rows = np.repeat(np.arange(v.shape[0], dtype=np.int64), np.diff(v.indptr))
+            flat = np.sort(rows * v.shape[1] + v.indices)
+            if (flat[1:] == flat[:-1]).any():
+                raise DatasetError("feature matrix stores an entry more than once")
+            if self.mode == "binary" and not np.all(v.data == 1.0):
                 raise DatasetError("binary feature matrix has non-unit entries")
 
     @property

@@ -432,10 +432,12 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
+    ctors = [c.lower() for c in constructors]
+    _reject_repeats("constructor", ctors)
     folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
     all_idx = np.arange(y.size)
     groups = []
-    for ctor in (c.lower() for c in constructors):
+    for ctor in ctors:
         feats = edge_feature_matrix(emb, sample.pairs, ctor, mode)
         aucs, f1s = [], []
         for test_idx in folds:
@@ -520,12 +522,14 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise ValueError(f"unknown feature selection {features!r}")
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
+    for ratio in train_ratios:
+        if not 0 < ratio < 100:
+            raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
+    _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
     classes = np.unique(y)
     rng = np.random.default_rng(seed)
     groups = []
     for ratio in train_ratios:
-        if not 0 < ratio < 100:
-            raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
         micros, macros = [], []
         for _ in range(repetitions):
             train_idx, test_idx = stratified_split(y, float(ratio) / 100.0, rng)
@@ -544,6 +548,13 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
 # -- report container ------------------------------------------------------------
 
 
+def _reject_repeats(label_column: str, keys) -> None:
+    """Refuse a details key that two groups would share, before any fit runs."""
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise EvaluationError(f"two {label_column} groups share the details key {key!r}")
+
+
 def _summary_report(kind: str, label_column: str, metrics, groups, emb: EmbeddingSet,
                     config: dict) -> "EvalReport":
     """Validated report of (details key, row label, {metric: per-split values}) groups.
@@ -553,8 +564,6 @@ def _summary_report(kind: str, label_column: str, metrics, groups, emb: Embeddin
     columns = [label_column] + [f"{m}_{s}" for m in metrics for s in ("mean", "std")]
     table, details = [], {}
     for key, label, values in groups:
-        if key in details:
-            raise EvaluationError(f"two {label_column} groups share the details key {key!r}")
         details[key] = values
         row = {label_column: label}
         for m in metrics:

@@ -20,8 +20,8 @@ Gradients from all channels accumulate into every shared layer.
 
 The two input heads take each batch's rows of [A | D], M and M^T as CSR
 matrices (``nn.CSRRows``) and keep W as (in, out) in memory; checkpoints
-store every W as (out, in). The reconstruction targets are the same rows
-made dense.
+store every W as (out, in). The same CSR rows are the reconstruction
+targets, so a training step makes no dense copy of them.
 """
 
 from __future__ import annotations
@@ -237,27 +237,23 @@ class EmbeddingSet:
 # -- loss assembly ----------------------------------------------------------
 
 
-def penalty_weights(target: np.ndarray) -> np.ndarray:
-    """Flat indices of the target's support, where the loss weighs errors by mu."""
-    return np.flatnonzero(target > 0)
+def penalty_weights(target: sp.csr_matrix) -> np.ndarray:
+    """Flat indices of the target rows' entries > 0, where the loss weighs errors by mu."""
+    starts = np.repeat(np.arange(target.shape[0]) * target.shape[1], np.diff(target.indptr))
+    return (starts + target.indices)[target.data > 0]
 
 
 @dataclass
 class _ChannelBatch:
-    x: CSRRows  # the input rows
-    target: np.ndarray  # the same rows made dense: the reconstruction target
-    # Optional second loss term on a row slice of the same reconstruction:
-    # (row slice, target). Used by the edge model's adjusted term.
-    extra: tuple | None = None
-
-
-def _batch(rows: sp.csr_matrix, extra: tuple | None = None) -> _ChannelBatch:
-    return _ChannelBatch(CSRRows(rows), rows.toarray(), extra)
+    rows: sp.csr_matrix  # the input rows, which are also the reconstruction target
+    # Optional second target for the first extra.shape[0] rows of the same
+    # reconstruction: the edge model's adjusted term.
+    extra: sp.csr_matrix | None = None
 
 
 def _node_batches(idx, M, MT, AD) -> dict[str, _ChannelBatch]:
     idx = np.asarray(idx, dtype=np.int64)
-    return {"content": _batch(AD[idx]), "out": _batch(M[idx]), "in": _batch(MT[idx])}
+    return {c: _ChannelBatch(rows[idx]) for c, rows in zip(CHANNELS, (AD, M, MT))}
 
 
 def _edge_batches(u_idx, v_idx, M, MT, AD) -> dict[str, _ChannelBatch]:
@@ -265,16 +261,16 @@ def _edge_batches(u_idx, v_idx, M, MT, AD) -> dict[str, _ChannelBatch]:
 
     Content and out channels run on [u; v]; the in channel runs on v only.
     The u rows of the out channel carry the adjusted extra term against
-    v's incoming neighborhood (M^T)_v.
+    v's incoming neighborhood (M^T)_v, the in channel's own rows.
     """
     u_idx = np.asarray(u_idx, dtype=np.int64)
     v_idx = np.asarray(v_idx, dtype=np.int64)
     both = np.concatenate([u_idx, v_idx])
-    in_v = _batch(MT[v_idx])
+    in_v = MT[v_idx]
     return {
-        "content": _batch(AD[both]),
-        "out": _batch(M[both], extra=(slice(0, len(u_idx)), in_v.target)),
-        "in": in_v,
+        "content": _ChannelBatch(AD[both]),
+        "out": _ChannelBatch(M[both], extra=in_v),
+        "in": _ChannelBatch(in_v),
     }
 
 
@@ -286,15 +282,14 @@ def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: flo
         cb = batches.get(channel)
         if cb is None:
             continue
-        emb, recon, steps = model._forward(channel, cb.x, dropout, rng)
-        loss, grad = masked_sq_error(recon, cb.target, penalty_weights(cb.target), mu)
+        emb, recon, steps = model._forward(channel, CSRRows(cb.rows), dropout, rng)
+        loss, grad = masked_sq_error(recon, cb.rows, penalty_weights(cb.rows), mu)
         if cb.extra is not None:
-            rows, target2 = cb.extra
-            extra_loss, extra_grad = masked_sq_error(recon[rows], target2,
-                                                     penalty_weights(target2), mu)
+            extra_loss, extra_grad = masked_sq_error(recon[:cb.extra.shape[0]], cb.extra,
+                                                     penalty_weights(cb.extra), mu)
             loss += extra_loss
             if with_grad:
-                grad[rows] += extra_grad
+                grad[:cb.extra.shape[0]] += extra_grad
         total += loss
         if with_grad:
             model._backward(steps, grad)

@@ -166,23 +166,26 @@ class Linear:
         self._stale = True
 
 
-def masked_sq_error(pred: np.ndarray, target: np.ndarray, support: np.ndarray,
+def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, support: np.ndarray,
                     mu: float):
     """Penalised squared error ``sum(((pred - target) * w) ** 2)``.
 
-    The weight ``w`` is ``mu`` at the flat indices ``support`` and 1
-    elsewhere; only the support coordinates are scaled, so no weight
-    array is built. Returns (loss, gradient w.r.t. pred); the gradient is
-    ``2 * (pred - target) * w * w``, rounded as written. The residual is
-    squared in place before the sum.
+    ``target`` is CSR rows with no entry stored twice; a copy of ``pred``
+    less its stored entries is ``pred - target.toarray()`` bit for bit. The
+    weight ``w`` is ``mu`` at the flat indices ``support`` and 1 elsewhere;
+    only the support coordinates are scaled, so no weight array is built.
+    Returns (loss, gradient w.r.t. pred); the gradient is ``2 * (pred -
+    target) * w * w``, rounded as written. The residual is squared in place
+    before the sum.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape}, target {target.shape}")
-    diff = pred - target
+    diff = np.array(pred, dtype=np.float64)  # a copy: pred is the head's cached output
+    if diff.shape != target.shape:
+        raise ValueError(f"shape mismatch: pred {diff.shape}, target {target.shape}")
+    d = diff.reshape(-1)  # a view, as is g below: both arrays are fresh
+    starts = np.repeat(np.arange(target.shape[0]) * target.shape[1], np.diff(target.indptr))
+    d[starts + target.indices] -= target.data + 0.0  # -0.0 reads +0.0, as in toarray()
     grad = 2.0 * diff
-    d, g = diff.reshape(-1), grad.reshape(-1)  # views: both arrays are fresh
+    g = grad.reshape(-1)
     d[support] *= mu
     on = g[support]
     on *= mu

@@ -38,7 +38,7 @@ from scipy.special import expit
 
 import diagram.model as gm
 from diagram.exceptions import TrainingError
-from diagram.nn import Linear, glorot_uniform
+from diagram.nn import CSRRows, Linear, glorot_uniform
 
 
 class TextbookAdam:
@@ -172,9 +172,11 @@ def dense_masked_sq_error(pred: np.ndarray, target: np.ndarray, weight: np.ndarr
 def dense_loss_term(pred, target, support, mu):
     """The dense-weight loss behind the signature of ``nn.masked_sq_error``.
 
-    ``support`` is ignored: the weights are rebuilt from ``target``, which
-    is what the support was computed from.
+    The CSR ``target`` rows are made dense. ``support`` is ignored: the
+    weights are rebuilt from ``target``, which is what the support was
+    computed from.
     """
+    target = target.toarray()
     return dense_masked_sq_error(pred, target, dense_penalty_weights(target, mu))
 
 
@@ -188,9 +190,9 @@ def full_forward_embeddings(model, graph, features, variant: str) -> gm.Embeddin
     for start in range(0, n, gm.EMBED_CHUNK):
         idx = np.arange(start, min(start + gm.EMBED_CHUNK, n))
         batches = gm._node_batches(idx, M, MT, AD)
-        z[idx] = model._forward("content", batches["content"].x)[0]
-        o[idx] = model._forward("out", batches["out"].x)[0]
-        i[idx] = model._forward("in", batches["in"].x)[0]
+        z[idx] = model._forward("content", CSRRows(batches["content"].rows))[0]
+        o[idx] = model._forward("out", CSRRows(batches["out"].rows))[0]
+        i[idx] = model._forward("in", CSRRows(batches["in"].rows))[0]
     return gm.EmbeddingSet(z, o, i, list(graph.node_ids), variant,
                            gm.dataset_fingerprint(graph, features))
 
@@ -216,8 +218,7 @@ def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> 
     MT, AD = M.T.tocsr(), sp.hstack([A, D], format="csr")
     u_batches = gm._node_batches([u], M, MT, AD)
     if adjusted:
-        in_v = MT[[v]].toarray()
-        u_batches["out"].extra = (slice(0, 1), in_v)
+        u_batches["out"].extra = MT[[v]]
         del u_batches["in"]
     loss_u = gm._run_batches(model, u_batches, mu)
     loss_v = gm._run_batches(model, gm._node_batches([v], M, MT, AD), mu)

@@ -244,6 +244,23 @@ class TestFeatureMatrixInvariants:
         f = FeatureMatrix(sp.csr_matrix(np.array([[2.0, 0.0]])), mode="count")
         assert f.mode == "count"
 
+    @pytest.mark.parametrize("mode", ["binary", "count", "tfidf"])
+    def test_repeated_stored_entry_rejected(self, mode):
+        # column 3 of row 1 stored twice: made dense it would read 2.0
+        repeated = sp.csr_matrix((np.ones(4), np.array([0, 1, 3, 3]), np.array([0, 1, 4])),
+                                 shape=(2, 5))
+        with pytest.raises(DatasetError, match="more than once"):
+            FeatureMatrix(repeated, mode=mode)
+
+    def test_tfidf_keeps_its_indices_order(self):
+        counts = (np.random.default_rng(0).random((30, 40)) < 0.3).astype(float)
+        tfidf = compute_tfidf(counts_matrix(counts)).values
+        rows = np.split(tfidf.indices, tfidf.indptr[1:-1])
+        assert any(np.any(np.diff(r) < 0) for r in rows)  # the product leaves them unsorted
+        again = FeatureMatrix(tfidf.copy(), mode="tfidf").values
+        assert again.indices.tobytes() == tfidf.indices.tobytes()
+        assert again.data.tobytes() == tfidf.data.tobytes()
+
 
 class TestRealDatasets:
     def test_cora_table_counts(self):

@@ -41,6 +41,13 @@ def make_embeddings(n, k, seed, variant="edge"):
                         variant)
 
 
+def count_fits(monkeypatch) -> list:
+    """Replace the classifier with a stub; the returned list records its calls."""
+    calls = []
+    monkeypatch.setattr(evaluation, "logistic_regression_fit", lambda *a: calls.append(a))
+    return calls
+
+
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
@@ -593,18 +600,22 @@ class TestLinkPredictionEval:
         with pytest.raises(EvaluationError, match="balanced"):
             link_prediction_eval(emb, sample)
 
-    def test_repeated_constructor_rejected(self):
+    def test_repeated_constructor_rejected(self, monkeypatch):
         emb, sample = self._label_revealing_setup()
+        fits = count_fits(monkeypatch)
         with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
             link_prediction_eval(emb, sample, constructors=("hadamard", "average", "hadamard"))
+        assert fits == []
 
-    def test_constructors_keyed_by_lower_case_name(self):
+    def test_constructors_keyed_by_lower_case_name(self, monkeypatch):
         emb, sample = self._label_revealing_setup()
         report = link_prediction_eval(emb, sample, constructors=("Hadamard", "W-L1"))
         assert [row["constructor"] for row in report.table] == ["hadamard", "w-l1"]
         assert list(report.details) == ["hadamard", "w-l1"]
+        fits = count_fits(monkeypatch)
         with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
             link_prediction_eval(emb, sample, constructors=("hadamard", "HADAMARD"))
+        assert fits == []
 
 
 class TestNodeClassification:
@@ -666,11 +677,15 @@ class TestNodeClassification:
         assert report.config["l2"] == 1.0
 
     @pytest.mark.parametrize("ratio", [0, -5, 100])
-    def test_ratio_outside_0_100_rejected(self, ratio):
+    def test_ratio_outside_0_100_rejected(self, ratio, monkeypatch):
         labels = np.array([0, 1] * 10)
         emb = make_embeddings(20, 3, seed=3)
+        fits = count_fits(monkeypatch)
         with pytest.raises(EvaluationError, match="not a percentage"):
             node_classification_eval(emb, labels, train_ratios=(ratio,))
+        with pytest.raises(EvaluationError, match="not a percentage"):
+            node_classification_eval(emb, labels, train_ratios=(10, 30, ratio))
+        assert fits == []
 
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_repetitions_below_1_rejected(self, repetitions):
@@ -678,11 +693,13 @@ class TestNodeClassification:
         with pytest.raises(EvaluationError, match="repetitions must be >= 1"):
             node_classification_eval(emb, np.array([0, 1] * 10), repetitions=repetitions)
 
-    def test_repeated_ratio_rejected(self):
+    def test_repeated_ratio_rejected(self, monkeypatch):
         emb = make_embeddings(20, 3, seed=3)
+        fits = count_fits(monkeypatch)
         with pytest.raises(EvaluationError, match="share the details key '30'"):
             node_classification_eval(emb, np.array([0, 1] * 10), train_ratios=(10, 30, 30, 50),
                                      repetitions=1)
+        assert fits == []
 
     def test_labels_must_cover_nodes(self):
         emb = make_embeddings(10, 3, seed=4)

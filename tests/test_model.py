@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -36,9 +37,14 @@ from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_los
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
 
 
+def csr(x) -> sp.csr_matrix:
+    """Dense rows as CSR rows: the form of a batch's inputs and targets."""
+    return sp.csr_matrix(np.atleast_2d(x))
+
+
 def rows(x) -> CSRRows:
     """Dense input rows as the CSR batch the input heads take."""
-    return CSRRows(sp.csr_matrix(np.atleast_2d(x)))
+    return CSRRows(csr(x))
 
 
 def small_model(graph, features, seed=0):
@@ -184,9 +190,30 @@ class TestPenaltyWeights:
     def test_mu_exactly_on_support(self):
         rng = np.random.default_rng(0)
         target = ((rng.random((5, 9)) < 0.3) * rng.integers(-1, 3, (5, 9))).astype(float)
-        _, grad = masked_sq_error(target + 1.0, target, penalty_weights(target), 10.0)
+        t = csr(target)
+        _, grad = masked_sq_error(target + 1.0, t, penalty_weights(t), 10.0)
         assert set(np.unique(grad)) <= {2.0, 200.0}
         assert np.array_equal(grad == 200.0, target > 0)
+
+    def test_flat_indices_of_positive_stored_entries(self):
+        # unsorted indices, a stored zero, a negative entry and an empty row
+        target = sp.csr_matrix((np.array([2.0, 0.0, -1.0, 0.5, 1.0]), np.array([3, 0, 1, 4, 2]),
+                                np.array([0, 3, 3, 5])), shape=(3, 5))
+        got = penalty_weights(target)
+        assert sorted(got.tolist()) == np.flatnonzero(target.toarray() > 0).tolist()
+
+
+class TestBatches:
+    def test_edge_batch_holds_in_rows_once_and_nothing_dense(self, toy_graph, toy_features):
+        M, MT, AD = _graph_tensors(toy_graph, toy_features)
+        e = toy_graph.edge_list[:4]
+        batches = _edge_batches(e[:, 0], e[:, 1], M, MT, AD)
+        assert batches["out"].extra is batches["in"].rows
+        assert (batches["in"].rows != MT[e[:, 1]]).nnz == 0
+        assert batches["content"].extra is None and batches["in"].extra is None
+        for batch in (*batches.values(), *_node_batches(range(6), M, MT, AD).values()):
+            for f in dataclasses.fields(batch):
+                assert not isinstance(getattr(batch, f.name), np.ndarray), f.name
 
 
 class TestNodeLoss:
@@ -203,7 +230,8 @@ class TestNodeLoss:
         mu = 10.0
         for u in range(toy_graph.node_count):
             for channel, target in node_targets(toy_graph, toy_features, u).items():
-                loss, grad = masked_sq_error(target, target, penalty_weights(target), mu)
+                t = csr(target)
+                loss, grad = masked_sq_error(t.toarray(), t, penalty_weights(t), mu)
                 assert loss == 0.0 and not grad.any()
 
     def test_matches_scalar_oracle(self, toy_graph, toy_features):
@@ -296,8 +324,8 @@ class TestEdgeLoss:
         # reciprocal pair on 2 nodes: inject the adjusted target as the
         # prediction and the term vanishes regardless of the graph
         g = DirectedGraph(["a", "b"], np.array([[0, 1], [1, 0]]))
-        in_v = g.in_adjacency[[1]].toarray()[0]
-        loss, _ = masked_sq_error(in_v, in_v, penalty_weights(in_v), 10.0)
+        in_v = g.in_adjacency[[1]]
+        loss, _ = masked_sq_error(in_v.toarray(), in_v, penalty_weights(in_v), 10.0)
         assert loss == 0.0
 
     def test_matches_scalar_oracle(self, toy_graph, toy_features):

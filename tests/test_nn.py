@@ -86,7 +86,7 @@ class TestLinearBackward:
         x = rng.normal(size=(3, 5))
         assert np.array_equal(layer.forward(x)[0],
                               getattr(np, activation)(x @ layer.W.T + layer.b))
-        target = rng.normal(size=(3, 4)) * 0.5
+        target = sp.csr_matrix(rng.normal(size=(3, 4)) * 0.5)
 
         def loss_fn():
             y, _ = layer.forward(x)
@@ -241,13 +241,13 @@ class TestSparseInputHead:
 class TestMaskedSqError:
     def test_zero_when_equal(self):
         x = np.random.default_rng(0).normal(size=(3, 3))
-        loss, grad = masked_sq_error(x, x, np.arange(x.size), 5.0)
+        loss, grad = masked_sq_error(x, sp.csr_matrix(x), np.arange(x.size), 5.0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(x))
 
     def test_closed_form_example(self):
         loss, grad = masked_sq_error(np.array([[1.0, 0.0]]),
-                                     np.array([[0.0, 0.0]]),
+                                     sp.csr_matrix((1, 2)),
                                      np.array([0]), 10.0)
         assert loss == 100.0
         assert np.array_equal(grad, np.array([[200.0, 0.0]]))
@@ -258,7 +258,7 @@ class TestMaskedSqError:
         target = rng.normal(size=(5, 7))
         on = rng.random((5, 7)) < 0.4
         weight = np.where(on, 3.7, 1.0)
-        loss, grad = masked_sq_error(pred, target, np.flatnonzero(on), 3.7)
+        loss, grad = masked_sq_error(pred, sp.csr_matrix(target), np.flatnonzero(on), 3.7)
         exp_loss = 0.0
         for r in range(5):
             for c in range(7):
@@ -269,9 +269,10 @@ class TestMaskedSqError:
         assert abs(loss - exp_loss) < 1e-12
 
     def test_zero_iff_agreement_everywhere(self):
-        target = np.array([[1.0, 0.0]])
+        pred = np.array([[1.0, 0.0]])
+        target = sp.csr_matrix(pred)
         support = np.array([0])
-        assert masked_sq_error(target, target, support, 3.0)[0] == 0.0
+        assert masked_sq_error(pred, target, support, 3.0)[0] == 0.0
         # every coordinate weighs at least 1, so any disagreement counts
         assert masked_sq_error(np.array([[1.0, 2.0]]), target, support, 3.0)[0] == 4.0
         assert masked_sq_error(np.array([[3.0, 0.0]]), target, support, 3.0)[0] == 36.0
@@ -283,16 +284,36 @@ class TestMaskedSqError:
         # zero, negative and positive targets, and exact agreement in places
         target = rng.choice([0.0, -0.0, 0.0, 1.0, 0.25, -1.0, -3.5], size=(6, 9))
         pred[0] = target[0]
+        rows = sp.csr_matrix(target)
+        target = rows.toarray()  # the dense form of the rows: -0.0 is not stored
         support = np.flatnonzero(target > 0)
-        loss, grad = masked_sq_error(pred, target, support, mu)
+        loss, grad = masked_sq_error(pred, rows, support, mu)
         want_loss, want_grad = dense_masked_sq_error(pred, target,
                                                      dense_penalty_weights(target, mu))
         assert loss == want_loss
         assert grad.tobytes() == want_grad.tobytes()
 
+    @pytest.mark.parametrize("mu", [10.0, 3.7])
+    def test_csr_rows_match_dense_oracle_bit_for_bit(self, mu):
+        # negative entries, stored +0.0 and -0.0, an empty row, unsorted indices
+        data = np.array([0.5, -2.0, 0.0, 1.0, -0.0, 3.25, -1.5, 2.0])
+        indices = np.array([6, 0, 3, 2, 5, 1, 4, 0])
+        indptr = np.array([0, 4, 4, 5, 8])
+        target = sp.csr_matrix((data, indices, indptr), shape=(4, 7))
+        assert not target.has_sorted_indices
+        pred = np.random.default_rng(13).normal(size=(4, 7))
+        pred[0, 6], pred[0, 3], pred[2, 5], pred[3, 2], pred[1, 1] = 0.5, -0.0, -0.0, 0.0, -0.0
+        before = pred.tobytes()
+        loss, grad = masked_sq_error(pred, target, gm.penalty_weights(target), mu)
+        dense = target.toarray()
+        want_loss, want_grad = dense_masked_sq_error(pred, dense, dense_penalty_weights(dense, mu))
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+        assert pred.tobytes() == before  # the head's cached output is left as it was
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            masked_sq_error(np.zeros((2, 2)), np.zeros((2, 3)), NO_SUPPORT, 10.0)
+            masked_sq_error(np.zeros((2, 2)), sp.csr_matrix((2, 3)), NO_SUPPORT, 10.0)
 
 
 class TestDropout:
@@ -615,6 +636,7 @@ class TestFiniteDiffCheck:
         x = rng.normal(size=(5, 6))
         target = rng.uniform(-0.5, 0.5, size=(5, 3))
         support = np.flatnonzero(target > 0)
+        target = sp.csr_matrix(target)
 
         def loss_fn():
             h, _ = l1.forward(x)
