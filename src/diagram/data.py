@@ -92,7 +92,7 @@ class FeatureMatrix:
     mode: str  # "binary" | "count" | "tfidf"
 
     def __post_init__(self):
-        self.values = v = self.values.tocsr()
+        self.values = v = self.values.tocsr(copy=True)  # the caller's matrix stays as it was
         v.eliminate_zeros()
         if self.mode not in ("binary", "count", "tfidf"):
             raise DatasetError(f"unknown feature mode {self.mode!r}")

@@ -404,6 +404,11 @@ def stratified_fold_indices(y, n_folds: int, rng: np.random.Generator):
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
+def _train_count(train_fraction: float, class_size: int) -> int:
+    """A class's training nodes in :func:`stratified_split`: at least one, at most all."""
+    return min(max(1, int(round(train_fraction * class_size))), class_size)
+
+
 def stratified_split(y, train_fraction: float, rng: np.random.Generator):
     """Per-class random split with at least one training sample per class."""
     y = np.asarray(y).astype(np.int64).ravel()
@@ -411,14 +416,24 @@ def stratified_split(y, train_fraction: float, rng: np.random.Generator):
     test: list[int] = []
     for c in np.unique(y):
         idx = rng.permutation(np.flatnonzero(y == c))
-        n_train = max(1, int(round(train_fraction * idx.size)))
-        n_train = min(n_train, idx.size)
+        n_train = _train_count(train_fraction, idx.size)
         train.extend(int(i) for i in idx[:n_train])
         test.extend(int(i) for i in idx[n_train:])
     return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
 
 
 # -- protocol: link prediction --------------------------------------------------
+
+
+def _constructor_names(constructors) -> list[str]:
+    """The lower-case constructor names, refusing unknown and repeated ones before any fit."""
+    unknown = [c for c in constructors if c.lower() not in EDGE_CONSTRUCTORS]
+    if unknown:
+        raise EvaluationError(f"unknown edge-feature constructor(s) {', '.join(unknown)} "
+                              f"(accepted: {' '.join(EDGE_CONSTRUCTORS)})")
+    names = [c.lower() for c in constructors]
+    _reject_repeats("constructor", names)
+    return names
 
 
 def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
@@ -432,8 +447,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
-    ctors = [c.lower() for c in constructors]
-    _reject_repeats("constructor", ctors)
+    ctors = _constructor_names(constructors)
     folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
     all_idx = np.arange(y.size)
     groups = []
@@ -466,10 +480,7 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
     Returns (reports keyed by scorer mode, sample, train result).
     """
-    unknown = [c for c in constructors if c.lower() not in EDGE_CONSTRUCTORS]
-    if unknown:
-        raise EvaluationError(f"unknown edge-feature constructor(s) {', '.join(unknown)} "
-                              f"(accepted: {' '.join(EDGE_CONSTRUCTORS)})")
+    _constructor_names(constructors)
     sample = sample_link_prediction(graph, percent, seed)
     cfg = cfg or TrainConfig(seed=seed)
     if variant == "node":
@@ -522,19 +533,19 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise ValueError(f"unknown feature selection {features!r}")
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
+    _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
+    classes, sizes = np.unique(y, return_counts=True)
     for ratio in train_ratios:
         if not 0 < ratio < 100:
             raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
-    _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
-    classes = np.unique(y)
+        if all(_train_count(float(ratio) / 100.0, size) == size for size in sizes):
+            raise EvaluationError(f"train ratio {ratio} leaves no test data")
     rng = np.random.default_rng(seed)
     groups = []
     for ratio in train_ratios:
         micros, macros = [], []
         for _ in range(repetitions):
             train_idx, test_idx = stratified_split(y, float(ratio) / 100.0, rng)
-            if test_idx.size == 0:
-                raise EvaluationError(f"train ratio {ratio} leaves no test data")
             pred = _ovr_predict(X[train_idx], y[train_idx], X[test_idx], classes)
             micro, macro = micro_macro_f1(y[test_idx], pred, int(classes.max()) + 1)
             micros.append(micro)

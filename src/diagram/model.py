@@ -27,7 +27,6 @@ targets, so a training step makes no dense copy of them.
 from __future__ import annotations
 
 import json
-import struct
 import zipfile
 from dataclasses import dataclass, field, replace
 
@@ -49,8 +48,8 @@ DEFAULT_NODE_EPOCHS = 30
 DEFAULT_EDGE_EPOCHS = 2
 # Nodes per encoder call in compute_embeddings.
 EMBED_CHUNK = 256
-# The checkpoint format's version, written in every checkpoint's header.
-CHECKPOINT_VERSION = 1
+# Version of the npz container that checkpoints and binary embeddings share.
+ARCHIVE_VERSION = 1
 
 
 @dataclass
@@ -422,7 +421,45 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
     return TrainResult(model, emb, trace, "edge", {**cfg.as_dict(), "transfer_from": True})
 
 
-# -- model checkpoints -------------------------------------------------------
+# -- npz archives: model checkpoints and binary embeddings ---------------------
+
+
+def _write_archive(path, kind: str, arrays: dict, meta: dict) -> None:
+    """Write ``arrays`` atomically to an npz archive with a JSON ``__meta__``
+    header: version and ``kind``, then ``meta``, whose keys override those."""
+    header = {"version": ARCHIVE_VERSION, "kind": kind, **meta}
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = {**arrays, "__meta__": np.frombuffer(raw, dtype=np.uint8)}
+    # np.savez gets the open file: it appends ".npz" to a path that lacks it
+    atomic_write(path, lambda fh: np.savez(fh, **payload))
+
+
+def _read_archive(path, kind: str, what: str) -> tuple[dict, dict]:
+    """(arrays, header) of a :func:`_write_archive` file; ``what`` names it in errors."""
+    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
+    # compression method or version as NotImplementedError, and a bogus
+    # encryption flag as RuntimeError; a .npy file fails the with as TypeError.
+    try:
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
+            RuntimeError, TypeError) as exc:
+        raise EmbeddingFormatError(f"cannot read {what} {path}: {exc}") from exc
+    raw = arrays.pop("__meta__", None)
+    if raw is None:
+        raise EmbeddingFormatError(f"{what} {path} has no meta block")
+    try:
+        meta = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{what} {path} has a bad meta block: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise EmbeddingFormatError(f"{what} {path} meta block is not an object")
+    if meta.get("version") != ARCHIVE_VERSION:
+        raise EmbeddingFormatError(
+            f"{what} {path} has version {meta.get('version')}, expected {ARCHIVE_VERSION}")
+    if meta.get("kind") != kind:
+        raise EmbeddingFormatError(f"{path} is not a {what}")
+    return arrays, meta
 
 
 def _transposed(model: DiagramModel) -> set[str]:
@@ -433,53 +470,21 @@ def _transposed(model: DiagramModel) -> set[str]:
 def save_model(path, model: DiagramModel, meta: dict | None = None) -> None:
     """Write the parameters, every W as (out, in), atomically to an npz archive.
 
-    Its ``__meta__`` entry is a JSON header: version, kind and architecture,
-    then ``meta``, whose keys override those.
+    Its header holds version, kind and architecture, then ``meta``, whose
+    keys override those.
     """
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "kind": "diagram-model",
-        "node_count": model.node_count,
-        "feature_dim": model.feature_dim,
-        "trunk_dims": list(model.trunk_dims),
-        "embedding_dim": model.embedding_dim,
-        **(meta or {}),
-    }
     flip = _transposed(model)
-    payload = {name: np.ascontiguousarray(arr.T) if name in flip else arr
-               for name, arr in model.parameters().items()}
-    payload["__meta__"] = np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                                        dtype=np.uint8)
-    atomic_write(path, lambda fh: np.savez(fh, **payload))
+    _write_archive(path, "diagram-model",
+                   {name: np.ascontiguousarray(arr.T) if name in flip else arr
+                    for name, arr in model.parameters().items()},
+                   {"node_count": model.node_count, "feature_dim": model.feature_dim,
+                    "trunk_dims": list(model.trunk_dims),
+                    "embedding_dim": model.embedding_dim, **(meta or {})})
 
 
 def load_model(path):
     """Inverse of :func:`save_model`; returns (model, meta)."""
-    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
-    # compression method or version as NotImplementedError, and a bogus
-    # encryption flag as RuntimeError.
-    try:
-        with np.load(path) as npz:
-            tensors = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
-            RuntimeError) as exc:
-        raise EmbeddingFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    raw = tensors.pop("__meta__", None)
-    if raw is None:
-        raise EmbeddingFormatError(f"checkpoint {path} has no meta block")
-    try:
-        meta = json.loads(raw.tobytes().decode("utf-8"))
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"checkpoint {path} has a bad meta block: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise EmbeddingFormatError(f"checkpoint {path} meta block is not an object")
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise EmbeddingFormatError(
-            f"checkpoint {path} has version {meta.get('version')}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
-    if meta.get("kind") != "diagram-model":
-        raise EmbeddingFormatError(f"{path} is not a model checkpoint")
+    tensors, meta = _read_archive(path, "diagram-model", "checkpoint")
     try:
         model = DiagramModel(meta["node_count"], meta["feature_dim"],
                              tuple(meta["trunk_dims"]), meta["embedding_dim"])
@@ -499,7 +504,6 @@ def load_model(path):
 # -- embedding files ---------------------------------------------------------
 
 _TEXT_MAGIC = "DIAGRAM v1"
-_BIN_MAGIC = b"DGRMEMB1"
 
 
 def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
@@ -507,8 +511,9 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
 
     Text: header ``DIAGRAM v1 <n> <k> <variant> <fingerprint>`` followed by
     one ``<id> <z..> <o..> <i..>`` line per node (full float64 precision).
-    Binary: magic + length-prefixed JSON header + raw little-endian
-    float64 blocks for z, o, i (bit-exact round-trip).
+    Binary: an npz archive, readable by ``np.load``, with float64 entries
+    ``z``, ``o`` and ``i`` and a JSON ``__meta__`` header holding version,
+    kind, variant, fingerprint and node ids (bit-exact round-trip).
     """
     if fmt == "text":
         fp = emb.fingerprint or "-"
@@ -520,16 +525,10 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
                 fh.write((nid + " " + row % tuple(vals.tolist())).encode("utf-8"))
         atomic_write(path, write_rows)
     elif fmt == "binary":
-        header = json.dumps({
-            "n": emb.n, "k": emb.k, "variant": emb.variant,
-            "fingerprint": emb.fingerprint, "node_ids": emb.node_ids,
-        }, sort_keys=True).encode("utf-8")
-        blocks = [struct.pack("<Q", len(header)), header]
-        for mat in (emb.z, emb.o, emb.i):
-            raw = np.ascontiguousarray(mat, dtype="<f8").tobytes()
-            blocks.append(struct.pack("<Q", len(raw)))
-            blocks.append(raw)
-        atomic_write(path, _BIN_MAGIC + b"".join(blocks))
+        _write_archive(path, "diagram-embeddings",
+                       {c: np.asarray(getattr(emb, c), dtype=np.float64) for c in "zoi"},
+                       {"variant": emb.variant, "fingerprint": emb.fingerprint,
+                        "node_ids": emb.node_ids})
     else:
         raise ValueError(f"unknown embedding format {fmt!r}")
 
@@ -542,7 +541,7 @@ def _import_text(raw: bytes, path) -> EmbeddingSet:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
     head = lines[0].split()
     if len(head) < 6 or b" ".join(head[:2]) != _TEXT_MAGIC.encode():
-        raise EmbeddingFormatError(f"{path}: bad header {lines[0]!r}")
+        raise EmbeddingFormatError(f"{path}: bad header {lines[0][:80]!r}")
     try:
         n, k = int(head[2]), int(head[3])
         variant, fingerprint = head[4].decode("utf-8"), head[5].decode("utf-8")
@@ -576,45 +575,18 @@ def _import_text(raw: bytes, path) -> EmbeddingSet:
     return EmbeddingSet(z, o, i, ids, variant, fingerprint)
 
 
-def _import_binary(raw: bytes, path) -> EmbeddingSet:
-    def take(buf, off, size):
-        if off + size > len(buf):
-            raise EmbeddingFormatError(f"{path}: truncated embedding file")
-        return buf[off:off + size], off + size
-
-    off = len(_BIN_MAGIC)
-    chunk, off = take(raw, off, 8)
-    hlen = struct.unpack("<Q", chunk)[0]
-    chunk, off = take(raw, off, hlen)
-    try:
-        header = json.loads(chunk.decode("utf-8"))
-        n, k = header["n"], header["k"]
-        node_ids, variant = list(header["node_ids"]), header["variant"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise EmbeddingFormatError(f"{path}: bad binary header: {exc!r}") from exc
-    if not (isinstance(n, int) and isinstance(k, int) and n >= 0 and k >= 0):
-        raise EmbeddingFormatError(f"{path}: bad n={n!r} or k={k!r} in binary header")
-    mats = []
-    for _ in range(3):
-        chunk, off = take(raw, off, 8)
-        blen = struct.unpack("<Q", chunk)[0]
-        if blen != n * k * 8:
-            raise EmbeddingFormatError(
-                f"{path}: block length {blen} inconsistent with n={n}, k={k}"
-            )
-        chunk, off = take(raw, off, blen)
-        mats.append(np.frombuffer(chunk, dtype="<f8").reshape(n, k).copy())
-    try:
-        return EmbeddingSet(mats[0], mats[1], mats[2], node_ids, variant,
-                            header.get("fingerprint", ""))
-    except ValueError as exc:
-        raise EmbeddingFormatError(f"{path}: {exc}") from exc
-
-
 def import_embeddings(path) -> EmbeddingSet:
-    """Read an embedding set written by :func:`export_embeddings`."""
+    """Read a set written by :func:`export_embeddings`; an npz archive starts with "PK"."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw.startswith(_BIN_MAGIC):
-        return _import_binary(raw, path)
-    return _import_text(raw, path)
+        raw = fh.read(2)
+        if raw != b"PK":
+            return _import_text(raw + fh.read(), path)
+    arrays, meta = _read_archive(path, "diagram-embeddings", "binary embedding file")
+    if sorted(arrays) != ["i", "o", "z"] or any(a.ndim != 2 or a.dtype != np.float64
+                                                 for a in arrays.values()):
+        raise EmbeddingFormatError(f"{path}: needs entries z, o and i only, each 2-D float64")
+    try:
+        return EmbeddingSet(arrays["z"], arrays["o"], arrays["i"], list(meta["node_ids"]),
+                            meta["variant"], meta["fingerprint"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EmbeddingFormatError(f"{path}: bad binary header: {exc!r}") from exc

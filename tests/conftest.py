@@ -66,11 +66,13 @@ def edge_features(emb, pair, constructor: str, mode: str = "directed") -> np.nda
     return edge_feature_matrix(emb, [pair], constructor, mode)[0]
 
 
-def write_checkpoint(path, tensors: dict, meta) -> None:
-    """A checkpoint written by hand: ``tensors`` as npz entries, then ``meta``
-    as the JSON ``__meta__`` block (pass bytes to write them as they are)."""
+def write_npz(path, arrays: dict, meta) -> None:
+    """A checkpoint or binary embedding file written by hand: ``arrays`` as npz
+    entries, then ``meta`` as the JSON ``__meta__`` block (pass bytes to write
+    them as they are). The open file keeps np.savez from adding ".npz"."""
     raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
-    np.savez(path, **tensors, __meta__=np.frombuffer(raw, dtype=np.uint8))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, __meta__=np.frombuffer(raw, dtype=np.uint8))
 
 
 @pytest.fixture

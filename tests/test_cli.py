@@ -9,7 +9,7 @@ from diagram.cli import main, parse_config_file, resolve_dataset
 from diagram.exceptions import DiagramError
 from diagram.model import import_embeddings, load_model
 
-from conftest import write_checkpoint
+from conftest import write_npz
 
 FAST = ["--epochs", "2", "--k", "4", "--trunk", "8,4", "--seed", "3"]
 
@@ -159,8 +159,8 @@ class TestTrain:
         model, meta = load_model(node_out / "node_checkpoint.npz")
         heads = {"content_head.W", "directed_head.W"}
         old = tmp_path / "old.npz"
-        write_checkpoint(old, {name: np.ascontiguousarray(arr.T) if name in heads else arr
-                               for name, arr in model.parameters().items()}, meta)
+        write_npz(old, {name: np.ascontiguousarray(arr.T) if name in heads else arr
+                        for name, arr in model.parameters().items()}, meta)
         edge_out = tmp_path / "edge"
         assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
                     "--transfer-from", old, "--out", edge_out, *FAST,

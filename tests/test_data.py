@@ -244,6 +244,23 @@ class TestFeatureMatrixInvariants:
         f = FeatureMatrix(sp.csr_matrix(np.array([[2.0, 0.0]])), mode="count")
         assert f.mode == "count"
 
+    def test_callers_matrix_is_left_alone(self):
+        # a stored 0.0, which the feature matrix drops
+        m = sp.csr_matrix((np.array([1.0, 0.0, 2.0]), np.array([0, 1, 2]), np.array([0, 2, 3])),
+                          shape=(2, 3))
+        before = [m.data.copy(), m.indices.copy(), m.indptr.copy()]
+        f = FeatureMatrix(m, "count")
+        assert f.values is not m and f.values.nnz == 2 and m.nnz == 3
+        for got, want in zip((m.data, m.indices, m.indptr), before):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_loaded_datasets_keep_their_fingerprints(self, fixture_dataset):
+        graph, features, _ = load_citation_dataset(*fixture_dataset)
+        assert dataset_fingerprint(graph, features) == (
+            "fca198a83159ec2a15799dc9d88af96554231426ed30a6f101f89307bdc2a122")
+        assert dataset_fingerprint(graph, compute_tfidf(features)) == (
+            "dea1f3dcc00fd13793fbd00c78d648911469cff9624a381552ad8514fb8c0e63")
+
     @pytest.mark.parametrize("mode", ["binary", "count", "tfidf"])
     def test_repeated_stored_entry_rejected(self, mode):
         # column 3 of row 1 stored twice: made dense it would read 2.0

@@ -617,6 +617,13 @@ class TestLinkPredictionEval:
             link_prediction_eval(emb, sample, constructors=("hadamard", "HADAMARD"))
         assert fits == []
 
+    def test_unknown_constructor_rejected_before_any_fit(self, monkeypatch):
+        emb, sample = self._label_revealing_setup()
+        fits = count_fits(monkeypatch)
+        with pytest.raises(EvaluationError, match=r"unknown edge-feature constructor\(s\) foo"):
+            link_prediction_eval(emb, sample, constructors=("hadamard", "foo"))
+        assert fits == []
+
 
 class TestNodeClassification:
     def test_one_hot_embeddings_classify_perfectly(self):
@@ -699,6 +706,14 @@ class TestNodeClassification:
         with pytest.raises(EvaluationError, match="share the details key '30'"):
             node_classification_eval(emb, np.array([0, 1] * 10), train_ratios=(10, 30, 30, 50),
                                      repetitions=1)
+        assert fits == []
+
+    def test_ratio_that_leaves_no_test_data_fails_before_any_fit(self, monkeypatch):
+        # 99% of a 20-node class rounds to all 20
+        emb = make_embeddings(40, 3, seed=3)
+        fits = count_fits(monkeypatch)
+        with pytest.raises(EvaluationError, match="train ratio 99 leaves no test data"):
+            node_classification_eval(emb, np.array([0, 1] * 20), train_ratios=(10, 99))
         assert fits == []
 
     def test_labels_must_cover_nodes(self):
@@ -819,6 +834,16 @@ class TestFullProtocol:
             run_link_prediction_protocol(random_digraph(20, 60, seed=10),
                                          random_features(20, 6, seed=11), 10.0, 1,
                                          constructors=("Hadamard", "foo"))
+
+    def test_repeated_constructor_rejected_before_sampling(self, monkeypatch):
+        def sample(*args):
+            raise AssertionError("sampled before the constructors were checked")
+
+        monkeypatch.setattr(evaluation, "sample_link_prediction", sample)
+        with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
+            run_link_prediction_protocol(random_digraph(20, 60, seed=10),
+                                         random_features(20, 6, seed=11), 10.0, 1,
+                                         constructors=("Hadamard", "hadamard"))
 
 
 class TestEvalReport:

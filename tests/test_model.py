@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -31,10 +32,14 @@ from diagram.model import (
 )
 from diagram.nn import CSRRows, finite_diff_check, glorot_uniform, masked_sq_error
 
-from conftest import random_features, write_checkpoint
+from conftest import random_features, write_npz
 from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
+# A valid binary embedding file for three nodes with k=2, as npz entries and header.
+EMB_ENTRIES = {ch: np.zeros((3, 2)) for ch in ("z", "o", "i")}
+EMB_HEADER = {"version": 1, "kind": "diagram-embeddings", "variant": "edge",
+              "fingerprint": "", "node_ids": ["a", "b", "c"]}
 
 
 def csr(x) -> sp.csr_matrix:
@@ -519,9 +524,9 @@ class TestCheckpointIO:
         tensors = {name: np.ascontiguousarray(arr.T) if name in self.HEADS else arr
                    for name, arr in model.parameters().items()}
         path = tmp_path / "old.npz"
-        write_checkpoint(path, tensors, {"version": 1, "kind": "diagram-model",
-                                         "node_count": 6, "feature_dim": 4,
-                                         "trunk_dims": [8, 4], "embedding_dim": 3})
+        write_npz(path, tensors, {"version": 1, "kind": "diagram-model",
+                                  "node_count": 6, "feature_dim": 4,
+                                  "trunk_dims": [8, 4], "embedding_dim": 3})
         loaded, _ = load_model(path)
         for name, arr in model.parameters().items():
             assert loaded.parameters()[name].tobytes() == arr.tobytes(), name
@@ -540,6 +545,11 @@ class TestCheckpointIO:
         with pytest.raises(EmbeddingFormatError, match=f"shape mismatch for {name}"):
             load_model(path)
 
+    def test_npy_file_is_typed_error(self, tmp_path):
+        np.save(tmp_path / "m.npy", np.zeros(3))
+        with pytest.raises(EmbeddingFormatError, match=r"cannot read checkpoint \S*m\.npy"):
+            load_model(tmp_path / "m.npy")
+
     @pytest.mark.parametrize("as_type", [str, Path])
     def test_checkpoint_path_as_transfer_from_is_rejected(self, tmp_path, as_type):
         # a checkpoint is loaded, and its provenance checked, by the caller
@@ -555,15 +565,32 @@ class TestEmbeddingIO:
                             [f"id{i}" for i in range(n)], "edge", "f" * 16)
 
     def test_binary_round_trip_exact(self, tmp_path):
-        emb = self._random_set()
+        path = tmp_path / "emb.bin"
+        for emb in (self._random_set(), self._random_set(n=5, k=0)):
+            export_embeddings(emb, path, "binary")
+            back = import_embeddings(path)
+            for ch in ("z", "o", "i"):
+                got, want = getattr(back, ch), getattr(emb, ch)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert back.node_ids == emb.node_ids
+            assert back.variant == "edge" and back.fingerprint == emb.fingerprint
+
+    def test_binary_file_is_an_npz_archive_with_a_header(self, tmp_path):
+        emb = self._random_set(n=4, k=2)
         path = tmp_path / "emb.bin"
         export_embeddings(emb, path, "binary")
-        back = import_embeddings(path)
-        assert np.array_equal(back.z, emb.z)
-        assert np.array_equal(back.o, emb.o)
-        assert np.array_equal(back.i, emb.i)
-        assert back.node_ids == emb.node_ids
-        assert back.variant == "edge" and back.fingerprint == emb.fingerprint
+        with np.load(path) as npz:
+            assert npz.files == ["z", "o", "i", "__meta__"]
+            assert all(np.array_equal(npz[ch], getattr(emb, ch)) for ch in ("z", "o", "i"))
+            header = json.loads(npz["__meta__"].tobytes())
+        assert header == {"version": 1, "kind": "diagram-embeddings", "variant": "edge",
+                          "fingerprint": "f" * 16, "node_ids": emb.node_ids}
+
+    def test_binary_export_is_deterministic(self, tmp_path):
+        emb = self._random_set(n=50, k=3)
+        export_embeddings(emb, tmp_path / "a.bin", "binary")
+        export_embeddings(emb, tmp_path / "b.bin", "binary")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
     def test_non_utf8_id_is_typed_error(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -618,7 +645,8 @@ class TestEmbeddingIO:
         export_embeddings(emb, path, "binary")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
-        with pytest.raises(EmbeddingFormatError, match="truncated"):
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"cannot read binary embedding file \S*emb\.bin: "):
             import_embeddings(path)
 
     @staticmethod
@@ -646,34 +674,60 @@ class TestEmbeddingIO:
         with pytest.raises(EmbeddingFormatError, match="emb.tsv: row 1"):
             import_embeddings(path)
 
-    @staticmethod
-    def _binary_with_header(path, header: bytes):
-        raw = path.read_bytes()
-        magic = gm._BIN_MAGIC
-        hlen = int.from_bytes(raw[len(magic):len(magic) + 8], "little")
-        rest = raw[len(magic) + 8 + hlen:]
-        path.write_bytes(magic + len(header).to_bytes(8, "little") + header + rest)
-
-    @pytest.mark.parametrize("header", [
-        b"{not json",                                    # JSONDecodeError
-        b'{"n": 3, "k": 2, "variant": "edge"}',          # missing node_ids
-        b'["n", "k"]',                                   # not an object
-        b'{"n": 3.0, "k": 2, "variant": "e", "node_ids": ["a", "b", "c"]}',
-        b'{"n": 3, "k": 2, "variant": "e", "node_ids": ["a"]}',
-    ])
-    def test_bad_binary_header_is_typed_error(self, tmp_path, header):
+    @pytest.mark.parametrize("header,entries", [
+        (b"{not json", {}),
+        ({k: v for k, v in EMB_HEADER.items() if k != "node_ids"}, {}),
+        (b'["version", "kind"]', {}),
+        (EMB_HEADER, {"z": np.zeros((3, 2), dtype=np.float32)}),
+        (EMB_HEADER, {"z": np.zeros(6)}),
+        ({**EMB_HEADER, "node_ids": ["a"]}, {}),
+    ], ids=["bad-json", "no-node_ids", "not-an-object", "float32-entry", "1-d-entry",
+            "wrong-id-count"])
+    def test_bad_binary_header_is_typed_error(self, tmp_path, header, entries):
         path = tmp_path / "emb.bin"
-        export_embeddings(self._random_set(n=3, k=2), path, "binary")
-        self._binary_with_header(path, header)
+        write_npz(path, {**EMB_ENTRIES, **entries}, header)
         with pytest.raises(EmbeddingFormatError, match="emb.bin"):
+            import_embeddings(path)
+
+    @pytest.mark.parametrize("entries", [
+        {"z": EMB_ENTRIES["z"], "o": EMB_ENTRIES["o"]},
+        {**EMB_ENTRIES, "w": EMB_ENTRIES["z"]},
+    ], ids=["missing-entry", "extra-entry"])
+    def test_missing_or_extra_entry_is_typed_error(self, tmp_path, entries):
+        path = tmp_path / "emb.bin"
+        write_npz(path, entries, EMB_HEADER)
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.bin: needs entries z, o and i"):
+            import_embeddings(path)
+
+    def test_checkpoint_and_binary_embeddings_refuse_each_other(self, tmp_path, toy_graph,
+                                                                toy_features):
+        save_model(tmp_path / "m.npz", small_model(toy_graph, toy_features))
+        export_embeddings(self._random_set(n=3, k=2), tmp_path / "emb.bin", "binary")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"m\.npz is not a binary embedding file"):
+            import_embeddings(tmp_path / "m.npz")
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.bin is not a checkpoint"):
+            load_model(tmp_path / "emb.bin")
+
+    def test_old_length_prefixed_binary_file_is_typed_error(self, tmp_path):
+        # the earlier binary format: magic, then a length-prefixed JSON header
+        # and three length-prefixed float64 blocks
+        header = json.dumps({"fingerprint": "", "k": 1, "n": 2, "node_ids": ["a", "b"],
+                             "variant": "edge"}).encode()
+        blocks = [len(header).to_bytes(8, "little"), header]
+        for _ in range(3):
+            blocks += [(16).to_bytes(8, "little"), np.ones(2).tobytes()]
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"DGRMEMB1" + b"".join(blocks))
+        with pytest.raises(EmbeddingFormatError, match=r"old\.bin: bad header b'DGRMEMB1"):
             import_embeddings(path)
 
     def test_checkpoint_missing_header_key_is_typed_error(self, tmp_path, toy_graph,
                                                           toy_features):
         path = tmp_path / "m.npz"
         model = small_model(toy_graph, toy_features)
-        write_checkpoint(path, model.parameters(),
-                         {"version": 1, "kind": "diagram-model", "node_count": 6})
+        write_npz(path, model.parameters(),
+                  {"version": 1, "kind": "diagram-model", "node_count": 6})
         with pytest.raises(EmbeddingFormatError, match="m.npz: bad model header"):
             load_model(path)
 

@@ -18,7 +18,7 @@ from diagram.nn import (
     masked_sq_error,
 )
 
-from conftest import write_checkpoint
+from conftest import write_npz
 from oracles import (
     ReferenceAdam,
     ReferenceLinear,
@@ -697,16 +697,16 @@ class TestCheckpoint:
 
     def test_rejects_wrong_version(self, saved):
         tensors, path = saved
-        write_checkpoint(path, tensors, {"version": 99, "kind": "diagram-model",
-                                         "node_count": 6, "feature_dim": 4,
-                                         "trunk_dims": [8, 4], "embedding_dim": 3})
+        write_npz(path, tensors, {"version": 99, "kind": "diagram-model",
+                                  "node_count": 6, "feature_dim": 4,
+                                  "trunk_dims": [8, 4], "embedding_dim": 3})
         with pytest.raises(EmbeddingFormatError, match="ckpt.npz has version 99, expected 1"):
             load_model(path)
 
     @pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe", b"[1, 2]"])
     def test_unreadable_meta_is_typed_error(self, saved, meta):
         tensors, path = saved
-        write_checkpoint(path, tensors, meta)
+        write_npz(path, tensors, meta)
         with pytest.raises(EmbeddingFormatError, match="ckpt.npz"):
             load_model(path)
 
