@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -131,18 +130,28 @@ class LinkSample:
 
 
 def _bfs_connected(adj, src, dst) -> bool:
+    """Whether ``src`` and ``dst`` are connected in the set adjacency ``adj``.
+
+    Searches from both ends, a level at a time, growing the smaller
+    frontier: True once the two searches meet, False once either runs out,
+    since that side has then seen its whole component.
+    """
     if src == dst:
         return True
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt == dst:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    near, far = {src}, {dst}  # seen from each end
+    front, other = [src], [dst]
+    while front and other:
+        if len(front) > len(other):
+            near, far, front, other = far, near, other, front
+        grown = []
+        for cur in front:
+            for nxt in adj[cur]:
+                if nxt in far:
+                    return True
+                if nxt not in near:
+                    near.add(nxt)
+                    grown.append(nxt)
+        front = grown
     return False
 
 
@@ -291,9 +300,15 @@ def logistic_regression_fit(X, y) -> np.ndarray:
     def objective(s, yt, wv):
         return float(np.sum(np.logaddexp(0.0, s) - yt * s) + 0.5 * L2 * np.sum(pen * wv * wv))
 
+    nbT = np.ascontiguousarray(nb.T)
+    scaled = np.empty_like(nbT)
+
     def hessian(prob):
-        r = prob * (1.0 - prob)
-        h = (nb * r[:, None]).T @ nb
+        # (nb * r).T @ nb as S @ S.T with S = nb.T * sqrt(r): numpy hands a
+        # product of an array with its own transpose to BLAS syrk, which
+        # computes one triangle, half the flops of the general product.
+        np.multiply(nbT, np.sqrt(prob * (1.0 - prob)), out=scaled)
+        h = scaled @ scaled.T
         h[diag] += ridge + 1e-10
         return h
 
@@ -395,13 +410,11 @@ def micro_macro_f1(true, pred, n_classes: int) -> tuple[float, float]:
 def stratified_fold_indices(y, n_folds: int, rng: np.random.Generator):
     """Deal each class's shuffled indices round-robin into ``n_folds`` test sets."""
     y = np.asarray(y).astype(np.int64).ravel()
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    fold = np.empty(y.size, dtype=np.int64)
     for c in np.unique(y):
-        idx = np.flatnonzero(y == c)
-        idx = rng.permutation(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % n_folds].append(int(i))
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+        idx = rng.permutation(np.flatnonzero(y == c))
+        fold[idx] = np.arange(idx.size) % n_folds
+    return [np.flatnonzero(fold == f) for f in range(n_folds)]
 
 
 def _train_count(train_fraction: float, class_size: int) -> int:
@@ -412,14 +425,11 @@ def _train_count(train_fraction: float, class_size: int) -> int:
 def stratified_split(y, train_fraction: float, rng: np.random.Generator):
     """Per-class random split with at least one training sample per class."""
     y = np.asarray(y).astype(np.int64).ravel()
-    train: list[int] = []
-    test: list[int] = []
+    train = np.zeros(y.size, dtype=bool)
     for c in np.unique(y):
         idx = rng.permutation(np.flatnonzero(y == c))
-        n_train = _train_count(train_fraction, idx.size)
-        train.extend(int(i) for i in idx[:n_train])
-        test.extend(int(i) for i in idx[n_train:])
-    return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)
+        train[idx[:_train_count(train_fraction, idx.size)]] = True
+    return np.flatnonzero(train), np.flatnonzero(~train)
 
 
 # -- protocol: link prediction --------------------------------------------------

@@ -585,8 +585,12 @@ def import_embeddings(path) -> EmbeddingSet:
     if sorted(arrays) != ["i", "o", "z"] or any(a.ndim != 2 or a.dtype != np.float64
                                                  for a in arrays.values()):
         raise EmbeddingFormatError(f"{path}: needs entries z, o and i only, each 2-D float64")
+    ids, variant, fingerprint = (meta.get(key) for key in ("node_ids", "variant", "fingerprint"))
+    if not (isinstance(ids, list) and all(isinstance(nid, str) for nid in ids)
+            and isinstance(variant, str) and isinstance(fingerprint, str)):
+        raise EmbeddingFormatError(f"{path}: bad binary header: needs node_ids, a list "
+                                   "of strings, and variant and fingerprint strings")
     try:
-        return EmbeddingSet(arrays["z"], arrays["o"], arrays["i"], list(meta["node_ids"]),
-                            meta["variant"], meta["fingerprint"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return EmbeddingSet(arrays["z"], arrays["o"], arrays["i"], ids, variant, fingerprint)
+    except ValueError as exc:
         raise EmbeddingFormatError(f"{path}: bad binary header: {exc!r}") from exc

@@ -26,18 +26,33 @@ counting tp, fp and fn with boolean masks. ``evaluation.micro_macro_f1`` and
 ``reference_logistic_regression_fit`` and ``reference_ovr_predict`` are the
 earlier classifier: one target per call, its design matrix and first
 Hessian built afresh each time, and one-vs-rest as a loop of such calls.
-The program's classifier and both evaluation protocols must match them bit
-for bit.
+With the program's Hessian expression, ``symmetric_hessian``, the program's
+classifier and both evaluation protocols must match them bit for bit. With
+``textbook_hessian``, the earlier general product, the weights agree to a
+measured bound.
+
+``one_ended_connected`` is the earlier connectivity search of the link
+sampler, a plain BFS from the source; ``reference_link_sample`` is the
+sampler built on it, whose sample ``evaluation.sample_link_prediction``
+must equal exactly. ``reference_stratified_split`` and
+``reference_stratified_fold_indices`` are the earlier per-index loops of the
+stratification helpers, which must draw the same and return the same
+indices.
 """
 
 from __future__ import annotations
+
+import math
+from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
 import diagram.model as gm
-from diagram.exceptions import TrainingError
+from diagram.data import DirectedGraph
+from diagram.evaluation import LinkSample
+from diagram.exceptions import SamplingError, TrainingError
 from diagram.nn import CSRRows, Linear, glorot_uniform
 
 
@@ -238,12 +253,113 @@ def mean_edge_loss(model, graph, features, mu: float = 10.0,
     return total / edges.shape[0]
 
 
+def one_ended_connected(adj, src, dst) -> bool:
+    """Whether ``src`` reaches ``dst`` in the set adjacency ``adj``, by BFS from ``src``."""
+    if src == dst:
+        return True
+    seen = {src}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nxt in adj[cur]:
+            if nxt == dst:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
+def reference_link_sample(graph: DirectedGraph, percent: float, seed: int) -> LinkSample:
+    """The link sampler with a one-ended BFS per candidate edge.
+
+    Visits the edges in a seeded shuffled order and removes one when it is a
+    self-loop, when its reciprocal partner is still there, or when its
+    endpoints stay connected without it; then draws as many distinct
+    uniform non-edges from the same generator.
+    """
+    m, n = graph.edge_count, graph.node_count
+    if not math.isfinite(percent):
+        raise SamplingError(f"percent={percent} is not a finite number")
+    quota = math.ceil(percent * m / 100.0)
+    if quota <= 0:
+        raise SamplingError(f"percent={percent} requests zero edges from m={m}")
+    if n * n - n - m < quota:
+        raise SamplingError("not enough non-edges for balanced false samples")
+    edges = graph.edge_list
+    adj: list[set] = [set() for _ in range(n)]
+    pair_count: dict[tuple[int, int], int] = {}
+    for u, v in edges.tolist():
+        if u != v:
+            key = (min(u, v), max(u, v))
+            adj[u].add(v)
+            adj[v].add(u)
+            pair_count[key] = pair_count.get(key, 0) + 1
+    rng = np.random.default_rng(seed)
+    removed: list[int] = []
+    for ei in rng.permutation(m):
+        if len(removed) == quota:
+            break
+        u, v = int(edges[ei, 0]), int(edges[ei, 1])
+        key = (min(u, v), max(u, v))
+        if u == v:
+            removed.append(ei)
+        elif pair_count[key] == 2:
+            pair_count[key] = 1
+            removed.append(ei)
+        else:
+            adj[u].discard(v)
+            adj[v].discard(u)
+            if one_ended_connected(adj, u, v):
+                pair_count[key] = 0
+                removed.append(ei)
+            else:
+                adj[u].add(v)
+                adj[v].add(u)
+    if len(removed) < quota:
+        raise SamplingError(
+            f"requested {quota} removable edges but only achieved {len(removed)}")
+    existing = {(int(u), int(v)) for u, v in edges}
+    false_pairs: list[tuple[int, int]] = []
+    while len(false_pairs) < quota:
+        draw = rng.integers(0, n, size=(max(4 * (quota - len(false_pairs)), 16), 2))
+        for u, v in draw:
+            pair = (int(u), int(v))
+            if pair[0] == pair[1] or pair in existing:
+                continue
+            existing.add(pair)
+            false_pairs.append(pair)
+            if len(false_pairs) == quota:
+                break
+    gone = np.zeros(m, dtype=bool)
+    gone[removed] = True
+    meta = {**graph.metadata, "link_prediction_removed": quota,
+            "link_prediction_seed": int(seed), "link_prediction_percent": float(percent)}
+    residual = DirectedGraph(graph.node_ids, edges[~gone], meta)
+    pairs = np.vstack([edges[gone], np.array(false_pairs, dtype=np.int64)])
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), quota)
+    return LinkSample(pairs, labels, residual, int(seed), float(percent))
+
+
+def symmetric_hessian(nb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``nb.T @ diag(r) @ nb`` as the program forms it: S @ S.T with S = nb.T * sqrt(r)."""
+    scaled = np.ascontiguousarray(nb.T) * np.sqrt(r)
+    return scaled @ scaled.T
+
+
+def textbook_hessian(nb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``nb.T @ diag(r) @ nb`` as the general product of the row-scaled matrix and ``nb``."""
+    return (nb * r[:, None]).T @ nb
+
+
 def reference_logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200,
-                                      tol: float = 1e-6, halvings=None) -> np.ndarray:
+                                      tol: float = 1e-6, halvings=None,
+                                      hessian=symmetric_hessian) -> np.ndarray:
     """One L2-regularized logistic regression by damped Newton steps.
 
     ``halvings``, if a list, gets one entry per Newton step: how many times
-    the line search halved it."""
+    the line search halved it. ``hessian(nb, r)`` forms the Newton Hessian
+    of the design matrix ``nb`` and the weights ``r = p(1 - p)``."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
@@ -266,8 +382,7 @@ def reference_logistic_regression_fit(X, y, l2: float = 1.0, max_iter: int = 200
         g = nb.T @ (prob - y) + l2 * pen * w
         if np.linalg.norm(g) < tol:
             break
-        r = prob * (1.0 - prob)
-        h = (nb * r[:, None]).T @ nb
+        h = hessian(nb, prob * (1.0 - prob))
         h[np.diag_indices_from(h)] += l2 * pen + 1e-10
         try:
             step = np.linalg.solve(h, g)
@@ -320,3 +435,27 @@ def reference_f1(true, pred, n_classes: int):
     micro = 2.0 * tp_sum / micro_denom if micro_denom else 0.0
     macro = float(np.mean(per_class)) if per_class else 0.0
     return per_class, micro, macro
+
+
+def reference_stratified_fold_indices(y, n_folds: int, rng: np.random.Generator):
+    """Each class's shuffled indices dealt one at a time, round-robin, into the folds."""
+    y = np.asarray(y).astype(np.int64).ravel()
+    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    for c in np.unique(y):
+        idx = rng.permutation(np.flatnonzero(y == c))
+        for pos, i in enumerate(idx):
+            folds[pos % n_folds].append(int(i))
+    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+
+
+def reference_stratified_split(y, train_fraction: float, rng: np.random.Generator):
+    """Each class's shuffled indices collected one at a time into train and test lists."""
+    y = np.asarray(y).astype(np.int64).ravel()
+    train: list[int] = []
+    test: list[int] = []
+    for c in np.unique(y):
+        idx = rng.permutation(np.flatnonzero(y == c))
+        n_train = min(max(1, int(round(train_fraction * idx.size))), idx.size)
+        train.extend(int(i) for i in idx[:n_train])
+        test.extend(int(i) for i in idx[n_train:])
+    return np.array(sorted(train), dtype=np.int64), np.array(sorted(test), dtype=np.int64)

@@ -31,7 +31,16 @@ from diagram.exceptions import EvaluationError, SamplingError
 from diagram.model import EmbeddingSet, TrainConfig, train_node_model
 
 from conftest import edge_features, random_digraph, random_features
-from oracles import reference_f1, reference_logistic_regression_fit, reference_ovr_predict
+from oracles import (
+    one_ended_connected,
+    reference_f1,
+    reference_link_sample,
+    reference_logistic_regression_fit,
+    reference_ovr_predict,
+    reference_stratified_fold_indices,
+    reference_stratified_split,
+    textbook_hessian,
+)
 
 
 def make_embeddings(n, k, seed, variant="edge"):
@@ -314,6 +323,76 @@ class TestLinkSampling:
             sample_link_prediction(g, percent, seed=0)
 
 
+def messy_digraph(n, m, seed):
+    """Random digraph with self-loops, reciprocal pairs, isolated nodes and,
+    when sparse, several weak components; edges in insertion order."""
+    rng = np.random.default_rng(seed)
+    edges = {}
+    while len(edges) < m:
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u == v and rng.random() < 0.8:
+            continue
+        edges[(u, v)] = None
+        if u != v and rng.random() < 0.3 and len(edges) < m:
+            edges[(v, u)] = None
+    return DirectedGraph([f"n{i}" for i in range(n)], np.array(list(edges), dtype=np.int64))
+
+
+class TestTwoEndedSearch:
+    """The sampler's connectivity search answers as a one-ended BFS does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_ended_bfs_on_every_pair(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        adj: list[set] = [set() for _ in range(n)]
+        # the last five nodes stay isolated
+        for u, v in rng.integers(0, n - 5, size=(int(rng.integers(10, 60)), 2)).tolist():
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        before = [set(a) for a in adj]
+        pairs = [(src, dst) for src in range(n) for dst in range(n)]  # src == dst too
+        got = [evaluation._bfs_connected(adj, src, dst) for src, dst in pairs]
+        assert got == [one_ended_connected(adj, src, dst) for src, dst in pairs]
+        assert adj == before
+        assert True in got and False in got
+
+
+class TestSamplerMatchesOneEndedOracle:
+    """The link sampler draws what the one-ended BFS sampler draws, and fails alike."""
+
+    def test_samples_and_errors_equal_oracle(self):
+        complete = DirectedGraph(["a", "b", "c"],
+                                 [(u, v) for u in range(3) for v in range(3)])
+        sizes = np.random.default_rng(7).integers(8, 60, 30)
+        graphs = [complete] + [messy_digraph(int(n), int(n * degree), seed) for seed, (n, degree)
+                               in enumerate(zip(sizes, np.tile([0.8, 1.5, 3.0], 10)))]
+        outcomes = {"sample": 0, "error": 0, "loop": 0, "reciprocal": 0}
+        for seed, g in enumerate(graphs):
+            for percent in (5.0, 20.0, 50.0):
+                try:
+                    want = reference_link_sample(g, percent, seed)
+                except SamplingError as exc:
+                    with pytest.raises(SamplingError) as got:
+                        sample_link_prediction(g, percent, seed)
+                    assert str(got.value) == str(exc)
+                    outcomes["error"] += 1
+                    continue
+                got = sample_link_prediction(g, percent, seed)
+                assert got.pairs.tobytes() == want.pairs.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
+                res, want_res = got.residual_graph, want.residual_graph
+                assert res.edge_list.tobytes() == want_res.edge_list.tobytes()
+                assert (res.node_ids, res.metadata) == (want_res.node_ids, want_res.metadata)
+                assert (got.seed, got.percent) == (want.seed, want.percent)
+                outcomes["sample"] += 1
+                true = {tuple(p) for p in got.true_pairs.tolist()}
+                outcomes["loop"] += any(u == v for u, v in true)
+                outcomes["reciprocal"] += any((v, u) in true and u != v for u, v in true)
+        assert min(outcomes.values()) > 0, outcomes
+
+
 class TestEdgeFeatures:
     def test_closed_form_values(self):
         emb = make_embeddings(2, 2, seed=0)
@@ -522,6 +601,26 @@ class TestStratification:
         assert sorted(all_idx.tolist()) == list(range(18))
         for f in folds:
             assert int(y[f].sum()) == 3  # 3 of each class per fold
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_loop_forms_and_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, int(rng.integers(1, 8)), size=int(rng.integers(1, 400)))
+        y = y * 3 + 2  # labels need not be 0..c-1
+        for n_folds in (2, 3, 5):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stratified_fold_indices(y, n_folds, got_rng)
+            want = reference_stratified_fold_indices(y, n_folds, want_rng)
+            assert [f.dtype for f in got] == [f.dtype for f in want]
+            assert [f.tolist() for f in got] == [f.tolist() for f in want]
+            assert got_rng.random() == want_rng.random()
+        for fraction in (0.01, 0.1, 0.5, 0.99):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stratified_split(y, fraction, got_rng)
+            want = reference_stratified_split(y, fraction, want_rng)
+            assert [a.dtype for a in got] == [a.dtype for a in want]
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            assert got_rng.random() == want_rng.random()
 
     def test_split_covers_every_class(self):
         y = np.array([0] * 10 + [1] * 5 + [2] * 2)
@@ -748,6 +847,26 @@ class TestOneVsRestMatchesPerClassOracle:
                                                      halvings=halvings)
             assert w.tobytes() == want.tobytes()
         assert max(halvings) > 0  # the line search halved a step
+
+    def test_weights_near_textbook_hessian_fits(self, monkeypatch):
+        # The program forms the Newton Hessian as a symmetric rank-k product;
+        # the general product (nb * r).T @ nb rounds differently. Over these
+        # 98 fits the largest difference measured 1.2e-15 of the largest
+        # weight; the bound leaves a factor of about 100.
+        cases = [(near_separable(seed=seed), l2) for seed in range(5)
+                 for l2 in (1e-3, 1e-2, 0.1, 1.0)]
+        noise = np.random.default_rng(3).integers(0, 6, size=1000)
+        cases += [((make_embeddings(n, k, seed=n), noise[:n]), 1.0)
+                  for n, k in ((60, 4), (300, 16), (1000, 32))]
+        worst = 0.0
+        for (emb, labels), l2 in cases:
+            monkeypatch.setattr(evaluation, "L2", l2)
+            one_hot = (labels[:, None] == np.unique(labels)).astype(np.float64)
+            for column, w in zip(one_hot.T, logistic_regression_fit(emb.z, one_hot)):
+                want = reference_logistic_regression_fit(emb.z, column, l2=l2,
+                                                         hessian=textbook_hessian)
+                worst = max(worst, np.abs(w - want).max() / np.abs(want).max())
+        assert worst <= 1e-13
 
     def test_one_column_equals_one_dimensional_target(self, monkeypatch):
         monkeypatch.setattr(evaluation, "L2", 0.1)

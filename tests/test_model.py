@@ -681,8 +681,12 @@ class TestEmbeddingIO:
         (EMB_HEADER, {"z": np.zeros((3, 2), dtype=np.float32)}),
         (EMB_HEADER, {"z": np.zeros(6)}),
         ({**EMB_HEADER, "node_ids": ["a"]}, {}),
+        ({**EMB_HEADER, "node_ids": "abc"}, {}),  # list() would make it ['a', 'b', 'c']
+        ({**EMB_HEADER, "node_ids": [1, 2, 3]}, {}),
+        ({**EMB_HEADER, "variant": 7}, {}),
+        ({**EMB_HEADER, "fingerprint": ["x"]}, {}),
     ], ids=["bad-json", "no-node_ids", "not-an-object", "float32-entry", "1-d-entry",
-            "wrong-id-count"])
+            "wrong-id-count", "ids-string", "ids-ints", "variant-int", "fingerprint-list"])
     def test_bad_binary_header_is_typed_error(self, tmp_path, header, entries):
         path = tmp_path / "emb.bin"
         write_npz(path, {**EMB_ENTRIES, **entries}, header)
