@@ -21,11 +21,12 @@ from pathlib import Path
 from . import data as gdata
 from . import evaluation as ev
 from . import model as gm
-from .exceptions import DiagramError
+from .exceptions import DiagramError, FingerprintMismatchError
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
 # The keys a --config file may set, each with a flag of the same name, mapped
-# to the TrainConfig field it sets and the parser of its value.
+# to the TrainConfig field it sets and the parser of its value (for the flag
+# too: the flags are built from this table and arrive as strings).
 CONFIG_KEYS = {
     "trunk": ("trunk_dims", lambda raw: tuple(int(t) for t in raw.replace(",", " ").split())),
     "epochs": ("epochs", int),
@@ -36,6 +37,7 @@ CONFIG_KEYS = {
     "seed": ("seed", int),
     "k": ("embedding_dim", int),
 }
+FLAG_HELP = {"trunk": "encoder trunk dims, e.g. 512,256", "k": "embedding dimension"}
 
 
 def _fmt(x) -> str:
@@ -240,8 +242,12 @@ def cmd_export(args) -> int:
 
 
 def _load_embeddings_checked(args, graph, features):
+    """An embedding file, refused unless made from this dataset with its nodes in its order."""
     emb = gm.import_embeddings(args.embeddings)
     gdata.check_same_dataset(emb.fingerprint, graph, features, f"embeddings {args.embeddings}")
+    if emb.node_ids != graph.node_ids:
+        raise FingerprintMismatchError(f"embeddings {args.embeddings}: node ids are not the "
+                                       "dataset's node ids in the dataset's order")
     return emb
 
 
@@ -308,14 +314,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="embedding dimension")
-    p.add_argument("--trunk", default=None, help="encoder trunk dims, e.g. 512,256")
+    for key in CONFIG_KEYS:  # no type=: build_train_config parses flags and file alike
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=FLAG_HELP.get(key))
     p.add_argument("--config", default=None, help="flat key = value config file")
 
 

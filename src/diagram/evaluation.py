@@ -130,8 +130,9 @@ class LinkSample:
 
 
 def _bfs_connected(adj, src, dst) -> bool:
-    """Whether ``src`` and ``dst`` are connected in the set adjacency ``adj``.
+    """Whether ``src`` and ``dst`` are connected in the adjacency ``adj``.
 
+    ``adj[u]`` iterates u's neighbours, whether it is a set or a dict.
     Searches from both ends, a level at a time, growing the smaller
     frontier: True once the two searches meet, False once either runs out,
     since that side has then seen its whole component.
@@ -155,13 +156,28 @@ def _bfs_connected(adj, src, dst) -> bool:
     return False
 
 
+def _link(adj: list[dict], u: int, v: int, step: int) -> None:
+    """Add (``step`` 1) or take away (-1) one edge between u and v in a counted adjacency.
+
+    ``adj[u][v]`` counts the edges joining u and v in either direction, a
+    self-loop twice; a link goes once its count reaches 0.
+    """
+    for a, b in ((u, v), (v, u)):
+        count = adj[a].get(b, 0) + step
+        if count:
+            adj[a][b] = count
+        else:
+            del adj[a][b]
+
+
 def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> LinkSample:
     """Remove ceil(percent * m / 100) edges without breaking weak connectivity.
 
     Candidate edges are visited in a seeded shuffled order; an edge is
     removed only if its endpoints stay weakly connected in the residual
     (so the weak-component structure of the graph is preserved exactly).
-    Equally many uniform ordered non-edges are drawn as false samples.
+    A self-loop, and an edge whose reverse is still there, always pass.
+    Equally many distinct uniform ordered non-edges are drawn as false samples.
     """
     m = graph.edge_count
     n = graph.node_count
@@ -174,71 +190,43 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
         raise SamplingError("not enough non-edges for balanced false samples")
 
     edges = graph.edge_list
-    adj: list[set] = [set() for _ in range(n)]
-    pair_count: dict[tuple[int, int], int] = {}
+    adj: list[dict] = [{} for _ in range(n)]
     for u, v in edges:
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        c = pair_count.get(key, 0)
-        if c == 0:
-            adj[u].add(v)
-            adj[v].add(u)
-        pair_count[key] = c + 1
-
+        _link(adj, int(u), int(v), 1)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(m)
-    removed: list[int] = []
-    for ei in order:
-        if len(removed) == quota:
+    removed = np.zeros(m, dtype=bool)
+    taken = 0
+    for ei in rng.permutation(m):
+        if taken == quota:
             break
-        u, v = int(edges[ei, 0]), int(edges[ei, 1])
-        if u == v:
-            removed.append(ei)  # self-loop removal cannot disconnect anything
-            continue
-        key = (u, v) if u < v else (v, u)
-        if pair_count[key] == 2:
-            pair_count[key] = 1  # reciprocal partner keeps the pair connected
-            removed.append(ei)
-            continue
-        adj[u].discard(v)
-        adj[v].discard(u)
+        u, v = edges[ei].tolist()
+        _link(adj, u, v, -1)
         if _bfs_connected(adj, u, v):
-            pair_count[key] = 0
-            removed.append(ei)
+            removed[ei] = True
+            taken += 1
         else:
-            adj[u].add(v)
-            adj[v].add(u)
-    if len(removed) < quota:
-        raise SamplingError(
-            f"requested {quota} removable edges but only achieved {len(removed)}"
-        )
+            _link(adj, u, v, 1)
+    if taken < quota:
+        raise SamplingError(f"requested {quota} removable edges but only achieved {taken}")
 
-    existing = {(int(u), int(v)) for u, v in edges}
-    false_pairs: list[tuple[int, int]] = []
-    chosen: set[tuple[int, int]] = set()
-    while len(false_pairs) < quota:
-        draw = rng.integers(0, n, size=(max(4 * (quota - len(false_pairs)), 16), 2))
-        for u, v in draw:
-            u, v = int(u), int(v)
-            if u == v or (u, v) in existing or (u, v) in chosen:
-                continue
-            chosen.add((u, v))
-            false_pairs.append((u, v))
-            if len(false_pairs) == quota:
-                break
+    seen = set(map(int, edges[:, 0] * n + edges[:, 1]))  # edges, then the pairs drawn
+    drawn: list[int] = []
+    while len(drawn) < quota:
+        draw = rng.integers(0, n, size=(max(4 * (quota - len(drawn)), 16), 2))
+        draw = draw[draw[:, 0] != draw[:, 1]]
+        for key in (draw[:, 0] * n + draw[:, 1]).tolist():
+            if key not in seen:
+                seen.add(key)
+                drawn.append(key)
+                if len(drawn) == quota:
+                    break
 
-    removed_set = set(int(i) for i in removed)
-    kept = np.array([i for i in range(m) if i not in removed_set], dtype=np.int64)
-    meta = dict(graph.metadata)
-    meta.update({"link_prediction_removed": quota, "link_prediction_seed": int(seed),
-                 "link_prediction_percent": float(percent)})
-    residual = DirectedGraph(graph.node_ids, edges[kept], meta)
-
-    true_pairs = edges[np.array(sorted(removed_set), dtype=np.int64)]
-    pairs = np.vstack([true_pairs, np.array(false_pairs, dtype=np.int64)])
-    labels = np.concatenate([np.ones(quota, dtype=np.int64),
-                             np.zeros(quota, dtype=np.int64)])
+    meta = {**graph.metadata, "link_prediction_removed": quota,
+            "link_prediction_seed": int(seed), "link_prediction_percent": float(percent)}
+    residual = DirectedGraph(graph.node_ids, edges[~removed], meta)
+    false_pairs = np.column_stack(np.divmod(np.array(drawn, dtype=np.int64), n))
+    pairs = np.vstack([edges[removed], false_pairs])
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), quota)
     return LinkSample(pairs, labels, residual, int(seed), float(percent))
 
 
@@ -446,6 +434,19 @@ def _constructor_names(constructors) -> list[str]:
     return names
 
 
+def _fold_splits(y, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) indices of ``N_FOLDS`` stratified folds; a single-class side is refused."""
+    splits = []
+    for test_idx in stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed)):
+        train = np.ones(y.size, dtype=bool)
+        train[test_idx] = False
+        train_idx = np.flatnonzero(train)
+        if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[test_idx])) < 2:
+            raise EvaluationError("degenerate single-class fold")
+        splits.append((train_idx, test_idx))
+    return splits
+
+
 def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
                          constructors=EDGE_CONSTRUCTORS, mode: str = "directed",
                          seed: int = 0) -> "EvalReport":
@@ -458,18 +459,12 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
     ctors = _constructor_names(constructors)
-    folds = stratified_fold_indices(y, N_FOLDS, np.random.default_rng(seed))
-    all_idx = np.arange(y.size)
+    splits = _fold_splits(y, seed)
     groups = []
     for ctor in ctors:
         feats = edge_feature_matrix(emb, sample.pairs, ctor, mode)
         aucs, f1s = [], []
-        for test_idx in folds:
-            train_mask = np.ones(y.size, dtype=bool)
-            train_mask[test_idx] = False
-            train_idx = all_idx[train_mask]
-            if len(np.unique(y[train_idx])) < 2 or len(np.unique(y[test_idx])) < 2:
-                raise EvaluationError("degenerate single-class fold")
+        for train_idx, test_idx in splits:
             w = logistic_regression_fit(feats[train_idx], y[train_idx])
             proba = logistic_predict_proba(w, feats[test_idx])
             aucs.append(auc_score(y[test_idx], proba))
@@ -492,6 +487,7 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
     """
     _constructor_names(constructors)
     sample = sample_link_prediction(graph, percent, seed)
+    _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training
     cfg = cfg or TrainConfig(seed=seed)
     if variant == "node":
         result = train_node_model(sample.residual_graph, features, cfg)

@@ -218,8 +218,11 @@ class TestConfigFile:
         ("learning_rate = 5\n", [], "unknown key(s) learning_rate"),
         ("trunk =\n", [], "nonempty trunk"),
         ("", ["--trunk", "8,x"], "--trunk: bad trunk '8,x'"),
+        ("", ["--epochs", "x"], "--epochs: bad epochs 'x'"),
+        ("", ["--lr", "x"], "--lr: bad lr 'x'"),
     ], ids=["uncastable-value", "zero-batch-flag", "dropout-flag", "nan-lr", "negative-seed",
-            "unknown-key", "empty-trunk", "uncastable-flag"])
+            "unknown-key", "empty-trunk", "uncastable-flag", "uncastable-epochs-flag",
+            "uncastable-lr-flag"])
     def test_bad_setting_exits_1_naming_its_source(self, dataset_arg, tmp_path, capsys,
                                                    text, flags, message):
         cfg = tmp_path / "run.cfg"
@@ -227,10 +230,31 @@ class TestConfigFile:
         assert run(["train", "--dataset", dataset_arg, "--config", cfg,
                     "--out", tmp_path / "run", *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
         if text:
             assert str(cfg) in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("stem, flags, text, want", [
+        ("toy", [], "", 0.2),
+        ("CiteSeer-mini", [], "", 0.1),
+        ("my_citeseer", [], "", 0.1),
+        ("CITESEER", ["--dropout", "0.3"], "", 0.3),
+        ("citeseer", [], "dropout = 0.05\n", 0.05),
+        ("toy", [], "dropout = 0\n", 0.0),
+    ], ids=["other-name", "mixed-case", "lower-case", "flag-overrides", "file-overrides",
+            "file-sets-zero"])
+    def test_dropout_default_follows_the_dataset_name(self, fixture_dataset, tmp_path,
+                                                      stem, flags, text, want):
+        for path in fixture_dataset:
+            (tmp_path / (stem + path.suffix)).write_bytes(path.read_bytes())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", tmp_path / stem, "--config", cfg, "--out", out,
+                    *FAST, *flags]) == 0
+        written = json.loads((out / "run_config.json").read_text())
+        assert written["dataset"] == stem and written["dropout"] == want
 
     def test_non_utf8_config_exits_1_naming_its_line(self, dataset_arg, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -289,6 +313,26 @@ class TestExportAndEval:
                    "--k-list", "5", "--out", tmp_path / "e"])
         assert ret == 1
         assert "fingerprint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
+                                         ["eval", "reconstruct", "--k-list", "5"]],
+                             ids=["classify", "reconstruct"])
+    def test_eval_refuses_embeddings_in_another_node_order(self, dataset_arg, trained,
+                                                          tmp_path, capsys, fmt, command):
+        # the rows reversed under the same header, fingerprint included
+        header, *rows = (trained / "node_embeddings.tsv").read_text().splitlines(keepends=True)
+        path = tmp_path / "reversed.tsv"
+        path.write_text(header + "".join(reversed(rows)))
+        if fmt == "binary":
+            path = tmp_path / "reversed.bin"
+            gm.export_embeddings(import_embeddings(tmp_path / "reversed.tsv"), path, fmt)
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: embeddings {path}: node ids are not the dataset's node ids "
+                       "in the dataset's order\n")
+        assert not (tmp_path / "o").exists()
 
     def test_eval_classify_writes_reports(self, dataset_arg, trained, tmp_path):
         out = tmp_path / "cls"

@@ -358,6 +358,39 @@ class TestTwoEndedSearch:
         assert adj == before
         assert True in got and False in got
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_one_ended_bfs_on_the_counted_adjacency(self, seed):
+        # the sampler's own adjacency: neighbour -> edges joining the two,
+        # with self-loops, reciprocal pairs and five isolated nodes
+        rng = np.random.default_rng(seed)
+        n = 40
+        edges = {(u, v) for u, v in rng.integers(0, n - 5, size=(30, 2)).tolist()}
+        edges |= {(v, u) for u, v in list(edges)[:8]} | {(u, u) for u in range(0, n - 5, 7)}
+        adj: list[dict] = [{} for _ in range(n)]
+        for u, v in sorted(edges):
+            evaluation._link(adj, u, v, 1)
+        counts = [(u, v, c) for u, a in enumerate(adj) for v, c in a.items()]
+        assert (0, 0, 2) in counts and any(c == 2 and u != v for u, v, c in counts)
+        before = [dict(a) for a in adj]
+        pairs = [(src, dst) for src in range(n) for dst in range(n)]
+        got = [evaluation._bfs_connected(adj, src, dst) for src, dst in pairs]
+        assert got == [one_ended_connected(adj, src, dst) for src, dst in pairs]
+        assert adj == before
+        assert True in got and False in got
+
+
+class TestCountedAdjacency:
+    def test_link_counts_edges_either_way_and_drops_at_zero(self):
+        adj: list[dict] = [{}, {}, {}]
+        for u, v in [(0, 1), (1, 0), (2, 2)]:
+            evaluation._link(adj, u, v, 1)
+        assert adj == [{1: 2}, {0: 2}, {2: 2}]  # a reciprocal pair, a self-loop twice
+        evaluation._link(adj, 1, 0, -1)
+        assert adj == [{1: 1}, {0: 1}, {2: 2}]
+        evaluation._link(adj, 0, 1, -1)
+        evaluation._link(adj, 2, 2, -1)
+        assert adj == [{}, {}, {}]
+
 
 class TestSamplerMatchesOneEndedOracle:
     """The link sampler draws what the one-ended BFS sampler draws, and fails alike."""
@@ -723,6 +756,15 @@ class TestLinkPredictionEval:
             link_prediction_eval(emb, sample, constructors=("hadamard", "foo"))
         assert fits == []
 
+    def test_degenerate_fold_rejected_before_any_fit(self, monkeypatch):
+        # quota 2 of 5 edges: with 3 folds, one test fold holds no pair
+        sample = sample_link_prediction(five_edge_graph(), 40.0, seed=0)
+        assert int(sample.labels.sum()) == 2
+        fits = count_fits(monkeypatch)
+        with pytest.raises(EvaluationError, match="degenerate single-class fold"):
+            link_prediction_eval(make_embeddings(4, 3, seed=1), sample)
+        assert fits == []
+
 
 class TestNodeClassification:
     def test_one_hot_embeddings_classify_perfectly(self):
@@ -906,6 +948,11 @@ class TestOneVsRestMatchesPerClassOracle:
         assert link_prediction_eval(emb, sample, seed=3).as_dict() == got
 
 
+def five_edge_graph() -> DirectedGraph:
+    """A triangle with one reciprocal side and a pendant edge: two edges can go."""
+    return DirectedGraph(["a", "b", "c", "d"], np.array([(0, 1), (1, 0), (1, 2), (2, 0), (2, 3)]))
+
+
 class TestFullProtocol:
     def test_protocol_trains_on_residual_and_reports(self, tmp_path):
         g = random_digraph(20, 60, seed=10, ensure_connected=True)
@@ -953,6 +1000,17 @@ class TestFullProtocol:
             run_link_prediction_protocol(random_digraph(20, 60, seed=10),
                                          random_features(20, 6, seed=11), 10.0, 1,
                                          constructors=("Hadamard", "foo"))
+
+    def test_degenerate_fold_rejected_before_training(self, monkeypatch):
+        trainings = []
+        for fn in ("train_node_model", "train_edge_model"):
+            monkeypatch.setattr(evaluation, fn, lambda *a, fn=fn, **k: trainings.append(fn))
+        fits = count_fits(monkeypatch)
+        for variant in ("node", "edge"):
+            with pytest.raises(EvaluationError, match="degenerate single-class fold"):
+                run_link_prediction_protocol(five_edge_graph(), random_features(4, 3, seed=2),
+                                             40.0, 1, variant=variant)
+        assert trainings == [] and fits == []
 
     def test_repeated_constructor_rejected_before_sampling(self, monkeypatch):
         def sample(*args):
