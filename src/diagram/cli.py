@@ -58,8 +58,10 @@ def parse_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise DiagramError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise DiagramError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = val
     return out
 
 
@@ -117,6 +119,15 @@ def _list_arg(flag: str, text, cast=str) -> list:
     return items
 
 
+def _parsed(origin: str, key: str, raw, parse=int):
+    """``parse(raw)``, or None for None. A ValueError becomes one error line that
+    names ``origin``: flags take no argparse ``type=``, so a bad value exits 1, not 2."""
+    try:
+        return None if raw is None else parse(raw)
+    except ValueError as exc:
+        raise DiagramError(f"{origin}: bad {key} {raw!r}: {exc}") from exc
+
+
 def build_train_config(args, name: str) -> gm.TrainConfig:
     """Settings by precedence: flag, then ``--config`` file, then TrainConfig's default."""
     path = getattr(args, "config", None)
@@ -135,10 +146,7 @@ def build_train_config(args, name: str) -> gm.TrainConfig:
         else:
             continue
         origins.append(origin)
-        try:
-            settings[name_in_cfg] = parse(raw)
-        except ValueError as exc:
-            raise DiagramError(f"{origin}: bad {key} {raw!r}: {exc}") from exc
+        settings[name_in_cfg] = _parsed(origin, key, raw, parse)
     try:
         return gm.TrainConfig(**settings)
     except ValueError as exc:
@@ -177,15 +185,16 @@ def _load_checkpoint(path, graph, features):
 
 
 def cmd_train(args) -> int:
+    node_epochs = _parsed("--node-epochs", "node_epochs", args.node_epochs)
     if args.variant == "node" and args.transfer_from is not None:
         raise DiagramError("--transfer-from: applies to --variant edge only")
-    if args.variant == "node" and args.node_epochs is not None:
+    if args.variant == "node" and node_epochs is not None:
         raise DiagramError("--node-epochs: applies to --variant edge only")
-    if args.transfer_from is not None and args.node_epochs is not None:
+    if args.transfer_from is not None and node_epochs is not None:
         raise DiagramError("--node-epochs: does not apply with --transfer-from, "
                            "whose checkpoint is the node model")
-    if args.node_epochs is not None and args.node_epochs < 0:
-        raise DiagramError(f"--node-epochs: must be >= 0, got {args.node_epochs}")
+    if node_epochs is not None and node_epochs < 0:
+        raise DiagramError(f"--node-epochs: must be >= 0, got {node_epochs}")
     graph, features, labels, name = load_dataset(args)
     cfg = build_train_config(args, name)
     provenance = {}  # where the edge model's starting node model came from
@@ -193,12 +202,12 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, transfer_from=_load_checkpoint(args.transfer_from, graph, features)[0])
         provenance["transfer_from"] = args.transfer_from
     elif args.variant == "edge":
-        provenance["auto_node_epochs"] = (gm.DEFAULT_NODE_EPOCHS if args.node_epochs is None
-                                          else args.node_epochs)
+        provenance["auto_node_epochs"] = (gm.DEFAULT_NODE_EPOCHS if node_epochs is None
+                                          else node_epochs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = (gm.train_node_model(graph, features, cfg) if args.variant == "node"
-              else gm.train_edge_model(graph, features, cfg, args.node_epochs))
+              else gm.train_edge_model(graph, features, cfg, node_epochs))
 
     fingerprint = gdata.dataset_fingerprint(graph, features)
     run_cfg = {
@@ -274,16 +283,17 @@ def cmd_eval_reconstruct(args) -> int:
 
 
 def cmd_eval_linkpred(args) -> int:
+    percent = _parsed("--p", "p", args.p, float)
     graph, features, labels, name = load_dataset(args)
     cfg = build_train_config(args, name)
     modes = ("directed", "symmetric") if args.mode == "both" else (args.mode,)
     reports, sample, _result = ev.run_link_prediction_protocol(
-        graph, features, args.p, cfg.seed, args.variant, cfg,
+        graph, features, percent, cfg.seed, args.variant, cfg,
         constructors=_list_arg("--constructors", args.constructors, str.lower), modes=modes,
     )
     for mode, report in reports.items():
         _write_report(report, args.out, f"linkpred_{mode}",
-                      f"link prediction on {name} (p={_fmt(args.p)}, {mode}, "
+                      f"link prediction on {name} (p={_fmt(percent)}, {mode}, "
                       f"variant {args.variant}, |true|={int(sample.labels.sum())})")
         report.to_plot_csv(Path(args.out) / f"linkpred_{mode}_plot.csv")
     return 0
@@ -294,7 +304,8 @@ def cmd_eval_classify(args) -> int:
     emb = _load_embeddings_checked(args, graph, features)
     report = ev.node_classification_eval(
         emb, labels, train_ratios=_list_arg("--ratios", args.ratios, int),
-        repetitions=args.repetitions, features=args.clf_features, seed=args.seed or 0,
+        repetitions=_parsed("--repetitions", "repetitions", args.repetitions),
+        features=args.clf_features, seed=_parsed("--seed", "seed", args.seed),
     )
     _write_report(report, args.out, "classify",
                   f"node classification on {name} (variant {emb.variant}, "
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_train_args(p)
     p.add_argument("--variant", choices=("node", "edge"), default="node")
-    p.add_argument("--node-epochs", type=int, default=None, dest="node_epochs",
+    p.add_argument("--node-epochs", default=None, dest="node_epochs",
                    help="epochs for the auto-chained node model (edge variant)")
     p.add_argument("--transfer-from", default=None, dest="transfer_from",
                    help="node checkpoint to fine-tune from (edge variant)")
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample edges, retrain on the residual, classify pairs")
     _add_dataset_args(p)
     _add_train_args(p)
-    p.add_argument("--p", type=float, default=10.0, help="percent of edges to remove")
+    p.add_argument("--p", default=10.0, help="percent of edges to remove")
     p.add_argument("--variant", choices=("node", "edge"), default="edge")
     p.add_argument("--constructors", default="average,hadamard,w-l1,w-l2")
     p.add_argument("--mode", choices=("directed", "symmetric", "both"),
@@ -378,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--ratios", default="10,30,50",
                    help="percentages of each class's nodes to train on")
-    p.add_argument("--repetitions", type=int, default=10)
+    p.add_argument("--repetitions", default=10)
     p.add_argument("--clf-features", choices=("z", "zoi"), default="z",
                    dest="clf_features")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_classify)
 

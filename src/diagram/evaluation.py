@@ -539,6 +539,8 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise ValueError(f"unknown feature selection {features!r}")
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
+    if seed < 0:
+        raise EvaluationError(f"seed must be >= 0, got {seed}")
     _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
     classes, sizes = np.unique(y, return_counts=True)
     for ratio in train_ratios:

@@ -46,8 +46,6 @@ DEFAULT_TRUNK = (512, 256)
 DEFAULT_EMBEDDING_DIM = 128
 DEFAULT_NODE_EPOCHS = 30
 DEFAULT_EDGE_EPOCHS = 2
-# Nodes per encoder call in compute_embeddings.
-EMBED_CHUNK = 256
 # Version of the npz container that checkpoints and binary embeddings share.
 ARCHIVE_VERSION = 1
 
@@ -322,19 +320,12 @@ def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
                        features: FeatureMatrix, variant: str) -> EmbeddingSet:
     """Inference-mode embeddings for every node: the encoder alone, no dropout.
 
-    Each chunk of ``EMBED_CHUNK`` nodes feeds its CSR row slices to the
-    input heads; no dense row is built.
+    Each channel's encoder runs once over that channel's whole CSR input;
+    no dense row is built.
     """
     M, MT, AD = _graph_tensors(graph, features)
-    inputs = {"content": AD, "out": M, "in": MT}
-    n, k = graph.node_count, model.embedding_dim
-    z = np.empty((n, k))
-    o = np.empty((n, k))
-    i = np.empty((n, k))
-    for start in range(0, n, EMBED_CHUNK):
-        rows = slice(start, min(start + EMBED_CHUNK, n))
-        for channel, out in zip(CHANNELS, (z, o, i)):
-            out[rows] = model._encode(channel, CSRRows(inputs[channel][rows]), [])
+    z, o, i = (model._encode(channel, CSRRows(rows), [])
+               for channel, rows in zip(CHANNELS, (AD, M, MT)))
     return EmbeddingSet(z, o, i, list(graph.node_ids), variant,
                         dataset_fingerprint(graph, features))
 

@@ -249,7 +249,6 @@ class Adam:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._buf = np.empty((2, self.BLOCK))
-        self._ok = np.empty(self.BLOCK, dtype=bool)
 
     def _check(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
         if g.shape != p.shape:
@@ -258,19 +257,14 @@ class Adam:
             raise ValueError(f"parameter {name} is not C-contiguous")
         flat = g.reshape(-1)
         # A finite sum of squares means every entry is finite and below
-        # about 1e154, so the blocks are scanned only when it is not. NaN
-        # fails the scan's comparison too.
+        # about 1e154, so the entries are compared only when it is not. NaN
+        # fails the comparison too.
         with np.errstate(over="ignore"):
             if np.isfinite(np.dot(flat, flat)):
                 return
-        for lo in range(0, flat.size, self.BLOCK):
-            blk = flat[lo:lo + self.BLOCK]
-            mag, ok = self._buf[0, :blk.size], self._ok[:blk.size]
-            np.abs(blk, out=mag)
-            np.less_equal(mag, self.GRAD_LIMIT, out=ok)
-            if not ok.all():
-                raise TrainingError(f"gradient for parameter {name!r} is non-finite "
-                                    f"or above {self.GRAD_LIMIT:g} in magnitude")
+        if not (np.abs(flat) <= self.GRAD_LIMIT).all():
+            raise TrainingError(f"gradient for parameter {name!r} is non-finite "
+                                f"or above {self.GRAD_LIMIT:g} in magnitude")
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         for name, p in params.items():

@@ -196,14 +196,15 @@ def dense_loss_term(pred, target, support, mu):
 
 
 def full_forward_embeddings(model, graph, features, variant: str) -> gm.EmbeddingSet:
-    """``compute_embeddings`` through the full forward pass, decoder included."""
+    """``compute_embeddings`` through the full forward pass, decoder included,
+    in chunks of 256 nodes."""
     M, MT, AD = gm._graph_tensors(graph, features)
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
-    for start in range(0, n, gm.EMBED_CHUNK):
-        idx = np.arange(start, min(start + gm.EMBED_CHUNK, n))
+    for start in range(0, n, 256):
+        idx = np.arange(start, min(start + 256, n))
         batches = gm._node_batches(idx, M, MT, AD)
         z[idx] = model._forward("content", CSRRows(batches["content"].rows))[0]
         o[idx] = model._forward("out", CSRRows(batches["out"].rows))[0]

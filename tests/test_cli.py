@@ -220,9 +220,10 @@ class TestConfigFile:
         ("", ["--trunk", "8,x"], "--trunk: bad trunk '8,x'"),
         ("", ["--epochs", "x"], "--epochs: bad epochs 'x'"),
         ("", ["--lr", "x"], "--lr: bad lr 'x'"),
+        ("epochs = 1\nseed = 2\nepochs = 0\n", [], ":3: repeated key 'epochs'"),
     ], ids=["uncastable-value", "zero-batch-flag", "dropout-flag", "nan-lr", "negative-seed",
             "unknown-key", "empty-trunk", "uncastable-flag", "uncastable-epochs-flag",
-            "uncastable-lr-flag"])
+            "uncastable-lr-flag", "repeated-key"])
     def test_bad_setting_exits_1_naming_its_source(self, dataset_arg, tmp_path, capsys,
                                                    text, flags, message):
         cfg = tmp_path / "run.cfg"
@@ -265,6 +266,16 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}:2: ") and "not UTF-8" in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
+
+    def test_comment_and_blank_lines_are_skipped(self, dataset_arg, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run\n\nepochs = 3  # short\n   \n  # k = 9\nseed=4\n")
+        assert parse_config_file(cfg) == {"epochs": "3", "seed": "4"}
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", dataset_arg, "--config", cfg, "--k", "4",
+                    "--trunk", "8,4", "--out", out]) == 0
+        written = json.loads((out / "run_config.json").read_text())
+        assert (written["epochs"], written["seed"], written["embedding_dim"]) == (3, 4, 4)
 
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -376,16 +387,24 @@ class TestExportAndEval:
         ("train", ["--node-epochs", "3"], "--node-epochs: applies to --variant edge only"),
         ("train", ["--variant", "edge", "--transfer-from", "missing.npz", "--node-epochs", "3"],
          "--node-epochs: does not apply with --transfer-from"),
+        ("eval classify", ["--repetitions", "x"], "--repetitions: bad repetitions 'x'"),
+        ("eval classify", ["--seed", "x"], "--seed: bad seed 'x'"),
+        ("eval classify", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("eval linkpred", ["--p", "x"], "--p: bad p 'x'"),
+        ("train", ["--node-epochs", "x"], "--node-epochs: bad node_epochs 'x'"),
     ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
             "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs",
             "repeated-k", "repeated-ratio", "repeated-constructor", "mixed-case-constructor",
-            "node-transfer-from", "node-node-epochs", "edge-transfer-from-node-epochs"])
+            "node-transfer-from", "node-node-epochs", "edge-transfer-from-node-epochs",
+            "bad-repetitions", "bad-classify-seed", "negative-classify-seed", "bad-p",
+            "bad-node-epochs"])
     def test_malformed_argument_exits_1_before_any_training(
             self, dataset_arg, trained, tmp_path, capsys, monkeypatch, command, flags, message):
         trainings = []
         for module in (ev, gm):
             for fn in ("train_node_model", "train_edge_model"):
                 monkeypatch.setattr(module, fn, lambda *a, fn=fn, **k: trainings.append(fn))
+        monkeypatch.setattr(ev, "logistic_regression_fit", lambda *a: trainings.append("fit"))
         extra = (["--embeddings", trained / "node_embeddings.tsv"]
                  if command in ("eval reconstruct", "eval classify") else FAST)
         assert run([*command.split(), "--dataset", dataset_arg, "--out", tmp_path / "o",
@@ -404,6 +423,23 @@ class TestExportAndEval:
             assert len(report["table"]) == 4
             plot = (out / f"linkpred_{mode}_plot.csv").read_text().splitlines()
             assert plot[0] == "constructor,mean,std"
+
+    def test_eval_linkpred_node_variant_trains_the_node_model(self, dataset_arg, tmp_path,
+                                                              monkeypatch):
+        trained = []
+        for fn in ("train_node_model", "train_edge_model"):
+            real = getattr(ev, fn)
+            monkeypatch.setattr(ev, fn, lambda *a, fn=fn, real=real, **k:
+                                trained.append(fn) or real(*a, **k))
+        out = tmp_path / "lp"
+        assert run(["eval", "linkpred", "--dataset", dataset_arg, "--p", "15",
+                    "--variant", "node", "--constructors", "hadamard", "--out", out,
+                    *FAST]) == 0
+        assert trained == ["train_node_model"]
+        report = json.loads((out / "linkpred_directed.json").read_text())
+        assert report["config"]["variant"] == "node" and len(report["table"]) == 1
+        assert report["config"]["train"]["transfer_from"] is False
+        assert report["config"]["train"]["epochs"] == 2
 
     def test_eval_linkpred_deterministic_files(self, dataset_arg, tmp_path):
         args = ["eval", "linkpred", "--dataset", dataset_arg, "--p", "15",

@@ -545,6 +545,22 @@ class TestCheckpointIO:
         with pytest.raises(EmbeddingFormatError, match=f"shape mismatch for {name}"):
             load_model(path)
 
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_tensor_names_not_matching_the_architecture_are_typed_error(
+            self, toy_graph, toy_features, tmp_path, change):
+        tensors = dict(small_model(toy_graph, toy_features, seed=16).parameters())
+        if change == "missing":
+            del tensors["embed.b"]
+        else:
+            tensors["in_head.W"] = tensors["directed_head.W"]
+        path = tmp_path / "model.npz"
+        write_npz(path, tensors, {"version": 1, "kind": "diagram-model",
+                                  "node_count": 6, "feature_dim": 4,
+                                  "trunk_dims": [8, 4], "embedding_dim": 3})
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"model\.npz: tensor names do not match architecture"):
+            load_model(path)
+
     def test_npy_file_is_typed_error(self, tmp_path):
         np.save(tmp_path / "m.npy", np.zeros(3))
         with pytest.raises(EmbeddingFormatError, match=r"cannot read checkpoint \S*m\.npy"):
@@ -612,6 +628,15 @@ class TestEmbeddingIO:
         assert np.array_equal(back.z, emb.z)
         assert np.array_equal(back.i, emb.i)
         assert back.node_ids == emb.node_ids
+
+    def test_text_file_without_fingerprint_reads_back_empty(self, tmp_path):
+        emb = self._random_set(n=3, k=2)
+        emb.fingerprint = ""
+        path = tmp_path / "emb.tsv"
+        export_embeddings(emb, path, "text")
+        assert path.read_text().splitlines()[0] == "DIAGRAM v1 3 2 edge -"
+        back = import_embeddings(path)
+        assert back.fingerprint == "" and np.array_equal(back.o, emb.o)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_text_export_bytes_match_one_string_rendering(self, tmp_path, k):
@@ -790,14 +815,3 @@ class TestEmbeddingIO:
         grads = model.gradients()  # made on first read, as zeros
         assert all(grads[k].shape == p.shape and not grads[k].any()
                    for k, p in model.parameters().items())
-
-    def test_compute_embeddings_chunking_consistent(self, toy_graph, toy_features,
-                                                    monkeypatch):
-        model = small_model(toy_graph, toy_features, seed=13)
-        monkeypatch.setattr(gm, "EMBED_CHUNK", 2)
-        a = compute_embeddings(model, toy_graph, toy_features, "node")
-        monkeypatch.setattr(gm, "EMBED_CHUNK", 64)
-        b = compute_embeddings(model, toy_graph, toy_features, "node")
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.o, b.o)
-        assert np.array_equal(a.i, b.i)

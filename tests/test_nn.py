@@ -419,7 +419,7 @@ class TestAdam:
         assert np.array_equal(p["a"], np.ones(3))
 
     def test_huge_finite_gradient_passes_bit_identical_to_reference(self):
-        # the sum of squares overflows, so the check falls back to the scan
+        # the sum of squares overflows, so the check compares every entry
         rng = np.random.default_rng(4)
         p_new = {"a": rng.normal(size=3 * Adam.BLOCK + 5), "b": rng.normal(size=4)}
         p_ref = {k: v.copy() for k, v in p_new.items()}

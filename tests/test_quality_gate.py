@@ -21,6 +21,13 @@ model trained at too high a learning rate ranks training edges above
 their reversals almost perfectly while its held-out AUC falls to chance.
 The margins were set from the measured metrics of seeds 1–8 before the
 input heads went sparse; they must not be loosened.
+
+Two negative controls show that the P@K check can fail: it rejects the
+model with either of its load-bearing mechanisms (see the ``diagram.model``
+docstring) taken out. On seeds 1–3, at 1 and 2 BLAS threads alike,
+separate directed heads lost to the node model at K = 400 on every seed,
+and an edge model without the adjusted term lost at K = 100 on every
+seed. Each control runs the one seed with the widest loss.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import pytest
 from diagram.data import load_citation_dataset
 from diagram.evaluation import (network_reconstruction, node_classification_eval,
                                 run_link_prediction_protocol)
+import diagram.model as gm
 from diagram.model import TrainConfig, train_edge_model, train_node_model
+from diagram.nn import Linear
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -60,18 +69,36 @@ def gate_config(seed: int) -> TrainConfig:
                        dropout=0.1, learning_rate=1e-4)
 
 
-def gate_metrics(seed: int, work: Path) -> dict:
-    """Every metric the gate asserts on, for one seed."""
-    ds = gen.generate("gate", seed)
-    graph, features, labels = load_citation_dataset(*gen.write(ds, work / f"gate{seed}"))
-    cfg = gate_config(seed)
+def gate_dataset(seed: int, work: Path):
+    """The planted graph of one seed: (graph, features, labels)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(gen.SHAPES, "gate", GATE_SHAPE)
+        ds = gen.generate("gate", seed)
+    return load_citation_dataset(*gen.write(ds, work / f"gate{seed}"))
 
+
+def reconstruction_chain(graph, features, cfg: TrainConfig):
+    """The node model, the edge model trained from it, and each one's directed P@K."""
     node = train_node_model(graph, features, replace(cfg, epochs=30))
     edge = train_edge_model(graph, features, replace(cfg, epochs=2, transfer_from=node.model))
     precision = {}
     for name, result in (("node", node), ("edge", edge)):
         report = network_reconstruction(result.embeddings, graph, K_LIST, "directed")
         precision[name] = [row["precision"] for row in report.table]
+    return edge, precision
+
+
+def p_at_k_losses(precision_node, precision_edge) -> list[int]:
+    """The K at which the edge model reconstructs worse than the node model."""
+    return [k for k, p_node, p_edge in zip(K_LIST, precision_node, precision_edge)
+            if p_edge < p_node]
+
+
+def gate_metrics(seed: int, work: Path) -> dict:
+    """Every metric the gate asserts on, for one seed."""
+    graph, features, labels = gate_dataset(seed, work)
+    cfg = gate_config(seed)
+    edge, precision = reconstruction_chain(graph, features, cfg)
 
     reports, sample, held = run_link_prediction_protocol(
         graph, features, LINK_PERCENT, seed, "edge", replace(cfg, epochs=2),
@@ -103,16 +130,12 @@ def gate_metrics(seed: int, work: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def gate(tmp_path_factory):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(gen.SHAPES, "gate", GATE_SHAPE)
-        return {seed: gate_metrics(seed, tmp_path_factory.mktemp(f"gate{seed}"))
-                for seed in SEEDS}
+    return {seed: gate_metrics(seed, tmp_path_factory.mktemp(f"gate{seed}")) for seed in SEEDS}
 
 
 def test_edge_model_reconstructs_at_least_as_well_as_node_model(gate):
     for seed, m in gate.items():
-        for k, p_node, p_edge in zip(K_LIST, m["precision_node"], m["precision_edge"]):
-            assert p_edge >= p_node, (seed, k, m)
+        assert p_at_k_losses(m["precision_node"], m["precision_edge"]) == [], (seed, m)
 
 
 def test_directed_link_features_beat_symmetric_on_held_out_edges(gate):
@@ -130,3 +153,51 @@ def test_held_out_one_way_edges_outrank_their_reversal(gate):
 def test_z_classification_beats_majority_class(gate):
     for seed, m in gate.items():
         assert m["micro_f1"] - m["majority"] >= MAJORITY_MARGIN, (seed, m)
+
+
+# -- negative controls -----------------------------------------------------------
+
+
+class SeparateDirectedHeads(gm.DiagramModel):
+    """Ablation: the in channel gets its own input and reconstruction heads,
+    built after the shared ones (so the rng stream differs from there on)."""
+
+    def __init__(self, node_count, feature_dim, trunk_dims, embedding_dim, rng=None):
+        super().__init__(node_count, feature_dim, trunk_dims, embedding_dim, rng)
+        width = self.trunk_dims[0]
+        self.layers["in_head"] = Linear(node_count, width, rng, sparse_input=True)
+        self.layers["in_recon"] = Linear(width, node_count, rng)
+
+
+def ablated_chain(seed: int, work: Path):
+    """The reconstruction chain on one gate seed; returns the edge model and the
+    K at which the gate's P@K check fails."""
+    graph, features, _ = gate_dataset(seed, work)
+    edge, precision = reconstruction_chain(graph, features, gate_config(seed))
+    return edge, p_at_k_losses(precision["node"], precision["edge"])
+
+
+def test_gate_rejects_separate_directed_heads(tmp_path, monkeypatch):
+    monkeypatch.setattr(gm, "DiagramModel", SeparateDirectedHeads)
+    monkeypatch.setitem(gm.HEAD, "in", "in")
+    # measured: edge P@K 0.02/0.035/0.0475 against the node model's 0.08/0.065/0.055
+    edge, losses = ablated_chain(3, tmp_path)
+    assert "in_head" in edge.model.layers
+    assert losses, "the P@K check passed a model with separate directed heads"
+
+
+def test_gate_rejects_edge_model_without_adjusted_term(tmp_path, monkeypatch):
+    calls = []
+    edge_batches = gm._edge_batches
+
+    def without_adjusted_term(*args):
+        batches = edge_batches(*args)
+        calls.append(batches["out"].extra is not None)
+        batches["out"].extra = None
+        return batches
+
+    monkeypatch.setattr(gm, "_edge_batches", without_adjusted_term)
+    # measured: edge P@K 0.33/0.245/0.1925 against the node model's 0.34/0.25/0.2225
+    _, losses = ablated_chain(1, tmp_path)
+    assert calls and all(calls)  # every edge batch had its adjusted term taken out
+    assert losses, "the P@K check passed an edge model without the adjusted term"
