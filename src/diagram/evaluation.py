@@ -485,6 +485,9 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
     Returns (reports keyed by scorer mode, sample, train result).
     """
+    if not set(modes) <= set(SCORER_MODES):
+        raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
+    _reject_repeats("mode", list(modes))
     _constructor_names(constructors)
     sample = sample_link_prediction(graph, percent, seed)
     _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training
@@ -568,7 +571,9 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
 
 
 def _reject_repeats(label_column: str, keys) -> None:
-    """Refuse a details key that two groups would share, before any fit runs."""
+    """Refuse an empty group list or a details key two groups would share, before any fit."""
+    if not keys:
+        raise EvaluationError(f"no {label_column} groups")
     for i, key in enumerate(keys):
         if key in keys[:i]:
             raise EvaluationError(f"two {label_column} groups share the details key {key!r}")

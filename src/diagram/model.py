@@ -164,8 +164,6 @@ class DiagramModel:
         rate ``dropout`` is applied to every encoder activation (head output
         and each encoder-trunk output), never to inputs or the embedding.
         """
-        if channel not in CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}")
         h = _run(self.layers[f"{HEAD[channel]}_head"], x, steps, dropout, rng)
         for layer in self.encoder_trunk:
             h = _run(layer, h, steps, dropout, rng)
@@ -186,8 +184,8 @@ class DiagramModel:
         recon = _run(self.layers[f"{HEAD[channel]}_recon"], h, steps)
         return emb, recon, steps
 
-    def _backward(self, steps, d_recon: np.ndarray) -> None:
-        d = d_recon
+    def _backward(self, steps, d: np.ndarray) -> None:
+        """Backward through ``steps`` from ``d``, the loss gradient w.r.t. the reconstruction."""
         for layer, cache, mask in reversed(steps):
             if mask is not None:
                 d = d * mask
@@ -248,48 +246,42 @@ class _ChannelBatch:
     extra: sp.csr_matrix | None = None
 
 
-def _node_batches(idx, M, MT, AD) -> dict[str, _ChannelBatch]:
+def _node_batches(idx, inputs: dict[str, sp.csr_matrix]) -> dict[str, _ChannelBatch]:
     idx = np.asarray(idx, dtype=np.int64)
-    return {c: _ChannelBatch(rows[idx]) for c, rows in zip(CHANNELS, (AD, M, MT))}
+    return {c: _ChannelBatch(rows[idx]) for c, rows in inputs.items()}
 
 
-def _edge_batches(u_idx, v_idx, M, MT, AD) -> dict[str, _ChannelBatch]:
+def _edge_batches(u_idx, v_idx, inputs: dict[str, sp.csr_matrix]) -> dict[str, _ChannelBatch]:
     """Batched edge-model targets for edges (u, v).
 
     Content and out channels run on [u; v]; the in channel runs on v only.
     The u rows of the out channel carry the adjusted extra term against
     v's incoming neighborhood (M^T)_v, the in channel's own rows.
     """
-    u_idx = np.asarray(u_idx, dtype=np.int64)
-    v_idx = np.asarray(v_idx, dtype=np.int64)
     both = np.concatenate([u_idx, v_idx])
-    in_v = MT[v_idx]
+    in_v = inputs["in"][v_idx]
     return {
-        "content": _ChannelBatch(AD[both]),
-        "out": _ChannelBatch(M[both], extra=in_v),
+        "content": _ChannelBatch(inputs["content"][both]),
+        "out": _ChannelBatch(inputs["out"][both], extra=in_v),
         "in": _ChannelBatch(in_v),
     }
 
 
 def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: float,
-                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                 with_grad: bool = False) -> float:
+                 dropout: float, rng: np.random.Generator | None) -> float:
+    """Forward, loss and backward of every channel of one step; returns the summed loss."""
     total = 0.0
     for channel in CHANNELS:  # fixed order keeps rng consumption reproducible
-        cb = batches.get(channel)
-        if cb is None:
-            continue
-        emb, recon, steps = model._forward(channel, CSRRows(cb.rows), dropout, rng)
+        cb = batches[channel]
+        _, recon, steps = model._forward(channel, CSRRows(cb.rows), dropout, rng)
         loss, grad = masked_sq_error(recon, cb.rows, penalty_weights(cb.rows), mu)
         if cb.extra is not None:
             extra_loss, extra_grad = masked_sq_error(recon[:cb.extra.shape[0]], cb.extra,
                                                      penalty_weights(cb.extra), mu)
             loss += extra_loss
-            if with_grad:
-                grad[:cb.extra.shape[0]] += extra_grad
+            grad[:cb.extra.shape[0]] += extra_grad
         total += loss
-        if with_grad:
-            model._backward(steps, grad)
+        model._backward(steps, grad)
     return total
 
 
@@ -305,15 +297,15 @@ class TrainResult:
     config: dict = field(default_factory=dict)
 
 
-def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix):
-    """The channel inputs as CSR matrices: M, M^T and [A | D]."""
+def _graph_tensors(graph: DirectedGraph, features: FeatureMatrix) -> dict[str, sp.csr_matrix]:
+    """The channel inputs as CSR matrices, in ``CHANNELS`` order: [A | D], M and M^T."""
     if features.node_count != graph.node_count:
         raise TrainingError(
             f"feature rows ({features.node_count}) != nodes ({graph.node_count})"
         )
     AD = sp.hstack([build_undirected_union(graph), features.values], format="csr",
                    dtype=np.float64)
-    return graph.out_adjacency, graph.in_adjacency, AD
+    return dict(zip(CHANNELS, (AD, graph.out_adjacency, graph.in_adjacency)))
 
 
 def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
@@ -323,9 +315,8 @@ def compute_embeddings(model: DiagramModel, graph: DirectedGraph,
     Each channel's encoder runs once over that channel's whole CSR input;
     no dense row is built.
     """
-    M, MT, AD = _graph_tensors(graph, features)
     z, o, i = (model._encode(channel, CSRRows(rows), [])
-               for channel, rows in zip(CHANNELS, (AD, M, MT)))
+               for channel, rows in _graph_tensors(graph, features).items())
     return EmbeddingSet(z, o, i, list(graph.node_ids), variant,
                         dataset_fingerprint(graph, features))
 
@@ -349,9 +340,7 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
         for b, start in enumerate(range(0, count, cfg.batch_size)):
             chunk = items[order[start:start + cfg.batch_size]]
             model.zero_grad()
-            batches = assemble(chunk)
-            loss = _run_batches(model, batches, cfg.mu, dropout=cfg.dropout, rng=rng,
-                                with_grad=True)
+            loss = _run_batches(model, assemble(chunk), cfg.mu, cfg.dropout, rng)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
             opt.step(model.parameters(), model.gradients())
@@ -360,14 +349,14 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
     return trace
 
 
-def _fit_node_model(M, MT, AD, feature_dim: int,
+def _fit_node_model(inputs: dict[str, sp.csr_matrix], feature_dim: int,
                     cfg: TrainConfig) -> tuple[DiagramModel, list[float]]:
     """A fresh node model fitted on the channel inputs; returns it and its loss trace."""
-    n = M.shape[0]
+    n = inputs["out"].shape[0]
     rng = np.random.default_rng(cfg.seed)
     model = DiagramModel(n, feature_dim, cfg.trunk_dims, cfg.embedding_dim, rng)
     epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
-    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, M, MT, AD),
+    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, inputs),
                  epochs, cfg, rng)
     return model, trace
 
@@ -375,7 +364,7 @@ def _fit_node_model(M, MT, AD, feature_dim: int,
 def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
                      cfg: TrainConfig) -> TrainResult:
     """Mini-batch training over nodes; returns model, embeddings, loss trace."""
-    model, trace = _fit_node_model(*_graph_tensors(graph, features), features.dim, cfg)
+    model, trace = _fit_node_model(_graph_tensors(graph, features), features.dim, cfg)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, "node", cfg.as_dict())
 
@@ -393,9 +382,9 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
     """
     if graph.edge_count == 0:
         raise TrainingError("edge model needs at least one edge")
-    M, MT, AD = _graph_tensors(graph, features)
+    inputs = _graph_tensors(graph, features)
     if cfg.transfer_from is None:
-        model = _fit_node_model(M, MT, AD, features.dim, replace(cfg, epochs=node_epochs))[0]
+        model = _fit_node_model(inputs, features.dim, replace(cfg, epochs=node_epochs))[0]
     else:
         model = cfg.transfer_from.copy()
         expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)
@@ -406,7 +395,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
     rng = np.random.default_rng(cfg.seed)
     epochs = DEFAULT_EDGE_EPOCHS if cfg.epochs is None else cfg.epochs
     trace = _fit(model, graph.edge_list,
-                 lambda rows: _edge_batches(rows[:, 0], rows[:, 1], M, MT, AD),
+                 lambda rows: _edge_batches(rows[:, 0], rows[:, 1], inputs),
                  epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "edge")
     return TrainResult(model, emb, trace, "edge", {**cfg.as_dict(), "transfer_from": True})
@@ -542,36 +531,41 @@ def _import_text(raw: bytes, path) -> EmbeddingSet:
         raise EmbeddingFormatError(f"{path}: negative n or k in header {lines[0]!r}")
     if fingerprint == "-":
         fingerprint = ""
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(no, ln) for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != n:
         raise EmbeddingFormatError(f"{path}: expected {n} rows, found {len(body)}")
     if 3 * n * k > len(raw):  # each value takes a byte: bounds the allocation
         raise EmbeddingFormatError(f"{path}: header n={n}, k={k} exceeds the file size")
     ids = []
-    z = np.empty((n, k))
-    o = np.empty((n, k))
-    i = np.empty((n, k))
-    for r, ln in enumerate(body):
+    z, o, i = (np.empty((n, k)) for _ in range(3))
+    for r, (no, ln) in enumerate(body):
         parts = ln.split()
         if len(parts) != 1 + 3 * k:
             raise EmbeddingFormatError(
-                f"{path}: row {r} has {len(parts) - 1} values, header says k={k}"
-            )
+                f"{path}:{no}: {len(parts) - 1} values, header says k={k}")
         try:
             ids.append(parts[0].decode("utf-8"))
             vals = np.array([float(tok) for tok in parts[1:]])
         except ValueError as exc:
-            raise EmbeddingFormatError(f"{path}: row {r}: {exc}") from exc
+            raise EmbeddingFormatError(f"{path}:{no}: {exc}") from exc
         z[r], o[r], i[r] = vals[:k], vals[k:2 * k], vals[2 * k:]
     return EmbeddingSet(z, o, i, ids, variant, fingerprint)
 
 
 def import_embeddings(path) -> EmbeddingSet:
-    """Read a set written by :func:`export_embeddings`; an npz archive starts with "PK"."""
+    """Read a set written by :func:`export_embeddings`, refusing NaN and infinite entries."""
     with open(path, "rb") as fh:
         raw = fh.read(2)
-        if raw != b"PK":
-            return _import_text(raw + fh.read(), path)
+        text = raw + fh.read() if raw != b"PK" else None  # an npz archive starts with "PK"
+    emb = _import_binary(path) if text is None else _import_text(text, path)
+    finite = np.logical_and.reduce([np.isfinite(m).all(axis=1) for m in (emb.z, emb.o, emb.i)])
+    if not finite.all():
+        raise EmbeddingFormatError(f"{path}: non-finite value for node "
+                                   f"{emb.node_ids[int(np.argmin(finite))]!r}")
+    return emb
+
+
+def _import_binary(path) -> EmbeddingSet:
     arrays, meta = _read_archive(path, "diagram-embeddings", "binary embedding file")
     if sorted(arrays) != ["i", "o", "z"] or any(a.ndim != 2 or a.dtype != np.float64
                                                  for a in arrays.values()):

@@ -10,9 +10,13 @@ program's dense layers, loss and embeddings must match them bit for bit;
 its sparse-input heads match ``ReferenceLinear`` on the same rows made
 dense to 1e-12 relative, since a CSR product sums in another order.
 
-``node_loss``, ``edge_loss`` and ``mean_edge_loss`` evaluate the training
-objective outside the training loop. ``edge_loss`` builds the adjusted
-term from node batches, independently of ``model._edge_batches``.
+``batch_loss`` is the training objective of a batch without the step:
+each channel the batch holds runs ``model._forward`` alone and is scored
+with ``dense_loss_term``; the loss ``model._run_batches`` returns with
+dropout 0 must match it bit for bit. ``node_loss``, ``edge_loss`` and
+``mean_edge_loss`` evaluate it outside the training loop. ``edge_loss``
+builds the adjusted term from node batches, independently of
+``model._edge_batches``.
 
 ``TextbookAdam`` is the earlier Adam step in Kingma & Ba's textbook form,
 with unscaled moments and the bias corrections applied per element;
@@ -198,14 +202,14 @@ def dense_loss_term(pred, target, support, mu):
 def full_forward_embeddings(model, graph, features, variant: str) -> gm.EmbeddingSet:
     """``compute_embeddings`` through the full forward pass, decoder included,
     in chunks of 256 nodes."""
-    M, MT, AD = gm._graph_tensors(graph, features)
+    inputs = gm._graph_tensors(graph, features)
     n, k = graph.node_count, model.embedding_dim
     z = np.empty((n, k))
     o = np.empty((n, k))
     i = np.empty((n, k))
     for start in range(0, n, 256):
         idx = np.arange(start, min(start + 256, n))
-        batches = gm._node_batches(idx, M, MT, AD)
+        batches = gm._node_batches(idx, inputs)
         z[idx] = model._forward("content", CSRRows(batches["content"].rows))[0]
         o[idx] = model._forward("out", CSRRows(batches["out"].rows))[0]
         i[idx] = model._forward("in", CSRRows(batches["in"].rows))[0]
@@ -213,10 +217,33 @@ def full_forward_embeddings(model, graph, features, variant: str) -> gm.Embeddin
                            gm.dataset_fingerprint(graph, features))
 
 
+def batch_loss(model, batches, mu: float = 10.0) -> float:
+    """Summed reconstruction loss of the channels ``batches`` holds, with no dropout.
+
+    A channel's loss is its rows' term plus, if it has one, the extra
+    term of its first rows, added in the order ``model._run_batches`` adds them.
+    """
+    total = 0.0
+    for channel in gm.CHANNELS:
+        cb = batches.get(channel)
+        if cb is None:
+            continue
+        recon = model._forward(channel, CSRRows(cb.rows))[1]
+        loss = dense_loss_term(recon, cb.rows, None, mu)[0]
+        if cb.extra is not None:
+            loss += dense_loss_term(recon[:cb.extra.shape[0]], cb.extra, None, mu)[0]
+        total += loss
+    return total
+
+
+def _channel_inputs(M, A, D) -> dict:
+    """The channel inputs of ``model._graph_tensors``, built here from M, A and D."""
+    return {"content": sp.hstack([A, D], format="csr"), "out": M, "in": M.T.tocsr()}
+
+
 def node_loss(model, nodes, M, A, D, mu: float = 10.0) -> float:
     """Sum of the three per-channel reconstruction losses over a node batch."""
-    MT, AD = M.T.tocsr(), sp.hstack([A, D], format="csr")
-    return gm._run_batches(model, gm._node_batches(nodes, M, MT, AD), mu)
+    return batch_loss(model, gm._node_batches(nodes, _channel_inputs(M, A, D)), mu)
 
 
 def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> float:
@@ -231,26 +258,23 @@ def edge_loss(model, edge, M, A, D, mu: float = 10.0, adjusted: bool = True) -> 
     u, v = int(edge[0]), int(edge[1])
     if M[u, v] == 0:
         raise TrainingError(f"edge ({u}, {v}) not present in graph")
-    MT, AD = M.T.tocsr(), sp.hstack([A, D], format="csr")
-    u_batches = gm._node_batches([u], M, MT, AD)
+    inputs = _channel_inputs(M, A, D)
+    u_batches = gm._node_batches([u], inputs)
     if adjusted:
-        u_batches["out"].extra = MT[[v]]
+        u_batches["out"].extra = inputs["in"][[v]]
         del u_batches["in"]
-    loss_u = gm._run_batches(model, u_batches, mu)
-    loss_v = gm._run_batches(model, gm._node_batches([v], M, MT, AD), mu)
-    return loss_u + loss_v
+    return batch_loss(model, u_batches, mu) + batch_loss(model, gm._node_batches([v], inputs), mu)
 
 
 def mean_edge_loss(model, graph, features, mu: float = 10.0,
                    batch_size: int = 256) -> float:
     """Inference-mode edge-model loss averaged over all directed edges."""
-    M, MT, AD = gm._graph_tensors(graph, features)
+    inputs = gm._graph_tensors(graph, features)
     edges = graph.edge_list
     total = 0.0
     for start in range(0, edges.shape[0], batch_size):
         rows = edges[start:start + batch_size]
-        batches = gm._edge_batches(rows[:, 0], rows[:, 1], M, MT, AD)
-        total += gm._run_batches(model, batches, mu)
+        total += batch_loss(model, gm._edge_batches(rows[:, 0], rows[:, 1], inputs), mu)
     return total / edges.shape[0]
 
 

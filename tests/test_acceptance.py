@@ -34,7 +34,7 @@ from diagram.model import (
 from diagram.nn import finite_diff_check
 
 from conftest import edge_features, find_dataset, random_digraph, random_features
-from oracles import mean_edge_loss
+from oracles import batch_loss, mean_edge_loss
 
 SEEDS = (0, 1, 2)
 
@@ -99,15 +99,15 @@ def test_criterion_1_gradient_correctness():
     features = random_features(8, 5, seed=22)
     model = DiagramModel(8, 5, trunk_dims=(8, 4), embedding_dim=3,
                          rng=np.random.default_rng(0))
-    batches = _node_batches(range(8), *_graph_tensors(graph, features))
+    batches = _node_batches(range(8), _graph_tensors(graph, features))
 
     model.zero_grad()
-    _run_batches(model, batches, mu=10.0, with_grad=True)  # dropout off
+    _run_batches(model, batches, 10.0, 0.0, None)  # dropout off
     params = list(model.parameters().values())
     grads = [g.copy() for g in model.gradients().values()]
 
     def loss_fn():
-        return _run_batches(model, batches, mu=10.0)
+        return batch_loss(model, batches, mu=10.0)
 
     err = finite_diff_check(loss_fn, params, grads)  # every coordinate
     elapsed = time.time() - start

@@ -345,6 +345,25 @@ class TestExportAndEval:
                        "in the dataset's order\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
+                                         ["eval", "reconstruct", "--k-list", "5"]],
+                             ids=["classify", "reconstruct"])
+    def test_eval_refuses_non_finite_embeddings(self, dataset_arg, trained, tmp_path,
+                                                capsys, fmt, command):
+        emb = import_embeddings(trained / "node_embeddings.tsv")
+        if fmt == "text":
+            emb.z[4, 1] = np.nan  # one value
+        else:
+            emb.o[4:] = np.nan  # every out entry from node 4 on
+        path = tmp_path / f"bad.{fmt}"
+        gm.export_embeddings(emb, path, fmt)
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-finite value for node {emb.node_ids[4]!r}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_eval_classify_writes_reports(self, dataset_arg, trained, tmp_path):
         out = tmp_path / "cls"
         assert run(["eval", "classify", "--dataset", dataset_arg,

@@ -1022,6 +1022,30 @@ class TestFullProtocol:
                                          random_features(20, 6, seed=11), 10.0, 1,
                                          constructors=("Hadamard", "hadamard"))
 
+    @pytest.mark.parametrize("modes, error, message", [
+        (("bogus",), ValueError, "scorer mode must be one of"),
+        (("directed", "bogus"), ValueError, "scorer mode must be one of"),
+        ((), EvaluationError, "no mode groups"),
+        (("directed", "directed"), EvaluationError, "share the details key 'directed'"),
+    ], ids=["unknown", "one-unknown", "empty", "repeated"])
+    def test_bad_modes_rejected_before_any_work(self, monkeypatch, modes, error, message):
+        calls = []
+        for fn in ("sample_link_prediction", "train_node_model", "train_edge_model"):
+            monkeypatch.setattr(evaluation, fn, lambda *a, fn=fn, **k: calls.append(fn))
+        with pytest.raises(error, match=message):
+            run_link_prediction_protocol(random_digraph(20, 60, seed=10),
+                                         random_features(20, 6, seed=11), 10.0, 1,
+                                         modes=modes)
+        assert calls == []
+
+    def test_empty_constructor_and_ratio_lists_are_refused(self):
+        emb = make_embeddings(20, 4, seed=1)
+        sample = sample_link_prediction(random_digraph(20, 60, seed=10), 10.0, seed=1)
+        with pytest.raises(EvaluationError, match="no constructor groups"):
+            link_prediction_eval(emb, sample, constructors=())
+        with pytest.raises(EvaluationError, match="no train_ratio groups"):
+            node_classification_eval(emb, np.arange(20) % 2, train_ratios=())
+
 
 class TestEvalReport:
     def test_json_and_csv_are_deterministic(self, tmp_path):

@@ -33,7 +33,7 @@ from diagram.model import (
 from diagram.nn import CSRRows, finite_diff_check, glorot_uniform, masked_sq_error
 
 from conftest import random_features, write_npz
-from oracles import edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
+from oracles import batch_loss, edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
 # A valid binary embedding file for three nodes with k=2, as npz entries and header.
@@ -210,13 +210,13 @@ class TestPenaltyWeights:
 
 class TestBatches:
     def test_edge_batch_holds_in_rows_once_and_nothing_dense(self, toy_graph, toy_features):
-        M, MT, AD = _graph_tensors(toy_graph, toy_features)
+        inputs = _graph_tensors(toy_graph, toy_features)
         e = toy_graph.edge_list[:4]
-        batches = _edge_batches(e[:, 0], e[:, 1], M, MT, AD)
+        batches = _edge_batches(e[:, 0], e[:, 1], inputs)
         assert batches["out"].extra is batches["in"].rows
-        assert (batches["in"].rows != MT[e[:, 1]]).nnz == 0
+        assert (batches["in"].rows != inputs["in"][e[:, 1]]).nnz == 0
         assert batches["content"].extra is None and batches["in"].extra is None
-        for batch in (*batches.values(), *_node_batches(range(6), M, MT, AD).values()):
+        for batch in (*batches.values(), *_node_batches(range(6), inputs).values()):
             for f in dataclasses.fields(batch):
                 assert not isinstance(getattr(batch, f.name), np.ndarray), f.name
 
@@ -259,14 +259,14 @@ class TestGradients:
     def test_full_three_channel_gradcheck(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=4)
         mu = 10.0
-        batches = _node_batches(range(6), *_graph_tensors(toy_graph, toy_features))
+        batches = _node_batches(range(6), _graph_tensors(toy_graph, toy_features))
         model.zero_grad()
-        _run_batches(model, batches, mu, with_grad=True)
+        _run_batches(model, batches, mu, 0.0, None)
         params = list(model.parameters().values())
         grads = [g.copy() for g in model.gradients().values()]
 
         def loss_fn():
-            return _run_batches(model, batches, mu)
+            return batch_loss(model, batches, mu)
 
         err = finite_diff_check(loss_fn, params, grads, max_coords=160,
                                 rng=np.random.default_rng(0))
@@ -275,13 +275,15 @@ class TestGradients:
     def test_layers_a_pass_skips_read_zero_gradients(self, toy_graph, toy_features):
         model = small_model(toy_graph, toy_features, seed=5)
         fresh = model.copy()
-        batches = _node_batches(range(6), *_graph_tensors(toy_graph, toy_features))
+        batches = _node_batches(range(6), _graph_tensors(toy_graph, toy_features))
         model.zero_grad()
-        _run_batches(model, batches, 10.0, with_grad=True)  # every layer gets a gradient
-        content_only = {"content": batches["content"]}
+        _run_batches(model, batches, 10.0, 0.0, None)  # every layer gets a gradient
+        content = batches["content"].rows
         model.zero_grad()
-        _run_batches(model, content_only, 10.0, with_grad=True)
-        _run_batches(fresh, content_only, 10.0, with_grad=True)
+        for net in (model, fresh):  # the content channel alone, forward and backward
+            _, recon, steps = net._forward("content", CSRRows(content))
+            net._backward(steps, masked_sq_error(recon, content, penalty_weights(content),
+                                                 10.0)[1])
         got, want = model.gradients(), fresh.gradients()
         for name in ("directed_head.W", "directed_head.b",
                      "directed_recon.W", "directed_recon.b"):
@@ -293,18 +295,32 @@ class TestGradients:
         model = small_model(toy_graph, toy_features, seed=6)
         mu = 10.0
         e = toy_graph.edge_list[:4]
-        batches = _edge_batches(e[:, 0], e[:, 1], *_graph_tensors(toy_graph, toy_features))
+        batches = _edge_batches(e[:, 0], e[:, 1], _graph_tensors(toy_graph, toy_features))
         model.zero_grad()
-        _run_batches(model, batches, mu, with_grad=True)
+        _run_batches(model, batches, mu, 0.0, None)
         params = list(model.parameters().values())
         grads = [g.copy() for g in model.gradients().values()]
 
         def loss_fn():
-            return _run_batches(model, batches, mu)
+            return batch_loss(model, batches, mu)
 
         err = finite_diff_check(loss_fn, params, grads, max_coords=120,
                                 rng=np.random.default_rng(1))
         assert err < 1e-4
+
+
+class TestStepLoss:
+    @pytest.mark.parametrize("kind", ["node", "edge"])
+    def test_step_loss_is_the_batch_loss_oracle_bit_for_bit(self, toy_graph, toy_features,
+                                                           kind):
+        model = small_model(toy_graph, toy_features, seed=7)
+        inputs = _graph_tensors(toy_graph, toy_features)
+        e = toy_graph.edge_list[:4]
+        batches = (_node_batches(range(6), inputs) if kind == "node"
+                   else _edge_batches(e[:, 0], e[:, 1], inputs))
+        want = batch_loss(model, batches, 10.0)
+        model.zero_grad()
+        assert _run_batches(model, batches, 10.0, 0.0, None).hex() == want.hex()
 
 
 class TestEdgeLoss:
@@ -612,7 +628,7 @@ class TestEmbeddingIO:
         path = tmp_path / "emb.tsv"
         export_embeddings(self._random_set(n=3, k=2), path, "text")
         path.write_bytes(path.read_bytes().replace(b"id1 ", b"id\xff1 "))
-        with pytest.raises(EmbeddingFormatError, match="emb.tsv: row 1"):
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.tsv:3: "):
             import_embeddings(path)
 
     def test_text_round_trip_exact(self, tmp_path):
@@ -696,7 +712,28 @@ class TestEmbeddingIO:
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(" ", 1)[0] + " 0.5x"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(EmbeddingFormatError, match="emb.tsv: row 1"):
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.tsv:3: "):
+            import_embeddings(path)
+
+    def test_text_row_error_names_the_file_line_counting_blank_lines(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        export_embeddings(self._random_set(n=3, k=2), path, "text")
+        lines = path.read_text().splitlines()
+        lines[2] += " 0.5"  # one value too many
+        path.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.tsv:5: 7 values, header says k=2"):
+            import_embeddings(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused_naming_its_node(self, tmp_path, fmt, value):
+        emb = self._random_set(n=4, k=2)
+        emb.i[2, 1] = value
+        emb.o[3, 0] = value
+        path = tmp_path / "emb.out"
+        export_embeddings(emb, path, fmt)
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"emb\.out: non-finite value for node 'id2'"):
             import_embeddings(path)
 
     @pytest.mark.parametrize("header,entries", [
