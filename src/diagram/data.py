@@ -135,27 +135,25 @@ class LabelVector:
 
 
 def _token_bounds(line: bytes):
-    """The line as uint8 codes, its non-whitespace mask, and the start and
-    end offsets of its tokens.
+    """The line as uint8 codes and the start and end offsets of its tokens.
 
     Tokens are what ``bytes.split()`` gives: runs of bytes other than 9-13
     and 32. End offsets are exclusive."""
     b = np.frombuffer(line, dtype=np.uint8)
     padded = np.zeros(b.size + 2, dtype=bool)  # so every run has two edges
-    solid = padded[1:-1]
-    solid[...] = (b != 32) & ((b < 9) | (b > 13))
+    padded[1:-1] = (b != 32) & ((b < 9) | (b > 13))
     edges = (padded[1:] != padded[:-1]).nonzero()[0]
-    return b, solid, edges[0::2], edges[1::2]
+    return b, edges[0::2], edges[1::2]
 
 
 def _parse_content(content_path: Path):
     ids: list[str] = []
     label_strs: list[str] = []
-    indptr, indices, vals = [0], [np.empty(0, np.int64)], [np.empty(0)]
+    indptr, indices, vals = [0], [], []
     width = None
     seen: dict[str, int] = {}
     for lineno, line in _lines(content_path):
-        b, solid, starts, ends = _token_bounds(line)
+        b, starts, ends = _token_bounds(line)
         if starts.size == 0:
             continue
         if starts.size < 2:
@@ -177,20 +175,14 @@ def _parse_content(content_path: Path):
                 f"(first seen at line {seen[nid]})"
             )
         seen[nid] = lineno
-        # Offsets of the feature bytes that are neither whitespace nor b"0":
-        # a cell without one is all zeros, which float() reads as zero.
-        other = (solid & (b != 48)).nonzero()[0]
-        lo, hi = other.searchsorted((ends[0], starts[-1]))
-        token = starts.searchsorted(other[lo:hi], side="right") - 1
-        fresh = np.ones(token.size, dtype=bool)  # first such byte of its token
-        np.not_equal(token[1:], token[:-1], out=fresh[1:])
-        cells = token[fresh]
-        at = starts[cells]
+        at, end = starts[1:-1], ends[1:-1]
+        cells = ((b[at] != 48) | (end - at != 1)).nonzero()[0]  # all but a lone b"0"
+        at, end = at[cells], end[cells]
         v = b[at] - 48.0
         # A lone byte 1-9 is its digit's value; every other cell, in column
         # order, gets float()'s value or its error.
-        for k in ((ends[cells] - at != 1) | (v < 1.0) | (v > 9.0)).nonzero()[0]:
-            tok = _text(content_path, lineno, line[at[k]:ends[cells[k]]])
+        for k in ((end - at != 1) | (v < 1.0) | (v > 9.0)).nonzero()[0]:
+            tok = _text(content_path, lineno, line[at[k]:end[k]])
             try:
                 v[k] = float(tok)
             except ValueError as exc:
@@ -198,7 +190,7 @@ def _parse_content(content_path: Path):
                     f"{content_path}:{lineno}: non-numeric feature {tok!r}"
                 ) from exc
         keep = v != 0.0
-        indices.append(cells[keep] - 1)
+        indices.append(cells[keep])
         vals.append(v[keep])
         indptr.append(indptr[-1] + vals[-1].size)
         ids.append(nid)
@@ -206,7 +198,7 @@ def _parse_content(content_path: Path):
     if not ids:
         raise DatasetError(f"{content_path}: empty dataset")
     mat = sp.csr_matrix((np.concatenate(vals), np.concatenate(indices), indptr),
-                        shape=(len(ids), width or 0))
+                        shape=(len(ids), width))
     return ids, mat, label_strs
 
 

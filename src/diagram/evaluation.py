@@ -55,7 +55,9 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     if not k_list:
         raise EvaluationError("K list is empty")
     max_pairs = n * n - n
-    for k in k_list:
+    for j, k in enumerate(k_list):
+        if k in k_list[:j]:
+            raise EvaluationError(f"K={k} appears twice in the K list")
         if k <= 0:
             raise EvaluationError(f"K must be positive, got {k}")
         if k > max_pairs:
@@ -489,17 +491,17 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
         raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
     _reject_repeats("mode", list(modes))
     _constructor_names(constructors)
+    if variant not in ("node", "edge"):
+        raise ValueError(f"unknown variant {variant!r}")
     sample = sample_link_prediction(graph, percent, seed)
     _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training
     cfg = cfg or TrainConfig(seed=seed)
     if variant == "node":
         result = train_node_model(sample.residual_graph, features, cfg)
-    elif variant == "edge":
+    else:
         # from a node model fitted on the residual graph, never one that saw the removed edges
         result = train_edge_model(sample.residual_graph, features,
                                   replace(cfg, transfer_from=None))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
     reports = {
         mode: link_prediction_eval(result.embeddings, sample, constructors,
                                    mode=mode, seed=seed)

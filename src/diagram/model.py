@@ -491,12 +491,22 @@ def export_embeddings(emb: EmbeddingSet, path, fmt: str = "text") -> None:
 
     Text: header ``DIAGRAM v1 <n> <k> <variant> <fingerprint>`` followed by
     one ``<id> <z..> <o..> <i..>`` line per node (full float64 precision).
+    A ValueError refuses, before writing, what its reader cannot give back:
+    an empty id or variant, a fingerprint ``-``, or ASCII whitespace in any.
     Binary: an npz archive, readable by ``np.load``, with float64 entries
     ``z``, ``o`` and ``i`` and a JSON ``__meta__`` header holding version,
     kind, variant, fingerprint and node ids (bit-exact round-trip).
     """
     if fmt == "text":
+        if emb.fingerprint == "-":
+            raise ValueError("text export cannot write fingerprint '-': it reads back as none")
         fp = emb.fingerprint or "-"
+        for what, value in [("variant", emb.variant), ("fingerprint", fp),
+                            *(("node id", nid) for nid in emb.node_ids)]:
+            raw = value.encode("utf-8")
+            if raw.split() != [raw]:  # empty, or more than one field
+                raise ValueError(f"text export cannot write {what} {value!r}: "
+                                 "it is empty or holds ASCII whitespace")
         row = " ".join(["%.17g"] * (3 * emb.k)) + "\n"
 
         def write_rows(fh):

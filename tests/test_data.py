@@ -440,9 +440,9 @@ MIXED_CONTENT = (
 )
 MIXED_CITES = "n1 n\xa0b\r\nn3\tn1\rghost n1\nn1 n\xa0b\n"
 
-# Cells at the edges of the row scan's shortcuts: all-"0" runs are zero
-# without float(), a lone 1-9 is its digit, and everything else, including
-# cells that start like those, goes through float().
+# Cells at the edges of the parser's cell rule: a lone "0" is zero and a lone
+# 1-9 is its digit without float(), and everything else, including cells that
+# start like those ("00", "01", "007"), goes through float().
 SCAN_CONTENT = (
     "p1 01 +0 000 0e5 9 2\x0b0 00 a\n"
     "p2\t3 4 5 6 7 8\x0c+1 -2 b\n"

@@ -254,6 +254,15 @@ class TestNetworkReconstruction:
         with pytest.raises(EvaluationError, match="empty"):
             network_reconstruction(emb, g, [])
 
+    def test_repeated_k_rejected_before_scoring(self, monkeypatch):
+        g = random_digraph(5, 6, seed=0)
+        emb = make_embeddings(5, 3, seed=0)
+        scored = []
+        monkeypatch.setattr(evaluation, "expit", lambda *a, **k: scored.append(1))
+        with pytest.raises(EvaluationError, match="K=2 appears twice"):
+            network_reconstruction(emb, g, [2, 5, 2])
+        assert scored == []
+
 
 class TestLinkSampling:
     def test_path_graph_has_no_removable_edge(self):
@@ -990,6 +999,17 @@ class TestFullProtocol:
                                                  cfg=replace(cfg, transfer_from=full))
         for name, arr in want.model.parameters().items():
             assert got.model.parameters()[name].tobytes() == arr.tobytes(), name
+
+    def test_unknown_variant_rejected_before_sampling(self, monkeypatch):
+        calls = []
+        sample = evaluation.sample_link_prediction
+        monkeypatch.setattr(evaluation, "sample_link_prediction",
+                            lambda *a, **k: calls.append(1) or sample(*a, **k))
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            run_link_prediction_protocol(random_digraph(20, 60, seed=10),
+                                         random_features(20, 6, seed=11), 10.0, 1,
+                                         variant="bogus")
+        assert calls == []
 
     def test_unknown_constructor_rejected_before_sampling(self, monkeypatch):
         def sample(*args):

@@ -635,8 +635,9 @@ class TestEmbeddingIO:
         emb = self._random_set(n=50)
         # the dataset loader splits only on ASCII whitespace and LF/CR, so
         # Unicode spaces and line separators stay inside an id
-        emb.node_ids[:6] = ["paper\xa03", "x\u20285", "w\u30007", "nel\x85", "fs\x1c",
-                            "\u2029p\xe9"]
+        emb.node_ids[:7] = ["paper\xa03", "x\u20285", "w\u30007", "nel\x85", "fs\x1c",
+                            "\u2029p\xe9", "\xa0"]
+        emb.variant, emb.fingerprint = "edge\xa0v", "f\xa0p"
         path = tmp_path / "emb.tsv"
         export_embeddings(emb, path, "text")
         back = import_embeddings(path)
@@ -644,6 +645,7 @@ class TestEmbeddingIO:
         assert np.array_equal(back.z, emb.z)
         assert np.array_equal(back.i, emb.i)
         assert back.node_ids == emb.node_ids
+        assert (back.variant, back.fingerprint) == ("edge\xa0v", "f\xa0p")
 
     def test_text_file_without_fingerprint_reads_back_empty(self, tmp_path):
         emb = self._random_set(n=3, k=2)
@@ -653,6 +655,32 @@ class TestEmbeddingIO:
         assert path.read_text().splitlines()[0] == "DIAGRAM v1 3 2 edge -"
         back = import_embeddings(path)
         assert back.fingerprint == "" and np.array_equal(back.o, emb.o)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("node_ids", ["id0", "a b", "id2"], "node id 'a b'"),
+        ("node_ids", ["id0", "", "id2"], "node id ''"),
+        ("node_ids", ["id0", "id1", "c\n"], "node id 'c\\\\n'"),
+        ("variant", "my variant", "variant 'my variant'"),
+        ("variant", "", "variant ''"),
+        ("variant", "edge\t", "variant 'edge\\\\t'"),
+        ("fingerprint", "f p", "fingerprint 'f p'"),
+        ("fingerprint", "f\x0bp", "fingerprint 'f\\\\x0bp'"),
+        ("fingerprint", "-", "fingerprint '-'"),
+    ], ids=["space-id", "empty-id", "newline-id", "space-variant", "empty-variant",
+            "tab-variant", "space-fingerprint", "vt-fingerprint", "dash-fingerprint"])
+    def test_text_export_refuses_fields_its_reader_cannot_give_back(self, tmp_path, field,
+                                                                   value, message):
+        emb = self._random_set(n=3, k=2)
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(b"earlier file")
+        setattr(emb, field, value)
+        with pytest.raises(ValueError, match=f"text export cannot write {message}"):
+            export_embeddings(emb, path, "text")
+        assert path.read_bytes() == b"earlier file"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.tsv"]
+        export_embeddings(emb, tmp_path / "emb.bin", "binary")  # the binary format holds any string
+        back = import_embeddings(tmp_path / "emb.bin")
+        assert getattr(back, field) == value
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_text_export_bytes_match_one_string_rendering(self, tmp_path, k):
