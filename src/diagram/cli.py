@@ -185,16 +185,8 @@ def _load_checkpoint(path, graph, features):
 
 
 def cmd_train(args) -> int:
-    node_epochs = _parsed("--node-epochs", "node_epochs", args.node_epochs)
     if args.variant == "node" and args.transfer_from is not None:
         raise DiagramError("--transfer-from: applies to --variant edge only")
-    if args.variant == "node" and node_epochs is not None:
-        raise DiagramError("--node-epochs: applies to --variant edge only")
-    if args.transfer_from is not None and node_epochs is not None:
-        raise DiagramError("--node-epochs: does not apply with --transfer-from, "
-                           "whose checkpoint is the node model")
-    if node_epochs is not None and node_epochs < 0:
-        raise DiagramError(f"--node-epochs: must be >= 0, got {node_epochs}")
     graph, features, labels, name = load_dataset(args)
     cfg = build_train_config(args, name)
     provenance = {}  # where the edge model's starting node model came from
@@ -202,12 +194,11 @@ def cmd_train(args) -> int:
         cfg = replace(cfg, transfer_from=_load_checkpoint(args.transfer_from, graph, features)[0])
         provenance["transfer_from"] = args.transfer_from
     elif args.variant == "edge":
-        provenance["auto_node_epochs"] = (gm.DEFAULT_NODE_EPOCHS if node_epochs is None
-                                          else node_epochs)
+        provenance["auto_node_epochs"] = gm.DEFAULT_NODE_EPOCHS
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = (gm.train_node_model(graph, features, cfg) if args.variant == "node"
-              else gm.train_edge_model(graph, features, cfg, node_epochs))
+              else gm.train_edge_model(graph, features, cfg))
 
     fingerprint = gdata.dataset_fingerprint(graph, features)
     run_cfg = {
@@ -346,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_train_args(p)
     p.add_argument("--variant", choices=("node", "edge"), default="node")
-    p.add_argument("--node-epochs", default=None, dest="node_epochs",
-                   help="epochs for the auto-chained node model (edge variant)")
     p.add_argument("--transfer-from", default=None, dest="transfer_from",
                    help="node checkpoint to fine-tune from (edge variant)")
     p.add_argument("--format", choices=("text", "binary"), default="text")

@@ -369,14 +369,15 @@ def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
     return TrainResult(model, emb, trace, "node", cfg.as_dict())
 
 
-def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainConfig,
-                     node_epochs: int | None = None) -> TrainResult:
+def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
+                     cfg: TrainConfig) -> TrainResult:
     """Edge-iteration training with the adjusted incoming-target trick.
 
     The edge model always starts from a node model. With ``cfg.transfer_from``
     set it starts from a copy of that model; otherwise a node model is first
-    fitted here for ``node_epochs`` epochs (None: ``DEFAULT_NODE_EPOCHS``) and
-    trained on in place, with no node embeddings computed. The edge stage
+    fitted here for ``DEFAULT_NODE_EPOCHS`` epochs and trained on in place,
+    with no node embeddings computed. For another node-stage length, train
+    the node model first and pass it as ``transfer_from``. The edge stage
     runs ``cfg.epochs`` epochs (None: ``DEFAULT_EDGE_EPOCHS``); the loss
     trace is the edge stage's.
     """
@@ -384,7 +385,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix, cfg: TrainCo
         raise TrainingError("edge model needs at least one edge")
     inputs = _graph_tensors(graph, features)
     if cfg.transfer_from is None:
-        model = _fit_node_model(inputs, features.dim, replace(cfg, epochs=node_epochs))[0]
+        model = _fit_node_model(inputs, features.dim, replace(cfg, epochs=None))[0]
     else:
         model = cfg.transfer_from.copy()
         expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)
@@ -530,7 +531,7 @@ def _import_text(raw: bytes, path) -> EmbeddingSet:
     if not lines:
         raise EmbeddingFormatError(f"{path}: empty embedding file")
     head = lines[0].split()
-    if len(head) < 6 or b" ".join(head[:2]) != _TEXT_MAGIC.encode():
+    if len(head) != 6 or b" ".join(head[:2]) != _TEXT_MAGIC.encode():
         raise EmbeddingFormatError(f"{path}: bad header {lines[0][:80]!r}")
     try:
         n, k = int(head[2]), int(head[3])

@@ -71,6 +71,24 @@ class TestResolveDataset:
         got_content, _, name = resolve_dataset("toy")
         assert got_content == content and name == "toy"
 
+    @pytest.mark.parametrize("files, message", [
+        ([], "expected exactly one .content file, found 0"),
+        (["a.content", "a.cites", "b.content", "b.cites"],
+         "expected exactly one .content file, found 2"),
+        (["a.content"], "a.cites missing next to"),
+    ], ids=["no-content", "two-contents", "no-cites"])
+    def test_directory_without_one_dataset_exits_1(self, fixture_dataset, tmp_path, capsys,
+                                                    files, message):
+        content, cites = fixture_dataset
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        for name in files:
+            source = content if name.endswith(".content") else cites
+            (folder / name).write_bytes(source.read_bytes())
+        assert run(["info", "--dataset", folder]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
     def test_unknown_name_raises(self, tmp_path):
         with pytest.raises(DiagramError, match="not found"):
             resolve_dataset("ghost", str(tmp_path))
@@ -100,11 +118,30 @@ class TestTrain:
     def test_edge_variant_auto_chains_node_model(self, dataset_arg, tmp_path):
         out = tmp_path / "edge"
         assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
-                    "--node-epochs", "2", "--out", out, *FAST]) == 0
+                    "--out", out, *FAST]) == 0
         emb = import_embeddings(out / "edge_embeddings.tsv")
         assert emb.variant == "edge"
         cfg = json.loads((out / "run_config.json").read_text())
-        assert cfg["auto_node_epochs"] == 2
+        assert cfg["auto_node_epochs"] == 30
+
+    def test_auto_chain_matches_node_checkpoint_then_transfer(self, dataset_arg, tmp_path):
+        # the auto-chained node stage runs 30 epochs; the same count trained
+        # as a node run, saved and loaded back, gives the same edge model
+        auto, node, edge = tmp_path / "auto", tmp_path / "node", tmp_path / "edge"
+        assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                    "--out", auto, *FAST]) == 0
+        assert run(["train", "--dataset", dataset_arg, "--variant", "node",
+                    "--out", node, *FAST, "--epochs", "30"]) == 0
+        assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                    "--transfer-from", node / "node_checkpoint.npz",
+                    "--out", edge, *FAST]) == 0
+        assert ((auto / "edge_embeddings.tsv").read_bytes()
+                == (edge / "edge_embeddings.tsv").read_bytes())
+        got = load_model(edge / "edge_checkpoint.npz")[0].parameters()
+        want = load_model(auto / "edge_checkpoint.npz")[0].parameters()
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert got[name].tobytes() == arr.tobytes(), name
 
     def test_edge_variant_on_edgeless_graph_fails_before_training(
             self, fixture_dataset, tmp_path, capsys, monkeypatch):
@@ -134,12 +171,14 @@ class TestTrain:
                     "--embeddings", emb, "--out", tmp_path / "cls"]) == 0
 
     def test_no_auto_node_flag_is_unknown(self, dataset_arg, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["train", "--dataset", dataset_arg, "--variant", "edge",
-                 "--no-auto-node", "--out", tmp_path / "x", *FAST])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --no-auto-node" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        # the auto-chain's node stage has no flag: it always runs 30 epochs
+        for flags in (["--no-auto-node"], ["--node-epochs", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                     *flags, "--out", tmp_path / "x", *FAST])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     def test_transfer_from_checkpoint(self, dataset_arg, tmp_path):
         node_out = tmp_path / "node"
@@ -221,9 +260,11 @@ class TestConfigFile:
         ("", ["--epochs", "x"], "--epochs: bad epochs 'x'"),
         ("", ["--lr", "x"], "--lr: bad lr 'x'"),
         ("epochs = 1\nseed = 2\nepochs = 0\n", [], ":3: repeated key 'epochs'"),
+        ("", ["--epochs", "-1"], "--epochs: epochs must be >= 0"),
+        ("", ["--mu", "1"], "--mu: mu must be > 1 and finite"),
     ], ids=["uncastable-value", "zero-batch-flag", "dropout-flag", "nan-lr", "negative-seed",
             "unknown-key", "empty-trunk", "uncastable-flag", "uncastable-epochs-flag",
-            "uncastable-lr-flag", "repeated-key"])
+            "uncastable-lr-flag", "repeated-key", "negative-epochs-flag", "mu-1-flag"])
     def test_bad_setting_exits_1_naming_its_source(self, dataset_arg, tmp_path, capsys,
                                                    text, flags, message):
         cfg = tmp_path / "run.cfg"
@@ -392,7 +433,6 @@ class TestExportAndEval:
         ("eval linkpred", ["--constructors", "foo"], "unknown edge-feature constructor(s) foo"),
         ("eval linkpred", ["--p", "nan"], "percent=nan is not a finite number"),
         ("eval linkpred", ["--p", "inf"], "percent=inf is not a finite number"),
-        ("train", ["--variant", "edge", "--node-epochs", "-1"], "--node-epochs: must be >= 0"),
         ("eval reconstruct", ["--k-list", "5 10,5"], "--k-list: repeated entry 5 in '5 10,5'"),
         ("eval classify", ["--ratios", "10,30,30,50"],
          "--ratios: repeated entry 30 in '10,30,30,50'"),
@@ -403,20 +443,15 @@ class TestExportAndEval:
         # the checkpoint does not exist: the flag is refused before it is opened
         ("train", ["--transfer-from", "missing.npz"],
          "--transfer-from: applies to --variant edge only"),
-        ("train", ["--node-epochs", "3"], "--node-epochs: applies to --variant edge only"),
-        ("train", ["--variant", "edge", "--transfer-from", "missing.npz", "--node-epochs", "3"],
-         "--node-epochs: does not apply with --transfer-from"),
         ("eval classify", ["--repetitions", "x"], "--repetitions: bad repetitions 'x'"),
         ("eval classify", ["--seed", "x"], "--seed: bad seed 'x'"),
         ("eval classify", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("eval linkpred", ["--p", "x"], "--p: bad p 'x'"),
-        ("train", ["--node-epochs", "x"], "--node-epochs: bad node_epochs 'x'"),
     ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
-            "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "negative-node-epochs",
+            "empty-constructors", "unknown-constructor", "nan-p", "inf-p",
             "repeated-k", "repeated-ratio", "repeated-constructor", "mixed-case-constructor",
-            "node-transfer-from", "node-node-epochs", "edge-transfer-from-node-epochs",
-            "bad-repetitions", "bad-classify-seed", "negative-classify-seed", "bad-p",
-            "bad-node-epochs"])
+            "node-transfer-from", "bad-repetitions", "bad-classify-seed",
+            "negative-classify-seed", "bad-p"])
     def test_malformed_argument_exits_1_before_any_training(
             self, dataset_arg, trained, tmp_path, capsys, monkeypatch, command, flags, message):
         trainings = []

@@ -113,6 +113,17 @@ class TestLoadCitationDataset:
         assert abs(diff).nnz == 0
 
 
+class TestDirectedGraphRefusals:
+    @pytest.mark.parametrize("ids, edges, message", [
+        ([], np.empty((0, 2), dtype=np.int64), "graph has no nodes"),
+        (["a", "b"], np.array([[0, 1], [1, 0], [0, 1]]), "duplicate directed edges"),
+        (["a", "b", "a"], np.array([[0, 1]]), "duplicate node ids"),
+    ], ids=["no-nodes", "repeated-edge", "repeated-id"])
+    def test_refused_with_its_reason(self, ids, edges, message):
+        with pytest.raises(DatasetError, match=message):
+            DirectedGraph(ids, edges)
+
+
 class TestUndirectedUnion:
     def test_single_edge_symmetry(self):
         g = DirectedGraph(["a", "b"], np.array([[0, 1]]))

@@ -254,6 +254,11 @@ class TestNetworkReconstruction:
         with pytest.raises(EvaluationError, match="empty"):
             network_reconstruction(emb, g, [])
 
+    def test_graph_with_another_node_count_rejected(self):
+        emb = make_embeddings(5, 3, seed=0)
+        with pytest.raises(EvaluationError, match="disagree on node count"):
+            network_reconstruction(emb, random_digraph(6, 6, seed=0), [1])
+
     def test_repeated_k_rejected_before_scoring(self, monkeypatch):
         g = random_digraph(5, 6, seed=0)
         emb = make_embeddings(5, 3, seed=0)

@@ -407,6 +407,11 @@ class TestNodeTraining:
         with pytest.raises(TrainingError, match="epoch 1, batch 0"):
             train_node_model(toy_graph, toy_features, cfg)
 
+    def test_features_with_another_row_count_are_refused(self, toy_graph):
+        feats = random_features(toy_graph.node_count + 1, 4, seed=1)
+        with pytest.raises(TrainingError, match=r"feature rows \(7\) != nodes \(6\)"):
+            train_node_model(toy_graph, feats, TrainConfig(epochs=1, seed=0, **SMALL))
+
     def test_loss_trace_length_and_type(self, toy_graph, toy_features):
         cfg = TrainConfig(epochs=4, seed=0, **SMALL)
         result = train_node_model(toy_graph, toy_features, cfg)
@@ -492,13 +497,13 @@ class TestEdgeChain:
                             lambda *a, **k: calls.append(a[3]) or original(*a, **k))
         copies = []
         monkeypatch.setattr(DiagramModel, "copy", lambda self: copies.append(self))
-        edge = train_edge_model(toy_graph, toy_features, TrainConfig(epochs=2, **self.CFG),
-                                node_epochs=3)
+        edge = train_edge_model(toy_graph, toy_features, TrainConfig(epochs=2, **self.CFG))
         assert calls == ["edge"]  # one embedding pass per chain, for the edge model
         assert copies == []  # the fitted node model is trained on in place
         monkeypatch.undo()
 
-        node = train_node_model(toy_graph, toy_features, TrainConfig(epochs=3, **self.CFG))
+        node = train_node_model(toy_graph, toy_features,
+                                TrainConfig(epochs=gm.DEFAULT_NODE_EPOCHS, **self.CFG))
         want = train_edge_model(toy_graph, toy_features,
                                 TrainConfig(epochs=2, transfer_from=node.model, **self.CFG))
         assert edge.loss_trace == want.loss_trace and edge.config == want.config
@@ -708,6 +713,12 @@ class TestEmbeddingIO:
         with pytest.raises(EmbeddingFormatError, match="k=5"):
             import_embeddings(path)
 
+    def test_unknown_export_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        with pytest.raises(ValueError, match="unknown embedding format 'csv'"):
+            export_embeddings(self._random_set(n=3, k=2), path, "csv")
+        assert not path.exists()
+
     def test_truncated_binary_is_typed_error(self, tmp_path):
         emb = self._random_set(n=5, k=3)
         path = tmp_path / "emb.bin"
@@ -732,6 +743,15 @@ class TestEmbeddingIO:
         export_embeddings(self._random_set(n=3, k=2), path, "text")
         self._rewrite_header(path, index, value)
         with pytest.raises(EmbeddingFormatError, match="emb.tsv"):
+            import_embeddings(path)
+
+    @pytest.mark.parametrize("header", ["DIAGRAM v1 1 1 edge fp extra junk",
+                                        "DIAGRAM v1 1 1 edge fp extra", "DIAGRAM v1 1 1 edge"],
+                             ids=["eight-fields", "seven-fields", "five-fields"])
+    def test_text_header_needs_exactly_six_fields(self, tmp_path, header):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"{header}\na 0.1 0.2 0.3\n")
+        with pytest.raises(EmbeddingFormatError, match=r"emb\.tsv: bad header"):
             import_embeddings(path)
 
     def test_bad_float_in_text_row_is_typed_error(self, tmp_path):
