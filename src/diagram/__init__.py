@@ -7,7 +7,6 @@ from .data import (
     build_undirected_union,
     compute_tfidf,
     dataset_fingerprint,
-    dataset_summary,
     load_citation_dataset,
 )
 from .evaluation import (

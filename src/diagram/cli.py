@@ -18,10 +18,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import data as gdata
 from . import evaluation as ev
 from . import model as gm
-from .exceptions import DiagramError, FingerprintMismatchError
+from .exceptions import DiagramError, EmbeddingFormatError, FingerprintMismatchError
 
 DATA_DIR_ENV = "DIAGRAM_DATA_DIR"
 # The keys a --config file may set, each with a flag of the same name, mapped
@@ -65,7 +67,7 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def resolve_dataset(spec: str, data_dir: str | None = None):
+def resolve_dataset(spec: str):
     """Map a dataset argument to (content_path, cites_path, name)."""
     cand = Path(spec)
     if cand.is_dir():
@@ -81,7 +83,7 @@ def resolve_dataset(spec: str, data_dir: str | None = None):
         return content, cites, content.stem
     if Path(str(spec) + ".content").exists():
         return Path(str(spec) + ".content"), Path(str(spec) + ".cites"), cand.name
-    base = Path(data_dir or os.environ.get(DATA_DIR_ENV, "."))
+    base = Path(os.environ.get(DATA_DIR_ENV, "."))
     for prefix in (base / spec / spec, base / spec):
         content = Path(str(prefix) + ".content")
         cites = Path(str(prefix) + ".cites")
@@ -94,7 +96,7 @@ def resolve_dataset(spec: str, data_dir: str | None = None):
 
 
 def load_dataset(args):
-    content, cites, name = resolve_dataset(args.dataset, getattr(args, "data_dir", None))
+    content, cites, name = resolve_dataset(args.dataset)
     graph, features, labels = gdata.load_citation_dataset(content, cites)
     if args.features == "tfidf":
         features = gdata.compute_tfidf(features)
@@ -162,23 +164,28 @@ def _config_fingerprint(cfg: dict) -> str:
 
 def cmd_info(args) -> int:
     graph, features, labels, name = load_dataset(args)
-    s = gdata.dataset_summary(graph, features, labels)
+    out_deg = np.diff(graph.out_adjacency.indptr)
     print(f"dataset {name}")
-    print(f"  nodes          {s.node_count}")
-    print(f"  directed edges {s.edge_count}")
-    print(f"  feature dim    {s.feature_dim} ({s.feature_mode})")
-    print(f"  label classes  {s.n_classes}")
-    print(f"  self loops     {s.self_loops}")
-    print(f"  out degree     mean {_fmt(s.mean_out_degree)} max {s.max_out_degree}")
-    print(f"  in degree max  {s.max_in_degree}")
+    print(f"  nodes          {graph.node_count}")
+    print(f"  directed edges {graph.edge_count}")
+    print(f"  feature dim    {features.dim} ({features.mode})")
+    print(f"  label classes  {labels.n_classes}")
+    print(f"  self loops     {(graph.edge_list[:, 0] == graph.edge_list[:, 1]).sum()}")
+    print(f"  out degree     mean {_fmt(out_deg.mean())} max {out_deg.max()}")
+    print(f"  in degree max  {np.diff(graph.in_adjacency.indptr).max()}")
     for key in ("edge_direction", "dropped_unknown_id_edges", "deduplicated_edges"):
         print(f"  {key:<22} {graph.metadata.get(key)}")
     return 0
 
 
 def _load_checkpoint(path, graph, features):
-    """A model checkpoint and its meta, refused unless trained on this dataset."""
+    """A model checkpoint and its meta, refused unless trained on this dataset.
+
+    A meta with no ``variant`` means a node model; a variant other than
+    "node" or "edge" is refused."""
     model, meta = gm.load_model(path)
+    if meta.setdefault("variant", "node") not in ("node", "edge"):
+        raise EmbeddingFormatError(f"{path}: unknown variant {meta['variant']!r}")
     gdata.check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
                              f"checkpoint {path}")
     return model, meta
@@ -235,7 +242,7 @@ def cmd_train(args) -> int:
 def cmd_export(args) -> int:
     graph, features, labels, name = load_dataset(args)
     model, meta = _load_checkpoint(args.checkpoint, graph, features)
-    emb = gm.compute_embeddings(model, graph, features, meta.get("variant", "node"))
+    emb = gm.compute_embeddings(model, graph, features, meta["variant"])
     gm.export_embeddings(emb, args.out, args.format)
     print(f"wrote {args.format} embeddings for {name} to {args.out}")
     return 0
@@ -309,9 +316,8 @@ def cmd_eval_classify(args) -> int:
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True,
-                   help="dataset name, directory, or file prefix")
-    p.add_argument("--data-dir", default=None,
-                   help=f"data directory (default ${DATA_DIR_ENV})")
+                   help=f"dataset name (looked up under ${DATA_DIR_ENV}), directory, "
+                        "or file prefix")
     p.add_argument("--features", choices=("binary", "tfidf"), default="binary")
 
 

@@ -205,7 +205,7 @@ def _parse_content(content_path: Path):
 def _parse_cites(cites_path: Path, id_to_index: dict[str, int]):
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    dropped = dup = self_loops = 0
+    dropped = dup = 0
     for lineno, line in _lines(cites_path):
         fields = line.split()
         if not fields:
@@ -225,9 +225,7 @@ def _parse_cites(cites_path: Path, id_to_index: dict[str, int]):
             continue
         seen.add((u, v))
         edges.append((u, v))
-        if u == v:
-            self_loops += 1
-    return edges, dropped, dup, self_loops
+    return edges, dropped, dup
 
 
 def load_citation_dataset(content_path, cites_path):
@@ -244,12 +242,11 @@ def load_citation_dataset(content_path, cites_path):
     cites_path = Path(cites_path)
     ids, mat, label_strs = _parse_content(content_path)
     id_to_index = {nid: i for i, nid in enumerate(ids)}
-    edges, dropped, dup, self_loops = _parse_cites(cites_path, id_to_index)
+    edges, dropped, dup = _parse_cites(cites_path, id_to_index)
     metadata = {
         "edge_direction": EDGE_DIRECTION,
         "dropped_unknown_id_edges": dropped,
         "deduplicated_edges": dup,
-        "self_loops": self_loops,
         "content_file": str(content_path),
         "cites_file": str(cites_path),
     }
@@ -295,36 +292,6 @@ def compute_tfidf(raw_counts: FeatureMatrix) -> FeatureMatrix:
     scale = np.divide(1.0, row_norms, out=np.zeros_like(row_norms), where=row_norms > 0)
     out = sp.diags(scale).dot(out).tocsr()
     return FeatureMatrix(out, mode="tfidf")
-
-
-@dataclass
-class DatasetSummary:
-    node_count: int
-    edge_count: int
-    feature_dim: int
-    n_classes: int
-    feature_mode: str
-    self_loops: int
-    max_out_degree: int
-    max_in_degree: int
-    mean_out_degree: float
-
-
-def dataset_summary(graph: DirectedGraph, features: FeatureMatrix, labels: LabelVector) -> DatasetSummary:
-    """Counts used by the CLI ``info`` command."""
-    out_deg = np.diff(graph.out_adjacency.indptr)
-    in_deg = np.diff(graph.in_adjacency.indptr)
-    return DatasetSummary(
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        feature_dim=features.dim,
-        n_classes=labels.n_classes,
-        feature_mode=features.mode,
-        self_loops=int(graph.metadata.get("self_loops", 0)),
-        max_out_degree=int(out_deg.max(initial=0)),
-        max_in_degree=int(in_deg.max(initial=0)),
-        mean_out_degree=float(out_deg.mean()) if out_deg.size else 0.0,
-    )
 
 
 def dataset_fingerprint(graph: DirectedGraph, features: FeatureMatrix) -> str:

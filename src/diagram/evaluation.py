@@ -495,13 +495,10 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
         raise ValueError(f"unknown variant {variant!r}")
     sample = sample_link_prediction(graph, percent, seed)
     _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training
-    cfg = cfg or TrainConfig(seed=seed)
-    if variant == "node":
-        result = train_node_model(sample.residual_graph, features, cfg)
-    else:
-        # from a node model fitted on the residual graph, never one that saw the removed edges
-        result = train_edge_model(sample.residual_graph, features,
-                                  replace(cfg, transfer_from=None))
+    # from a model fitted on the residual graph, never one that saw the removed edges
+    cfg = replace(cfg or TrainConfig(seed=seed), transfer_from=None)
+    train = train_node_model if variant == "node" else train_edge_model
+    result = train(sample.residual_graph, features, cfg)
     reports = {
         mode: link_prediction_eval(result.embeddings, sample, constructors,
                                    mode=mode, seed=seed)

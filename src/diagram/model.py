@@ -363,7 +363,11 @@ def _fit_node_model(inputs: dict[str, sp.csr_matrix], feature_dim: int,
 
 def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
                      cfg: TrainConfig) -> TrainResult:
-    """Mini-batch training over nodes; returns model, embeddings, loss trace."""
+    """Mini-batch training over nodes; returns model, embeddings, loss trace.
+
+    A set ``cfg.transfer_from`` is refused: it applies to the edge model only."""
+    if cfg.transfer_from is not None:
+        raise TrainingError("transfer_from applies to the edge model only")
     model, trace = _fit_node_model(_graph_tensors(graph, features), features.dim, cfg)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, "node", cfg.as_dict())

@@ -32,6 +32,43 @@ class TestInfo:
         assert "directed edges 20" in out
         assert "label classes  3" in out
 
+    # Two self-loops (a and c cite themselves), a repeated citation, one
+    # citing an unknown id, and one count-valued feature.
+    ODD_CONTENT = "a 2 0 x\nb 0 1 y\nc 1 1 x\nd 0 0 y\ne 1 0 x\n"
+    ODD_CITES = "a a\nb a\nb a\nghost c\nc c\nb c\nb d\ne d\n"
+
+    @pytest.mark.parametrize("content, cites, expected", [
+        (ODD_CONTENT, ODD_CITES,
+         "dataset t\n"
+         "  nodes          5\n"
+         "  directed edges 6\n"
+         "  feature dim    2 (count)\n"
+         "  label classes  2\n"
+         "  self loops     2\n"
+         "  out degree     mean 1.2 max 2\n"
+         "  in degree max  3\n"
+         "  edge_direction         citing->cited\n"
+         "  dropped_unknown_id_edges 1\n"
+         "  deduplicated_edges     1\n"),
+        ("a x\nb y\nc x\n", "a b\nb c\n",
+         "dataset t\n"
+         "  nodes          3\n"
+         "  directed edges 2\n"
+         "  feature dim    0 (binary)\n"
+         "  label classes  2\n"
+         "  self loops     0\n"
+         "  out degree     mean 0.666667 max 1\n"
+         "  in degree max  1\n"
+         "  edge_direction         citing->cited\n"
+         "  dropped_unknown_id_edges 0\n"
+         "  deduplicated_edges     0\n"),
+    ], ids=["self-loops-dropped-duplicate", "no-features"])
+    def test_prints_every_line(self, tmp_path, capsys, content, cites, expected):
+        (tmp_path / "t.content").write_text(content)
+        (tmp_path / "t.cites").write_text(cites)
+        assert run(["info", "--dataset", tmp_path / "t"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_missing_dataset_fails_nonzero(self, tmp_path, capsys):
         assert run(["info", "--dataset", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -89,9 +126,17 @@ class TestResolveDataset:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
-    def test_unknown_name_raises(self, tmp_path):
+    def test_unknown_name_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIAGRAM_DATA_DIR", str(tmp_path))
         with pytest.raises(DiagramError, match="not found"):
-            resolve_dataset("ghost", str(tmp_path))
+            resolve_dataset("ghost")
+
+    def test_data_dir_flag_is_unknown(self, dataset_arg, capsys):
+        # the data directory comes from $DIAGRAM_DATA_DIR, or --dataset names it
+        with pytest.raises(SystemExit) as exc:
+            run(["info", "--dataset", dataset_arg, "--data-dir", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --data-dir x" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -341,6 +386,38 @@ class TestExportAndEval:
         a = import_embeddings(target)
         b = import_embeddings(trained / "node_embeddings.tsv")
         assert np.array_equal(a.z, b.z)
+
+    def _with_meta(self, trained, tmp_path, **changes):
+        """The trained node checkpoint rewritten with ``changes`` to its meta;
+        a None value deletes the key."""
+        with np.load(trained / "node_checkpoint.npz") as npz:
+            arrays = {k: npz[k] for k in npz.files if k != "__meta__"}
+            meta = json.loads(npz["__meta__"].tobytes())
+        meta = {k: v for k, v in {**meta, **changes}.items() if v is not None}
+        path = tmp_path / "changed.npz"
+        write_npz(path, arrays, meta)
+        return path
+
+    @pytest.mark.parametrize("variant, fmt", [([1, 2], "text"), ("my variant", "text"),
+                                              ("my variant", "binary")],
+                             ids=["list", "string", "string-binary"])
+    def test_export_refuses_an_unknown_checkpoint_variant(self, dataset_arg, trained,
+                                                          tmp_path, capsys, variant, fmt):
+        ckpt = self._with_meta(trained, tmp_path, variant=variant)
+        target = tmp_path / "re.out"
+        assert run(["export", "--dataset", dataset_arg, "--checkpoint", ckpt,
+                    "--format", fmt, "--out", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: unknown variant ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_export_of_a_checkpoint_without_variant_gives_node_embeddings(
+            self, dataset_arg, trained, tmp_path):
+        target = tmp_path / "re.tsv"
+        assert run(["export", "--dataset", dataset_arg, "--out", target, "--checkpoint",
+                    self._with_meta(trained, tmp_path, variant=None)]) == 0
+        assert target.read_bytes() == (trained / "node_embeddings.tsv").read_bytes()
 
     def test_eval_reconstruct_writes_reports(self, dataset_arg, trained,
                                              tmp_path, capsys):

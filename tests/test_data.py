@@ -14,7 +14,6 @@ from diagram.data import (
     build_undirected_union,
     compute_tfidf,
     dataset_fingerprint,
-    dataset_summary,
     load_citation_dataset,
 )
 from diagram.exceptions import DatasetError
@@ -74,7 +73,7 @@ class TestLoadCitationDataset:
         cites.write_text("a a\nb a\n")
         graph, _, _ = load_citation_dataset(content, cites)
         assert graph.edge_count == 2
-        assert graph.metadata["self_loops"] == 1
+        assert (graph.edge_list[:, 0] == graph.edge_list[:, 1]).sum() == 1
         assert graph.out_adjacency[0, 0] == 1
 
     @pytest.mark.parametrize("content_text,fragment", [
@@ -218,25 +217,6 @@ class TestTfidf:
 
 
 class TestSummaryAndExport:
-    def test_summary_matches_hand_tally(self, fixture_dataset):
-        graph, features, labels = load_citation_dataset(*fixture_dataset)
-        s = dataset_summary(graph, features, labels)
-        assert s.node_count == 12
-        assert s.edge_count == 20
-        assert s.feature_dim == 6
-        assert s.n_classes == 3
-        assert s.mean_out_degree == pytest.approx(20 / 12)
-
-    def test_empty_feature_graph_reports_d_zero(self, tmp_path):
-        content = tmp_path / "nf.content"
-        cites = tmp_path / "nf.cites"
-        content.write_text("a x\nb y\n")
-        cites.write_text("a b\n")
-        graph, features, labels = load_citation_dataset(content, cites)
-        assert features.dim == 0
-        s = dataset_summary(graph, features, labels)
-        assert s.feature_dim == 0
-
     def test_fingerprint_sensitive_to_edges(self, fixture_dataset):
         graph, features, _ = load_citation_dataset(*fixture_dataset)
         fp1 = dataset_fingerprint(graph, features)
@@ -404,6 +384,13 @@ def assert_same_csr(got: sp.csr_matrix, want: sp.csr_matrix):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def assert_same_cites(got, want):
+    """The parser's ``(edges, dropped, dup)`` are the oracle's first three
+    fields, and the oracle's self-loop count is the edges' ``u == v`` count."""
+    assert got == want[:3]
+    assert want[3] == sum(u == v for u, v in got[0])
+
+
 def outcome(parse, *args):
     """``("ok", result)``, or ``("error", message)`` for a DatasetError; any
     other exception propagates."""
@@ -435,7 +422,10 @@ def assert_parsers_agree(content: Path, cites: Path):
         want = ("error", None)
     got = outcome(data._parse_cites, cites, id_to_index)
     assert got[0] == want[0]
-    assert want[1] is None or got[1] == want[1]
+    if want[0] == "ok":
+        assert_same_cites(got[1], want[1])
+    else:
+        assert want[1] is None or got[1] == want[1]
 
 
 # Line 1 ends in CRLF, line 2 in a bare CR and line 3 in LF. Fields are split by
@@ -480,7 +470,7 @@ class TestByteParserMatchesTextOracle:
         assert ids == want_ids and label_strs == want_labels
         assert_same_csr(mat, want_mat)
         index = {nid: i for i, nid in enumerate(ids)}
-        assert data._parse_cites(cites, index) == reference_parse_cites(cites, index)
+        assert_same_cites(data._parse_cites(cites, index), reference_parse_cites(cites, index))
         graph, features, labels = load_citation_dataset(content, cites)
         assert graph.metadata["dropped_unknown_id_edges"] == 0
         assert (features.values != ds.features).nnz == 0

@@ -999,11 +999,12 @@ class TestFullProtocol:
         feats = random_features(20, 6, seed=11)
         cfg = TrainConfig(epochs=1, batch_size=16, seed=0, trunk_dims=(8, 4), embedding_dim=3)
         full = train_node_model(g, feats, replace(cfg, epochs=2)).model
-        _, _, want = run_link_prediction_protocol(g, feats, 10.0, 1, cfg=cfg)
-        _, _, got = run_link_prediction_protocol(g, feats, 10.0, 1,
-                                                 cfg=replace(cfg, transfer_from=full))
-        for name, arr in want.model.parameters().items():
-            assert got.model.parameters()[name].tobytes() == arr.tobytes(), name
+        for variant in ("edge", "node"):
+            _, _, want = run_link_prediction_protocol(g, feats, 10.0, 1, variant, cfg)
+            _, _, got = run_link_prediction_protocol(g, feats, 10.0, 1, variant,
+                                                     replace(cfg, transfer_from=full))
+            for name, arr in want.model.parameters().items():
+                assert got.model.parameters()[name].tobytes() == arr.tobytes(), (variant, name)
 
     def test_unknown_variant_rejected_before_sampling(self, monkeypatch):
         calls = []

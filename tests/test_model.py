@@ -451,6 +451,15 @@ class TestEdgeTraining:
         end = mean_edge_loss(edge_res.model, toy_graph, toy_features)
         assert end <= start
 
+    def test_node_model_refuses_a_transfer_model(self, toy_graph, toy_features, monkeypatch):
+        steps = []
+        monkeypatch.setattr(DiagramModel, "zero_grad", lambda self: steps.append(self))
+        other = DiagramModel(6, 4, trunk_dims=(8, 4), embedding_dim=3)
+        cfg = TrainConfig(epochs=1, seed=0, transfer_from=other, **SMALL)
+        with pytest.raises(TrainingError, match="^transfer_from applies to the edge model only$"):
+            train_node_model(toy_graph, toy_features, cfg)
+        assert steps == []
+
     def test_architecture_mismatch_rejected(self, toy_graph, toy_features):
         other = DiagramModel(6, 4, trunk_dims=(6, 4), embedding_dim=3)
         cfg = TrainConfig(epochs=1, seed=0, transfer_from=other, **SMALL)
