@@ -1,11 +1,10 @@
 """Command-line entry point: info / train / export / eval subcommands.
 
 Configuration precedence is flags > config file (flat ``key = value``
-lines) > built-in defaults. The default data directory comes from the
-``DIAGRAM_DATA_DIR`` environment variable; ``--dataset`` also accepts a
-directory or a ``<prefix>`` such that ``<prefix>.content`` and
-``<prefix>.cites`` exist. Every artifact embeds the resolved config and
-seed, so a run can be reproduced from its outputs.
+lines) > built-in defaults. ``--dataset`` names a directory holding one
+``.content``/``.cites`` pair or the path prefix of one, as given or under
+the ``DIAGRAM_DATA_DIR`` environment variable. Every artifact embeds the
+resolved config and seed, so a run can be reproduced from its outputs.
 """
 
 from __future__ import annotations
@@ -68,31 +67,26 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_dataset(spec: str):
-    """Map a dataset argument to (content_path, cites_path, name)."""
-    cand = Path(spec)
-    if cand.is_dir():
-        contents = sorted(cand.glob("*.content"))
-        if len(contents) != 1:
-            raise DiagramError(
-                f"{spec}: expected exactly one .content file, found {len(contents)}"
-            )
-        content = contents[0]
+    """Map a dataset argument to (content_path, cites_path, name): the first of ``spec``
+    and ``$DIAGRAM_DATA_DIR/<spec>`` that is a directory or a ``.content`` path prefix."""
+    base = Path(os.environ.get(DATA_DIR_ENV, "."))
+    for cand in (Path(spec), base / spec):
+        if cand.is_dir():
+            contents = sorted(cand.glob("*.content"))
+            if len(contents) != 1:
+                raise DiagramError(f"{cand}: expected exactly one .content file, "
+                                   f"found {len(contents)}")
+            content = contents[0]
+        elif Path(f"{cand}.content").exists():
+            content = Path(f"{cand}.content")
+        else:
+            continue
         cites = content.with_suffix(".cites")
         if not cites.exists():
             raise DiagramError(f"{cites} missing next to {content}")
         return content, cites, content.stem
-    if Path(str(spec) + ".content").exists():
-        return Path(str(spec) + ".content"), Path(str(spec) + ".cites"), cand.name
-    base = Path(os.environ.get(DATA_DIR_ENV, "."))
-    for prefix in (base / spec / spec, base / spec):
-        content = Path(str(prefix) + ".content")
-        cites = Path(str(prefix) + ".cites")
-        if content.exists() and cites.exists():
-            return content, cites, spec
-    raise DiagramError(
-        f"dataset {spec!r} not found (looked under {base}; set {DATA_DIR_ENV} "
-        "or pass a directory / file prefix)"
-    )
+    raise DiagramError(f"dataset {spec!r} not found (looked under {base}; set {DATA_DIR_ENV} "
+                       "or pass a directory / file prefix)")
 
 
 def load_dataset(args):
@@ -198,7 +192,11 @@ def cmd_train(args) -> int:
     cfg = build_train_config(args, name)
     provenance = {}  # where the edge model's starting node model came from
     if args.transfer_from is not None:
-        cfg = replace(cfg, transfer_from=_load_checkpoint(args.transfer_from, graph, features)[0])
+        start, meta = _load_checkpoint(args.transfer_from, graph, features)
+        if meta["variant"] != "node":
+            raise DiagramError(f"--transfer-from: {args.transfer_from} holds an "
+                               f"{meta['variant']} model, not a node model")
+        cfg = replace(cfg, transfer_from=start)
         provenance["transfer_from"] = args.transfer_from
     elif args.variant == "edge":
         provenance["auto_node_epochs"] = gm.DEFAULT_NODE_EPOCHS
@@ -207,10 +205,10 @@ def cmd_train(args) -> int:
     result = (gm.train_node_model(graph, features, cfg) if args.variant == "node"
               else gm.train_edge_model(graph, features, cfg))
 
-    fingerprint = gdata.dataset_fingerprint(graph, features)
+    fingerprint = result.embeddings.fingerprint
     run_cfg = {
         "dataset": name,
-        "feature_mode": args.features,
+        "feature_mode": features.mode,
         "variant": args.variant,
         "dataset_fingerprint": fingerprint,
         **result.config,
@@ -316,8 +314,7 @@ def cmd_eval_classify(args) -> int:
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True,
-                   help=f"dataset name (looked up under ${DATA_DIR_ENV}), directory, "
-                        "or file prefix")
+                   help=f"directory or file prefix, as given or under ${DATA_DIR_ENV}")
     p.add_argument("--features", choices=("binary", "tfidf"), default="binary")
 
 

@@ -70,8 +70,7 @@ class DirectedGraph:
         if self.out_adjacency.nnz != m:
             raise DatasetError("duplicate directed edges in edge list")
         self.in_adjacency = self.out_adjacency.T.tocsr()
-        self.id_to_index = {nid: i for i, nid in enumerate(self.node_ids)}
-        if len(self.id_to_index) != n:
+        if len(set(self.node_ids)) != n:
             raise DatasetError("duplicate node ids")
         self.metadata = dict(metadata or {})
 

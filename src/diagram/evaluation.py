@@ -188,10 +188,11 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     quota = math.ceil(percent * m / 100.0)
     if quota <= 0:
         raise SamplingError(f"percent={percent} requests zero edges from m={m}")
-    if n * n - n - m < quota:
+    edges = graph.edge_list
+    # self-loops are not among the n*n - n candidate pairs
+    if n * n - n - np.count_nonzero(edges[:, 0] != edges[:, 1]) < quota:
         raise SamplingError("not enough non-edges for balanced false samples")
 
-    edges = graph.edge_list
     adj: list[dict] = [{} for _ in range(n)]
     for u, v in edges:
         _link(adj, int(u), int(v), 1)
@@ -223,9 +224,7 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
                 if len(drawn) == quota:
                     break
 
-    meta = {**graph.metadata, "link_prediction_removed": quota,
-            "link_prediction_seed": int(seed), "link_prediction_percent": float(percent)}
-    residual = DirectedGraph(graph.node_ids, edges[~removed], meta)
+    residual = DirectedGraph(graph.node_ids, edges[~removed], graph.metadata)
     false_pairs = np.column_stack(np.divmod(np.array(drawn, dtype=np.int64), n))
     pairs = np.vstack([edges[removed], false_pairs])
     labels = np.repeat(np.array([1, 0], dtype=np.int64), quota)
@@ -529,6 +528,7 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
     ``train_ratios`` are percentages of each class's nodes to train on,
     at least one node per class; each ratio gets ``repetitions`` seeded
     splits and the report carries the mean and std of micro- and macro-F1.
+    Macro-F1 averages over the label values present in ``labels``.
     """
     y = labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
     if y.size != emb.n:
@@ -544,7 +544,7 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
     if seed < 0:
         raise EvaluationError(f"seed must be >= 0, got {seed}")
     _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
-    classes, sizes = np.unique(y, return_counts=True)
+    _, y, sizes = np.unique(y, return_inverse=True, return_counts=True)  # y as 0..k-1
     for ratio in train_ratios:
         if not 0 < ratio < 100:
             raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
@@ -556,8 +556,8 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         micros, macros = [], []
         for _ in range(repetitions):
             train_idx, test_idx = stratified_split(y, float(ratio) / 100.0, rng)
-            pred = _ovr_predict(X[train_idx], y[train_idx], X[test_idx], classes)
-            micro, macro = micro_macro_f1(y[test_idx], pred, int(classes.max()) + 1)
+            pred = _ovr_predict(X[train_idx], y[train_idx], X[test_idx], np.arange(sizes.size))
+            micro, macro = micro_macro_f1(y[test_idx], pred, sizes.size)
             micros.append(micro)
             macros.append(macro)
         groups.append((str(ratio), float(ratio), {"micro_f1": micros, "macro_f1": macros}))

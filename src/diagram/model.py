@@ -293,7 +293,6 @@ class TrainResult:
     model: DiagramModel
     embeddings: EmbeddingSet
     loss_trace: list[float]
-    variant: str
     config: dict = field(default_factory=dict)
 
 
@@ -370,7 +369,7 @@ def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
         raise TrainingError("transfer_from applies to the edge model only")
     model, trace = _fit_node_model(_graph_tensors(graph, features), features.dim, cfg)
     emb = compute_embeddings(model, graph, features, "node")
-    return TrainResult(model, emb, trace, "node", cfg.as_dict())
+    return TrainResult(model, emb, trace, cfg.as_dict())
 
 
 def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
@@ -403,7 +402,7 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
                  lambda rows: _edge_batches(rows[:, 0], rows[:, 1], inputs),
                  epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "edge")
-    return TrainResult(model, emb, trace, "edge", {**cfg.as_dict(), "transfer_from": True})
+    return TrainResult(model, emb, trace, {**cfg.as_dict(), "transfer_from": True})
 
 
 # -- npz archives: model checkpoints and binary embeddings ---------------------

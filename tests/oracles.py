@@ -309,9 +309,9 @@ def reference_link_sample(graph: DirectedGraph, percent: float, seed: int) -> Li
     quota = math.ceil(percent * m / 100.0)
     if quota <= 0:
         raise SamplingError(f"percent={percent} requests zero edges from m={m}")
-    if n * n - n - m < quota:
-        raise SamplingError("not enough non-edges for balanced false samples")
     edges = graph.edge_list
+    if n * n - n - sum(u != v for u, v in edges.tolist()) < quota:
+        raise SamplingError("not enough non-edges for balanced false samples")
     adj: list[set] = [set() for _ in range(n)]
     pair_count: dict[tuple[int, int], int] = {}
     for u, v in edges.tolist():
@@ -358,9 +358,7 @@ def reference_link_sample(graph: DirectedGraph, percent: float, seed: int) -> Li
                 break
     gone = np.zeros(m, dtype=bool)
     gone[removed] = True
-    meta = {**graph.metadata, "link_prediction_removed": quota,
-            "link_prediction_seed": int(seed), "link_prediction_percent": float(percent)}
-    residual = DirectedGraph(graph.node_ids, edges[~gone], meta)
+    residual = DirectedGraph(graph.node_ids, edges[~gone], graph.metadata)
     pairs = np.vstack([edges[gone], np.array(false_pairs, dtype=np.int64)])
     labels = np.repeat(np.array([1, 0], dtype=np.int64), quota)
     return LinkSample(pairs, labels, residual, int(seed), float(percent))

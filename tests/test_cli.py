@@ -131,6 +131,48 @@ class TestResolveDataset:
         with pytest.raises(DiagramError, match="not found"):
             resolve_dataset("ghost")
 
+    def test_data_dir_folder_without_one_dataset_exits_1(self, fixture_dataset, tmp_path,
+                                                        capsys, monkeypatch):
+        # a folder found under $DIAGRAM_DATA_DIR follows the rule of a folder given directly
+        content, cites = fixture_dataset
+        folder = tmp_path / "data" / "cora"
+        folder.mkdir(parents=True)
+        for stem in ("cora", "extra"):
+            (folder / f"{stem}.content").write_bytes(content.read_bytes())
+            (folder / f"{stem}.cites").write_bytes(cites.read_bytes())
+        monkeypatch.setenv("DIAGRAM_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path)
+        assert run(["info", "--dataset", "cora"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {folder}: expected exactly one .content file, found 2\n"
+
+    @pytest.mark.parametrize("under_data_dir", [False, True], ids=["as-given", "data-dir"])
+    def test_prefix_without_cites_exits_1(self, fixture_dataset, tmp_path, capsys,
+                                          monkeypatch, under_data_dir):
+        content, _ = fixture_dataset
+        (tmp_path / "data").mkdir()
+        lone = tmp_path / "data" / "lone.content"
+        lone.write_bytes(content.read_bytes())
+        monkeypatch.setenv("DIAGRAM_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path)
+        spec = "lone" if under_data_dir else str(tmp_path / "data" / "lone")
+        assert run(["info", "--dataset", spec]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {lone.with_suffix('.cites')} missing next to {lone}\n"
+
+    @pytest.mark.parametrize("under_data_dir", [False, True], ids=["as-given", "data-dir"])
+    def test_nested_prefix_is_named_by_its_stem(self, fixture_dataset, tmp_path,
+                                                monkeypatch, under_data_dir):
+        content, cites = fixture_dataset
+        (tmp_path / "data" / "sub").mkdir(parents=True)
+        for path in (content, cites):
+            (tmp_path / "data" / "sub" / f"cora{path.suffix}").write_bytes(path.read_bytes())
+        monkeypatch.setenv("DIAGRAM_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path if under_data_dir else tmp_path / "data")
+        got_content, got_cites, name = resolve_dataset("sub/cora")
+        assert got_content.samefile(tmp_path / "data" / "sub" / "cora.content")
+        assert got_cites == got_content.with_suffix(".cites") and name == "cora"
+
     def test_data_dir_flag_is_unknown(self, dataset_arg, capsys):
         # the data directory comes from $DIAGRAM_DATA_DIR, or --dataset names it
         with pytest.raises(SystemExit) as exc:
@@ -268,6 +310,31 @@ class TestTrain:
         assert ret == 1
         assert "fingerprint" in capsys.readouterr().err
         assert not (tmp_path / "edge" / "edge_checkpoint.npz").exists()
+
+    def test_transfer_from_edge_checkpoint_is_refused(self, dataset_arg, tmp_path, capsys):
+        edge_out = tmp_path / "edge"
+        assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                    "--out", edge_out, *FAST]) == 0
+        capsys.readouterr()
+        ckpt = edge_out / "edge_checkpoint.npz"
+        assert run(["train", "--dataset", dataset_arg, "--variant", "edge",
+                    "--transfer-from", ckpt, "--out", tmp_path / "again", *FAST]) == 1
+        assert capsys.readouterr().err == (f"error: --transfer-from: {ckpt} holds an edge "
+                                           "model, not a node model\n")
+        assert not (tmp_path / "again").exists()
+
+    @pytest.mark.parametrize("features, mode", [("binary", "count"), ("tfidf", "tfidf")])
+    def test_run_config_records_the_features_mode(self, tmp_path, features, mode):
+        # the first node's feature 2 makes the dataset count-valued
+        (tmp_path / "t.content").write_text("a 2 0 x\nb 0 1 y\nc 1 1 x\nd 0 0 y\n")
+        (tmp_path / "t.cites").write_text("b a\nc b\nd c\na d\n")
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", tmp_path / "t", "--features", features,
+                    "--out", out, *FAST]) == 0
+        cfg = json.loads((out / "run_config.json").read_text())
+        assert cfg["feature_mode"] == mode
+        assert cfg["dataset_fingerprint"] == import_embeddings(
+            out / "node_embeddings.tsv").fingerprint
 
     def test_binary_format(self, dataset_arg, tmp_path):
         out = tmp_path / "bin"

@@ -39,8 +39,8 @@ class TestLoadCitationDataset:
     def test_direction_is_citing_to_cited(self, fixture_dataset):
         graph, _, _ = load_citation_dataset(*fixture_dataset)
         # cites row "p1 p0": p0 cites p1, so the stored edge is p0 -> p1
-        u = graph.id_to_index["p0"]
-        v = graph.id_to_index["p1"]
+        u = graph.node_ids.index("p0")
+        v = graph.node_ids.index("p1")
         assert graph.out_adjacency[u, v] == 1
         assert graph.metadata["edge_direction"] == "citing->cited"
 

@@ -325,6 +325,14 @@ class TestLinkSampling:
         assert np.array_equal(s1.pairs, s2.pairs)
         assert np.array_equal(s1.labels, s2.labels)
 
+    def test_self_loops_do_not_use_up_non_edges(self):
+        # two of the three edges are self-loops, which are not candidate pairs,
+        # so the pair (1, 0) is free to be the one false sample
+        g = DirectedGraph(["a", "b"], np.array([(0, 0), (1, 1), (0, 1)]))
+        sample = sample_link_prediction(g, 33.0, seed=0)  # quota 1
+        assert sample.pairs.tolist() == [[0, 0], [1, 0]]
+        assert sample.pairs.tolist() == reference_link_sample(g, 33.0, seed=0).pairs.tolist()
+
     def test_zero_quota_rejected(self):
         g = random_digraph(10, 15, seed=0)
         with pytest.raises(SamplingError):
@@ -791,6 +799,15 @@ class TestNodeClassification:
         assert row["micro_f1_mean"] == 1.0
         assert row["macro_f1_mean"] == 1.0
 
+    def test_macro_f1_averages_over_the_classes_present(self):
+        # label value 1 never occurs, so it is not a class that scores F1 = 0
+        labels = np.array([0, 2] * 10)
+        z = np.eye(3)[labels]
+        emb = EmbeddingSet(z, z, z, [f"n{j}" for j in range(20)], "node")
+        row = node_classification_eval(emb, labels, train_ratios=(50,),
+                                       repetitions=2, seed=0).table[0]
+        assert (row["micro_f1_mean"], row["macro_f1_mean"]) == (1.0, 1.0)
+
     def test_ratios_and_repetitions_shape(self):
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 3, size=40)
@@ -977,7 +994,7 @@ class TestFullProtocol:
             g, feats, percent=10.0, seed=1, variant="edge", cfg=cfg,
             modes=("directed", "symmetric"))
         assert set(reports) == {"directed", "symmetric"}
-        assert result.variant == "edge"
+        assert result.embeddings.variant == "edge"
         assert sample.residual_graph.edge_count == g.edge_count - int(sample.labels.sum())
         for report in reports.values():
             assert len(report.table) == len(EDGE_CONSTRUCTORS)
