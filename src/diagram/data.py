@@ -49,8 +49,8 @@ class DirectedGraph:
     node_ids : list of str
         External id for each dense node index.
     edges : array-like of shape (m, 2)
-        Directed edges as (source, target) dense-index pairs, already
-        deduplicated.
+        Directed edges as (source, target) dense-index pairs in ``0..n-1``,
+        already deduplicated.
     metadata : dict, optional
         Provenance notes (edge direction convention, drop counts, ...).
     """
@@ -63,6 +63,8 @@ class DirectedGraph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         self.edge_list = edges
         m = edges.shape[0]
+        if m and (edges.min() < 0 or edges.max() >= n):
+            raise DatasetError(f"edge endpoint outside 0..{n - 1}")
         data = np.ones(m, dtype=np.float64)
         self.out_adjacency = sp.csr_matrix(
             (data, (edges[:, 0], edges[:, 1])), shape=(n, n)
@@ -246,8 +248,6 @@ def load_citation_dataset(content_path, cites_path):
         "edge_direction": EDGE_DIRECTION,
         "dropped_unknown_id_edges": dropped,
         "deduplicated_edges": dup,
-        "content_file": str(content_path),
-        "cites_file": str(cites_path),
     }
     graph = DirectedGraph(ids, np.asarray(edges, dtype=np.int64).reshape(-1, 2), metadata)
 

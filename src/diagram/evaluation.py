@@ -456,6 +456,8 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     Reports the mean and standard deviation over folds of both AUC and the
     positive-class F1, per feature constructor, keyed by its lower-case name.
     """
+    if sample.residual_graph.node_count != emb.n:
+        raise EvaluationError("embedding and link sample disagree on node count")
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")

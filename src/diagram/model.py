@@ -27,7 +27,6 @@ targets, so a training step makes no dense copy of them.
 from __future__ import annotations
 
 import json
-import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -420,14 +419,11 @@ def _write_archive(path, kind: str, arrays: dict, meta: dict) -> None:
 
 def _read_archive(path, kind: str, what: str) -> tuple[dict, dict]:
     """(arrays, header) of a :func:`_write_archive` file; ``what`` names it in errors."""
-    # zipfile reports a corrupt archive as BadZipFile or EOFError, a bogus
-    # compression method or version as NotImplementedError, and a bogus
-    # encryption flag as RuntimeError; a .npy file fails the with as TypeError.
+    # zipfile and numpy fail on a corrupt file in many ways, MemoryError included
     try:
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {k: npz[k] for k in npz.files}
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile, NotImplementedError,
-            RuntimeError, TypeError) as exc:
+    except Exception as exc:
         raise EmbeddingFormatError(f"cannot read {what} {path}: {exc}") from exc
     raw = arrays.pop("__meta__", None)
     if raw is None:
@@ -472,7 +468,7 @@ def load_model(path):
     try:
         model = DiagramModel(meta["node_count"], meta["feature_dim"],
                              tuple(meta["trunk_dims"]), meta["embedding_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except Exception as exc:
         raise EmbeddingFormatError(f"{path}: bad model header: {exc!r}") from exc
     params, flip = model.parameters(), _transposed(model)
     if set(params) != set(tensors):

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +75,28 @@ def write_npz(path, arrays: dict, meta) -> None:
     raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
     with open(path, "wb") as fh:
         np.savez(fh, **arrays, __meta__=np.frombuffer(raw, dtype=np.uint8))
+
+
+# A shape whose float64 bytes (16 PB) exceed a 47-bit user address space, so
+# allocating it fails at once and reserves nothing.
+HUGE_SHAPE = (10**15, 2)
+
+
+def claim_huge_shape(path, entry: str) -> None:
+    """Rewrite the ``.npy`` header of npz entry ``entry`` to claim
+    :data:`HUGE_SHAPE`, leaving its data and every other entry as they are."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    raw = io.BytesIO(members[f"{entry}.npy"])
+    np.lib.format.read_magic(raw)
+    _, fortran_order, dtype = np.lib.format.read_array_header_1_0(raw)
+    fixed = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        fixed, {"shape": HUGE_SHAPE, "fortran_order": fortran_order, "descr": dtype.str})
+    members[f"{entry}.npy"] = fixed.getvalue() + raw.read()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from diagram.cli import main, parse_config_file, resolve_dataset
 from diagram.exceptions import DiagramError
 from diagram.model import import_embeddings, load_model
 
-from conftest import write_npz
+from conftest import claim_huge_shape, write_npz
 
 FAST = ["--epochs", "2", "--k", "4", "--trunk", "8,4", "--seed", "3"]
 
@@ -548,6 +549,63 @@ class TestExportAndEval:
         err = capsys.readouterr().err
         assert err == f"error: {path}: non-finite value for node {emb.node_ids[4]!r}\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
+                                         ["eval", "reconstruct", "--k-list", "5"]],
+                             ids=["classify", "reconstruct"])
+    def test_eval_accepts_embeddings_without_fingerprint_in_dataset_order(
+            self, dataset_arg, trained, tmp_path, capsys, fmt, command):
+        # embeddings made outside the CLI: no fingerprint, text header field "-"
+        emb = dataclasses.replace(import_embeddings(trained / "node_embeddings.tsv"),
+                                  fingerprint="")
+        path = tmp_path / f"plain.{fmt}"
+        gm.export_embeddings(emb, path, fmt)
+        if fmt == "text":
+            assert path.read_text().split("\n", 1)[0].endswith(" -")
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o"]) == 0
+        back = gm.EmbeddingSet(emb.z[::-1], emb.o[::-1], emb.i[::-1], emb.node_ids[::-1],
+                               emb.variant, "")
+        gm.export_embeddings(back, path, fmt)
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o2"]) == 1
+        assert "node ids are not the dataset's node ids" in capsys.readouterr().err
+        assert not (tmp_path / "o2").exists()
+
+    @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
+                                         ["eval", "reconstruct", "--k-list", "5"]],
+                             ids=["classify", "reconstruct"])
+    def test_eval_refuses_an_entry_claiming_more_than_memory(self, dataset_arg, trained,
+                                                             tmp_path, capsys, command):
+        path = tmp_path / "huge.bin"
+        gm.export_embeddings(import_embeddings(trained / "node_embeddings.tsv"), path,
+                             "binary")
+        claim_huge_shape(path, "z")
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read binary embedding file {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("claim", ["entry", "header"])
+    def test_export_refuses_a_checkpoint_claiming_more_than_memory(self, dataset_arg, trained,
+                                                                   tmp_path, capsys, claim):
+        if claim == "entry":
+            ckpt = self._with_meta(trained, tmp_path)
+            claim_huge_shape(ckpt, "embed.W")
+            message = f"error: cannot read checkpoint {ckpt}: "
+        else:
+            ckpt = self._with_meta(trained, tmp_path, node_count=10**15)
+            message = f"error: {ckpt}: bad model header: "
+        target = tmp_path / "re.tsv"
+        assert run(["export", "--dataset", dataset_arg, "--checkpoint", ckpt,
+                    "--out", target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not target.exists()
 
     def test_eval_classify_writes_reports(self, dataset_arg, trained, tmp_path):
         out = tmp_path / "cls"

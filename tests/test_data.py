@@ -117,7 +117,10 @@ class TestDirectedGraphRefusals:
         ([], np.empty((0, 2), dtype=np.int64), "graph has no nodes"),
         (["a", "b"], np.array([[0, 1], [1, 0], [0, 1]]), "duplicate directed edges"),
         (["a", "b", "a"], np.array([[0, 1]]), "duplicate node ids"),
-    ], ids=["no-nodes", "repeated-edge", "repeated-id"])
+        (["a", "b", "c"], np.array([[0, 1], [2, 5]]), r"edge endpoint outside 0\.\.2"),
+        (["a", "b", "c"], np.array([[-1, 1]]), r"edge endpoint outside 0\.\.2"),
+    ], ids=["no-nodes", "repeated-edge", "repeated-id", "endpoint-too-large",
+            "negative-endpoint"])
     def test_refused_with_its_reason(self, ids, edges, message):
         with pytest.raises(DatasetError, match=message):
             DirectedGraph(ids, edges)

@@ -540,6 +540,18 @@ class TestLogisticRegression:
         with pytest.raises(ValueError, match="non-finite"):
             logistic_regression_fit(x, np.array([0.0, 1.0]))
 
+    def test_singular_newton_system_falls_back_to_least_squares(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(60, 4))
+        y = (x @ np.array([1.0, -1.0, 0.5, 0.0]) + rng.normal(size=60) > 0).astype(float)
+        want = logistic_regression_fit(x, y)
+
+        def singular(h, g):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert np.max(np.abs(logistic_regression_fit(x, y) - want)) < 1e-12
+
 
 class TestAuc:
     def test_scores_equal_labels(self):
@@ -719,6 +731,13 @@ class TestLinkPredictionEval:
         emb.i[:] = 1.0  # every hadamard feature identical
         report = link_prediction_eval(emb, sample, constructors=("hadamard",))
         assert abs(report.table[0]["auc_mean"] - 0.5) < 0.05
+
+    def test_sample_from_another_graph_is_refused(self):
+        sample = sample_link_prediction(random_digraph(40, 120, seed=0, ensure_connected=True),
+                                        20.0, seed=0)
+        with pytest.raises(EvaluationError,
+                           match="embedding and link sample disagree on node count"):
+            link_prediction_eval(make_embeddings(100, 4, seed=0), sample)
 
     def test_report_has_all_constructors(self):
         g = random_digraph(24, 80, seed=5, ensure_connected=True)

@@ -32,7 +32,7 @@ from diagram.model import (
 )
 from diagram.nn import CSRRows, finite_diff_check, glorot_uniform, masked_sq_error
 
-from conftest import random_features, write_npz
+from conftest import claim_huge_shape, random_features, write_npz
 from oracles import batch_loss, edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
@@ -596,6 +596,24 @@ class TestCheckpointIO:
         with pytest.raises(EmbeddingFormatError, match=r"cannot read checkpoint \S*m\.npy"):
             load_model(tmp_path / "m.npy")
 
+    def test_entry_claiming_more_than_memory_is_typed_error(self, toy_graph, toy_features,
+                                                             tmp_path):
+        path = tmp_path / "model.npz"
+        save_model(path, small_model(toy_graph, toy_features))
+        claim_huge_shape(path, "embed.W")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"cannot read checkpoint \S*model\.npz: "):
+            load_model(path)
+
+    def test_header_claiming_more_than_memory_is_bad_header(self, toy_graph, toy_features,
+                                                           tmp_path):
+        path = tmp_path / "model.npz"
+        write_npz(path, small_model(toy_graph, toy_features).parameters(),
+                  {"version": 1, "kind": "diagram-model", "node_count": 10**15,
+                   "feature_dim": 4, "trunk_dims": [8, 4], "embedding_dim": 3})
+        with pytest.raises(EmbeddingFormatError, match=r"model\.npz: bad model header: "):
+            load_model(path)
+
     @pytest.mark.parametrize("as_type", [str, Path])
     def test_checkpoint_path_as_transfer_from_is_rejected(self, tmp_path, as_type):
         # a checkpoint is loaded, and its provenance checked, by the caller
@@ -734,6 +752,14 @@ class TestEmbeddingIO:
         export_embeddings(emb, path, "binary")
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"cannot read binary embedding file \S*emb\.bin: "):
+            import_embeddings(path)
+
+    def test_entry_claiming_more_than_memory_is_typed_error(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        export_embeddings(self._random_set(n=3, k=2), path, "binary")
+        claim_huge_shape(path, "z")
         with pytest.raises(EmbeddingFormatError,
                            match=r"cannot read binary embedding file \S*emb\.bin: "):
             import_embeddings(path)
