@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import data as gdata
 from . import evaluation as ev
@@ -153,6 +154,19 @@ def _config_fingerprint(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
 
 
+def _numeric_environment() -> dict:
+    """The numpy, scipy and BLAS this process computes with, and its BLAS thread
+    setting; the BLAS name and version are None where numpy cannot report them
+    (``show_config`` takes ``mode`` from numpy 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        blas = {}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -215,6 +229,7 @@ def cmd_train(args) -> int:
         **provenance,
     }
     run_cfg["config_fingerprint"] = _config_fingerprint(run_cfg)
+    run_cfg["numeric_environment"] = _numeric_environment()  # outside the fingerprint
 
     ckpt = out / f"{args.variant}_checkpoint.npz"
     gm.save_model(ckpt, result.model, {"variant": args.variant, "seed": cfg.seed,

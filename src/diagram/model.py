@@ -328,6 +328,9 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
     The trainers' assemblers look up ``_node_batches``/``_edge_batches``
     when called, so wrappers set on those module attributes see every
     batch. A trace entry is the epoch's summed loss divided by ``len(items)``.
+    The gradient buffers and Adam's moments live only while the fit runs:
+    before it returns, every layer releases its gradients, so the fitted
+    model holds its parameters alone, as a loaded one does.
     """
     opt = Adam(cfg.learning_rate)
     count = len(items)
@@ -344,6 +347,8 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
             opt.step(model.parameters(), model.gradients())
             total += loss
         trace.append(total / count)
+    for layer in model.layers.values():
+        layer.release_grad()
     return trace
 
 

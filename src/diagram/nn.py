@@ -57,7 +57,9 @@ class Linear:
     so a layer no pass touched reads zero. The only difference from
     zero-then-add is that an entry can read -0.0 where it read +0.0.
     The gradient buffers are made by the first ``backward`` or read, so a
-    layer that only runs forward holds none.
+    layer that only runs forward holds none. ``release_grad`` drops them
+    and puts the layer back in that never-run state; a finished fit calls
+    it, so a trained layer holds only its parameters.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
@@ -74,9 +76,7 @@ class Linear:
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
-        self._grad_W = self._grad_b = None  # made by the first backward or read
-        self._stale = False
-        self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
+        self.release_grad()
 
     @property
     def grad_W(self) -> np.ndarray:
@@ -164,6 +164,11 @@ class Linear:
 
     def zero_grad(self) -> None:
         self._stale = True
+
+    def release_grad(self) -> None:
+        self._grad_W = self._grad_b = None  # made by the first backward or read
+        self._stale = False
+        self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
 
 
 def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, support: np.ndarray,

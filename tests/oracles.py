@@ -129,8 +129,7 @@ class ReferenceLinear:
         else:
             self.W = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
-        self.grad_W = np.zeros_like(self.W)
-        self.grad_b = np.zeros_like(self.b)
+        self.release_grad()
 
     def forward(self, x: np.ndarray):
         x = np.asarray(x, dtype=np.float64)
@@ -157,6 +156,11 @@ class ReferenceLinear:
     def zero_grad(self) -> None:
         self.grad_W[...] = 0.0
         self.grad_b[...] = 0.0
+
+    def release_grad(self) -> None:
+        """Back to the state a new layer is in: fresh zero gradients."""
+        self.grad_W = np.zeros_like(self.W)
+        self.grad_b = np.zeros_like(self.b)
 
 
 def reference_layer(in_dim: int, out_dim: int, rng: np.random.Generator | None = None,

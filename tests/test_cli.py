@@ -1,8 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+import scipy
 
 import diagram.evaluation as ev
 import diagram.model as gm
@@ -336,6 +339,36 @@ class TestTrain:
         assert cfg["feature_mode"] == mode
         assert cfg["dataset_fingerprint"] == import_embeddings(
             out / "node_embeddings.tsv").fingerprint
+
+    def test_run_config_records_the_numeric_environment(self, dataset_arg, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "run"
+        assert run(["train", "--dataset", dataset_arg, "--out", out, *FAST]) == 0
+        cfg = json.loads((out / "run_config.json").read_text())
+        env = cfg.pop("numeric_environment")
+        assert load_model(out / "node_checkpoint.npz")[1]["run_config"]["numeric_environment"] \
+            == env
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["openblas_num_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        if tuple(int(p) for p in np.__version__.split(".")[:2]) >= (1, 25):
+            blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert (env["blas"], env["blas_version"]) == (blas["name"], blas["version"])
+        else:
+            assert env["blas"] is None and env["blas_version"] is None
+        # the fingerprint hashes the configuration, not the environment
+        fingerprint = cfg.pop("config_fingerprint")
+        assert fingerprint == hashlib.sha256(
+            json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+
+        # numpy before 1.25 has show_config() with no mode: the BLAS reads null
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        old = tmp_path / "old"
+        assert run(["train", "--dataset", dataset_arg, "--out", old, *FAST]) == 0
+        old_cfg = json.loads((old / "run_config.json").read_text())
+        assert old_cfg["numeric_environment"] == {**env, "blas": None, "blas_version": None}
+        assert old_cfg["config_fingerprint"] == fingerprint
+        assert (old / "node_embeddings.tsv").read_bytes() == \
+            (out / "node_embeddings.tsv").read_bytes()
 
     def test_binary_format(self, dataset_arg, tmp_path):
         out = tmp_path / "bin"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 import diagram.model as gm
-from diagram.data import DirectedGraph, build_undirected_union
+from diagram.data import DirectedGraph, build_undirected_union, load_citation_dataset
 from diagram.exceptions import DiagramError, EmbeddingFormatError, TrainingError
 from diagram.model import (
     CHANNELS,
@@ -34,6 +35,9 @@ from diagram.nn import CSRRows, finite_diff_check, glorot_uniform, masked_sq_err
 
 from conftest import claim_huge_shape, random_features, write_npz
 from oracles import batch_loss, edge_loss, full_forward_embeddings, mean_edge_loss, node_loss
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 SMALL = dict(trunk_dims=(8, 4), embedding_dim=3)
 # A valid binary embedding file for three nodes with k=2, as npz entries and header.
@@ -935,3 +939,78 @@ class TestEmbeddingIO:
         grads = model.gradients()  # made on first read, as zeros
         assert all(grads[k].shape == p.shape and not grads[k].any()
                    for k, p in model.parameters().items())
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """The benchmark generator's ``tiny`` shape (80 nodes, 40 words), as loaded."""
+    ds = gen.generate("tiny", 0)
+    return load_citation_dataset(*gen.write(ds, tmp_path_factory.mktemp("tiny") / "tiny"))[:2]
+
+
+class TestFittedModelMemory:
+    """A trained or loaded model holds its parameters alone.
+
+    Gradient buffers and Adam's moments live only while a fit runs. The
+    memory a call leaves allocated is measured with ``tracemalloc``: at most
+    the returned parameters and embeddings plus ``SLACK`` bytes for the
+    result's small objects. A model that kept its gradients would leave
+    about twice its parameter bytes.
+    """
+
+    CFG = dict(epochs=2, batch_size=32, seed=3)
+    SLACK = 256 * 1024  # the default-width tiny model's parameters take 4.3 MB
+
+    @staticmethod
+    def _left_after(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    @classmethod
+    def _assert_holds_parameters_only(cls, model, left, emb=None):
+        params = model.parameters()
+        held = sum(a.nbytes for a in params.values())
+        if emb is not None:
+            held += sum(getattr(emb, ch).nbytes for ch in "zoi")
+        assert left <= held + cls.SLACK, (left, held)
+        grads = model.gradients()  # made again on read, as zeros
+        assert list(grads) == list(params)
+        assert all(grads[k].shape == p.shape and not grads[k].any() for k, p in params.items())
+
+    def test_node_fit(self, tiny_dataset):
+        graph, features = tiny_dataset
+        res, left = self._left_after(
+            lambda: train_node_model(graph, features, TrainConfig(**self.CFG)))
+        self._assert_holds_parameters_only(res.model, left, res.embeddings)
+
+    def test_auto_chained_edge_fit(self, tiny_dataset):
+        graph, features = tiny_dataset
+        res, left = self._left_after(
+            lambda: train_edge_model(graph, features, TrainConfig(**self.CFG)))
+        self._assert_holds_parameters_only(res.model, left, res.embeddings)
+
+    def test_edge_fit_from_a_transfer_source(self, tiny_dataset):
+        graph, features = tiny_dataset
+        source = train_node_model(graph, features, TrainConfig(**self.CFG)).model
+        before = {k: v.tobytes() for k, v in source.parameters().items()}
+        cfg = TrainConfig(**self.CFG, transfer_from=source)
+        res, left = self._left_after(lambda: train_edge_model(graph, features, cfg))
+        self._assert_holds_parameters_only(res.model, left, res.embeddings)
+        assert {k: v.tobytes() for k, v in source.parameters().items()} == before
+        again = train_edge_model(graph, features, cfg)
+        assert again.loss_trace == res.loss_trace
+        for name, arr in res.model.parameters().items():
+            assert again.model.parameters()[name].tobytes() == arr.tobytes()
+        for ch in "zoi":
+            assert getattr(again.embeddings, ch).tobytes() == getattr(res.embeddings, ch).tobytes()
+
+    def test_loaded_model(self, tiny_dataset, tmp_path):
+        graph, features = tiny_dataset
+        path = tmp_path / "node.npz"
+        save_model(path, train_node_model(graph, features, TrainConfig(**self.CFG)).model)
+        (model, _), left = self._left_after(lambda: load_model(path))
+        self._assert_holds_parameters_only(model, left)
