@@ -173,7 +173,8 @@ class DiagramModel:
         """Run one channel; returns (embedding, reconstruction, backward ctx).
 
         The decoder side (decoder trunk and reconstruction head) takes no
-        dropout.
+        dropout. The embedding and reconstruction are cached layer outputs,
+        which ``_backward`` overwrites.
         """
         steps = []
         emb = self._encode(channel, x, steps, dropout, rng)
@@ -184,8 +185,13 @@ class DiagramModel:
         return emb, recon, steps
 
     def _backward(self, steps, d: np.ndarray) -> None:
-        """Backward through ``steps`` from ``d``, the loss gradient w.r.t. the reconstruction."""
-        for layer, cache, mask in reversed(steps):
+        """Backward through ``steps`` from ``d``, the loss gradient w.r.t. the reconstruction.
+
+        Pops each layer's step as its backward runs, so ``steps`` ends empty
+        and a spent cache is freed once nothing else holds it.
+        """
+        while steps:
+            layer, cache, mask = steps.pop()
             if mask is not None:
                 d = d * mask
             d = layer.backward(cache, d)
@@ -266,21 +272,32 @@ def _edge_batches(u_idx, v_idx, inputs: dict[str, sp.csr_matrix]) -> dict[str, _
     }
 
 
+def _channel_loss(recon: np.ndarray, cb: _ChannelBatch, mu: float) -> tuple[float, np.ndarray]:
+    """One channel's loss and its gradient w.r.t. the reconstruction ``recon``."""
+    loss, grad = masked_sq_error(recon, cb.rows, penalty_weights(cb.rows), mu)
+    if cb.extra is not None:
+        extra_loss, extra_grad = masked_sq_error(recon[:cb.extra.shape[0]], cb.extra,
+                                                 penalty_weights(cb.extra), mu)
+        loss += extra_loss
+        grad[:cb.extra.shape[0]] += extra_grad
+    return loss, grad
+
+
 def _run_batches(model: DiagramModel, batches: dict[str, _ChannelBatch], mu: float,
                  dropout: float, rng: np.random.Generator | None) -> float:
-    """Forward, loss and backward of every channel of one step; returns the summed loss."""
+    """Forward, loss and backward of every channel of one step; returns the summed loss.
+
+    A channel's reconstruction, loss gradient and caches are dropped once
+    its backward has run, so the next channel's forward runs without them.
+    """
     total = 0.0
     for channel in CHANNELS:  # fixed order keeps rng consumption reproducible
         cb = batches[channel]
-        _, recon, steps = model._forward(channel, CSRRows(cb.rows), dropout, rng)
-        loss, grad = masked_sq_error(recon, cb.rows, penalty_weights(cb.rows), mu)
-        if cb.extra is not None:
-            extra_loss, extra_grad = masked_sq_error(recon[:cb.extra.shape[0]], cb.extra,
-                                                     penalty_weights(cb.extra), mu)
-            loss += extra_loss
-            grad[:cb.extra.shape[0]] += extra_grad
+        recon, steps = model._forward(channel, CSRRows(cb.rows), dropout, rng)[1:]
+        loss, grad = _channel_loss(recon, cb, mu)
         total += loss
-        model._backward(steps, grad)
+        model._backward(steps, grad)  # empties steps
+        del recon, grad
     return total
 
 

@@ -42,6 +42,9 @@ class Linear:
     consumes the cache, accumulates into ``grad_W`` / ``grad_b`` and
     returns the gradient w.r.t. the input. Accumulation (rather than
     assignment) is what lets several channels share one trunk layer.
+    A cache serves one ``backward``: it writes the pre-activation gradient
+    over the cached output, which is the array ``forward`` returned, so
+    that output must not be read once its backward has run.
 
     A layer built with ``sparse_input=True`` takes ``CSRRows`` and stores
     W as (in, out), so ``y = tanh(rows @ W + b)`` is one CSR-times-dense
@@ -128,7 +131,7 @@ class Linear:
             raise ValueError(
                 f"gradient shape {dout.shape} incompatible with output {y.shape}"
             )
-        dz = y * y
+        dz = np.multiply(y, y, out=y)  # the cache's output is spent: dz takes its buffer
         np.subtract(1.0, dz, out=dz)
         dz *= dout
         if self.sparse_input:
@@ -175,29 +178,38 @@ def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, support: np.ndarray
                     mu: float):
     """Penalised squared error ``sum(((pred - target) * w) ** 2)``.
 
-    ``target`` is CSR rows with no entry stored twice; a copy of ``pred``
-    less its stored entries is ``pred - target.toarray()`` bit for bit. The
-    weight ``w`` is ``mu`` at the flat indices ``support`` and 1 elsewhere;
-    only the support coordinates are scaled, so no weight array is built.
+    ``target`` is CSR rows with no entry stored twice; ``pred`` less its
+    stored entries is ``pred - target.toarray()`` bit for bit. The weight
+    ``w`` is ``mu`` at the flat indices ``support`` and 1 elsewhere; only
+    the support coordinates are scaled, so no weight array is built.
     Returns (loss, gradient w.r.t. pred); the gradient is ``2 * (pred -
-    target) * w * w``, rounded as written. The residual is squared in place
-    before the sum.
+    target) * w * w``, rounded as written.
+
+    Besides ``pred`` it allocates one array of its shape: the weighted
+    residual is squared and summed in it, and then it is overwritten with
+    the gradient, ``2 * pred`` off the stored entries and ``2 * residual``
+    on them. Only the residual at the stored entries and on ``support`` is
+    kept apart, in arrays of their size.
     """
-    diff = np.array(pred, dtype=np.float64)  # a copy: pred is the head's cached output
-    if diff.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {diff.shape}, target {target.shape}")
-    d = diff.reshape(-1)  # a view, as is g below: both arrays are fresh
+    buf = np.array(pred, dtype=np.float64)  # a copy: pred is the head's cached output
+    if buf.shape != target.shape:
+        raise ValueError(f"shape mismatch: pred {buf.shape}, target {target.shape}")
+    flat = buf.reshape(-1)  # a view: buf is fresh
     starts = np.repeat(np.arange(target.shape[0]) * target.shape[1], np.diff(target.indptr))
-    d[starts + target.indices] -= target.data + 0.0  # -0.0 reads +0.0, as in toarray()
-    grad = 2.0 * diff
-    g = grad.reshape(-1)
-    d[support] *= mu
-    on = g[support]
+    stored = starts + target.indices
+    residual = flat[stored] - (target.data + 0.0)  # -0.0 reads +0.0, as in toarray()
+    flat[stored] = residual
+    on = flat[support]
+    flat[support] = on * mu
+    buf *= buf
+    loss = float(np.sum(buf))
+    np.multiply(pred, 2.0, out=buf, dtype=np.float64)
+    flat[stored] = 2.0 * residual
+    on *= 2.0
     on *= mu
     on *= mu
-    g[support] = on
-    diff *= diff
-    return float(np.sum(diff)), grad
+    flat[support] = on
+    return loss, buf
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:

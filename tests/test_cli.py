@@ -85,6 +85,27 @@ class TestInfo:
         assert run(["info", "--dataset", str(tmp_path / "t")]) == 0
         assert "directed edges 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["info"], ["train", "--variant", "node", *FAST]], ids=["info", "train"])
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite feature 'nan'"),
+        ("inf", "non-finite feature 'inf'"),
+        ("-inf", "non-finite feature '-inf'"),
+        ("-1", "negative feature '-1'"),
+    ], ids=["nan", "inf", "-inf", "-1"])
+    def test_bad_feature_value_exits_1_naming_its_line(self, tmp_path, capsys, recwarn,
+                                                       command, cell, message):
+        content = tmp_path / "t.content"
+        content.write_text(f"a 1 0 x\nb 0 1 y\nc 1 {cell} x\nd 0 0 y\n")
+        (tmp_path / "t.cites").write_text("b a\nc b\nd c\na d\n")
+        out = tmp_path / "run"
+        argv = [command[0], "--dataset", tmp_path / "t", *command[1:]]
+        assert run(argv + (["--out", out] if command[0] == "train" else [])) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {content}:3: {message}\n"
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("suffix, content, cites, line", [
         (".content", b"a 1 x\nb 0 y\n\xff 1 z\n", b"a b\n", 3),
         (".content", b"a 1 x\r\nb 1\xff y\r\n", b"a b\n", 2),

@@ -90,6 +90,22 @@ class TestLoadCitationDataset:
         with pytest.raises(DatasetError, match=fragment):
             load_citation_dataset(content, cites)
 
+    # The bad cell is on line 4, after a blank line, and behind good cells.
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "non-finite feature 'nan'"),
+        ("inf", "non-finite feature 'inf'"),
+        ("-inf", "non-finite feature '-inf'"),
+        ("-1", "negative feature '-1'"),
+    ], ids=["nan", "inf", "-inf", "-1"])
+    def test_bad_value_names_its_path_and_line(self, tmp_path, cell, message):
+        content = tmp_path / "v.content"
+        cites = tmp_path / "v.cites"
+        content.write_text(f"a 1 0 x\n\nb 0 1 y\nc 1 {cell} x\nd 0 0 y\n")
+        cites.write_text("b a\nc b\n")
+        with pytest.raises(DatasetError) as info:
+            load_citation_dataset(content, cites)
+        assert str(info.value) == f"{content}:4: {message}"
+
     def test_empty_dataset_rejected(self, tmp_path):
         content = tmp_path / "e.content"
         cites = tmp_path / "e.cites"
@@ -233,6 +249,12 @@ class TestFeatureMatrixInvariants:
     def test_binary_mode_rejects_other_values(self):
         with pytest.raises(DatasetError):
             FeatureMatrix(sp.csr_matrix(np.array([[2.0]])), mode="binary")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["binary", "count", "tfidf"])
+    def test_non_finite_values_rejected(self, value, mode):
+        with pytest.raises(DatasetError, match="non-finite feature values"):
+            FeatureMatrix(sp.csr_matrix(np.array([[1.0, value]])), mode=mode)
 
     def test_count_mode_accepted(self):
         f = FeatureMatrix(sp.csr_matrix(np.array([[2.0, 0.0]])), mode="count")

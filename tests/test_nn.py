@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,7 @@ class TestLinearBackward:
         layer.zero_grad()
         layer.backward(cache, dout)
         once = layer.grad_W.copy()
+        y, cache = layer.forward(x)  # a cache serves one backward
         layer.backward(cache, dout)
         assert np.allclose(layer.grad_W, 2 * once, atol=0)
 
@@ -124,6 +126,7 @@ class TestLinearBackward:
         layer.zero_grad()  # no backward follows
         assert not layer.grad_W.any() and not layer.grad_b.any()
         layer.zero_grad()
+        y, cache = layer.forward(x)  # a cache serves one backward
         layer.backward(cache, np.ones_like(y))  # overwrites, not adds to, the old sums
         assert layer.grad_W.tobytes() == once[0].tobytes()
         assert layer.grad_b.tobytes() == once[1].tobytes()
@@ -314,6 +317,22 @@ class TestMaskedSqError:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             masked_sq_error(np.zeros((2, 2)), sp.csr_matrix((2, 3)), NO_SUPPORT, 10.0)
+
+    def test_traced_peak_is_one_pred_sized_array_plus_nnz(self):
+        # Besides pred, one array of its shape and a few of the target's nnz;
+        # a second pred-sized array (a residual apart from the gradient) fails.
+        rng = np.random.default_rng(14)
+        pred = rng.normal(size=(256, 600))
+        target = sp.random(256, 600, density=0.01, format="csr", random_state=15,
+                           data_rvs=rng.standard_normal)
+        support = gm.penalty_weights(target)
+        tracemalloc.start()
+        try:
+            masked_sq_error(pred, target, support, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= pred.nbytes + 8 * 8 * target.nnz, (peak, pred.nbytes, target.nnz)
 
 
 class TestDropout:
