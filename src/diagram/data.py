@@ -10,7 +10,6 @@ graph metadata so downstream direction-sensitive results are unambiguous.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -184,7 +183,7 @@ def _parse_content(content_path: Path):
         at, end = at[cells], end[cells]
         v = b[at] - 48.0
         # A lone byte 1-9 is its digit's value; every other cell, in column
-        # order, gets float()'s value or its error.
+        # order, gets float()'s value or is refused.
         for k in ((end - at != 1) | (v < 1.0) | (v > 9.0)).nonzero()[0]:
             tok = _text(content_path, lineno, line[at[k]:end[k]])
             try:
@@ -195,6 +194,8 @@ def _parse_content(content_path: Path):
                 ) from exc
             if not np.isfinite(v[k]):
                 raise DatasetError(f"{content_path}:{lineno}: non-finite feature {tok!r}")
+            if v[k] < 0.0:
+                raise DatasetError(f"{content_path}:{lineno}: negative feature {tok!r}")
         keep = v != 0.0
         indices.append(cells[keep])
         vals.append(v[keep])
@@ -206,14 +207,6 @@ def _parse_content(content_path: Path):
     mat = sp.csr_matrix((np.concatenate(vals), np.concatenate(indices), indptr),
                         shape=(len(ids), width))
     return ids, mat, label_strs
-
-
-def _cell(content_path: Path, row: int, col: int) -> tuple[int, str]:
-    """Line number and text of feature ``col`` of the ``row``-th node line."""
-    nonblank = ((lineno, fields) for lineno, line in _lines(content_path)
-                if (fields := line.split()))
-    lineno, fields = next(itertools.islice(nonblank, row, None))
-    return lineno, fields[1 + col].decode("utf-8")
 
 
 def _parse_cites(cites_path: Path, id_to_index: dict[str, int]):
@@ -255,12 +248,6 @@ def load_citation_dataset(content_path, cites_path):
     content_path = Path(content_path)
     cites_path = Path(cites_path)
     ids, mat, label_strs = _parse_content(content_path)
-    negative = (mat.data < 0).nonzero()[0]
-    if negative.size:  # entries are in file order: row by row, columns ascending
-        at = negative[0]
-        row = np.searchsorted(mat.indptr, at, side="right") - 1
-        lineno, tok = _cell(content_path, row, mat.indices[at])
-        raise DatasetError(f"{content_path}:{lineno}: negative feature {tok!r}")
     id_to_index = {nid: i for i, nid in enumerate(ids)}
     edges, dropped, dup = _parse_cites(cites_path, id_to_index)
     metadata = {

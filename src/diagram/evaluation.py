@@ -185,6 +185,8 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     n = graph.node_count
     if not math.isfinite(percent):
         raise SamplingError(f"percent={percent} is not a finite number")
+    if not 0.0 < percent <= 100.0:
+        raise SamplingError(f"percent={percent} is not in (0, 100]")
     quota = math.ceil(percent * m / 100.0)
     if quota <= 0:
         raise SamplingError(f"percent={percent} requests zero edges from m={m}")

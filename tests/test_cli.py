@@ -689,6 +689,7 @@ class TestExportAndEval:
         ("eval linkpred", ["--constructors", "foo"], "unknown edge-feature constructor(s) foo"),
         ("eval linkpred", ["--p", "nan"], "percent=nan is not a finite number"),
         ("eval linkpred", ["--p", "inf"], "percent=inf is not a finite number"),
+        ("eval linkpred", ["--p", "1e308"], "percent=1e+308 is not in (0, 100]"),
         ("eval reconstruct", ["--k-list", "5 10,5"], "--k-list: repeated entry 5 in '5 10,5'"),
         ("eval classify", ["--ratios", "10,30,30,50"],
          "--ratios: repeated entry 30 in '10,30,30,50'"),
@@ -704,7 +705,7 @@ class TestExportAndEval:
         ("eval classify", ["--seed", "-1"], "seed must be >= 0, got -1"),
         ("eval linkpred", ["--p", "x"], "--p: bad p 'x'"),
     ], ids=["empty-k-list", "bad-k", "bad-ratio", "empty-ratios", "zero-repetitions",
-            "empty-constructors", "unknown-constructor", "nan-p", "inf-p",
+            "empty-constructors", "unknown-constructor", "nan-p", "inf-p", "huge-p",
             "repeated-k", "repeated-ratio", "repeated-constructor", "mixed-case-constructor",
             "node-transfer-from", "bad-repetitions", "bad-classify-seed",
             "negative-classify-seed", "bad-p"])

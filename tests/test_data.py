@@ -106,6 +106,19 @@ class TestLoadCitationDataset:
             load_citation_dataset(content, cites)
         assert str(info.value) == f"{content}:4: {message}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("a 1 -1 x\nb 0 1 y\n\nc zz 1 x\n", "1: negative feature '-1'"),
+        ("a 1 0 x\nb -1 zz y\n", "2: negative feature '-1'"),
+    ], ids=["first-line-in-file", "first-cell-in-row"])
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path, text, message):
+        content = tmp_path / "neg.content"
+        cites = tmp_path / "neg.cites"
+        content.write_text(text)
+        cites.write_text("")
+        with pytest.raises(DatasetError) as info:
+            load_citation_dataset(content, cites)
+        assert str(info.value) == f"{content}:{message}"
+
     def test_empty_dataset_rejected(self, tmp_path):
         content = tmp_path / "e.content"
         cites = tmp_path / "e.cites"
@@ -358,6 +371,10 @@ def reference_parse_content(content_path: Path):
                     raise DatasetError(
                         f"{content_path}:{lineno}: non-numeric feature {tok!r}"
                     ) from exc
+                if not math.isfinite(v):
+                    raise DatasetError(f"{content_path}:{lineno}: non-finite feature {tok!r}")
+                if v < 0.0:
+                    raise DatasetError(f"{content_path}:{lineno}: negative feature {tok!r}")
                 if v != 0.0:
                     rows.append(row)
                     cols.append(j)
@@ -471,13 +488,13 @@ MIXED_CITES = "n1 n\xa0b\r\nn3\tn1\rghost n1\nn1 n\xa0b\n"
 # start like those ("00", "01", "007"), goes through float().
 SCAN_CONTENT = (
     "p1 01 +0 000 0e5 9 2\x0b0 00 a\n"
-    "p2\t3 4 5 6 7 8\x0c+1 -2 b\n"
+    "p2\t3 4 5 6 7 8\x0c+1 -0 b\n"
     "p3 1 0.5 10 0 00 007 1e1 +5 a\n"
     "p4 0 0 0 0 0 0 0 0\tb\n"
 )
 # One bad cell each, behind good ones: "/" and ":" are the bytes either side
 # of the digits, and \xff is not UTF-8.
-SCAN_BAD_CELLS = [b"/", b":", b"-", b"+", b".", b"\x01", b"\xff", b"0\xff", b"00x"]
+SCAN_BAD_CELLS = [b"/", b":", b"-", b"+", b".", b"\x01", b"\xff", b"0\xff", b"00x", b"-2"]
 
 
 class TestByteParserMatchesTextOracle:
@@ -518,7 +535,7 @@ class TestByteParserMatchesTextOracle:
         assert_parsers_agree(content, cites)
         _, mat, _ = data._parse_content(content)
         assert mat.toarray().tolist() == [[1, 0, 0, 0, 9, 2, 0, 0],
-                                          [3, 4, 5, 6, 7, 8, 1, -2],
+                                          [3, 4, 5, 6, 7, 8, 1, 0],
                                           [1, 0.5, 10, 0, 0, 7, 10, 5],
                                           [0] * 8]
 
@@ -534,7 +551,7 @@ class TestByteParserMatchesTextOracle:
     def test_wide_generated_rows_match_oracle(self, tmp_path):
         rng = np.random.default_rng(7)
         cells = np.array(["0", "0", "0", "0", "00", "1", "2", "5", "9", "01",
-                          "0.0", "-0", "+0", "0e5", "3.5", "1e1", "+7", "-2"])
+                          "0.0", "-0", "+0", "0e5", "3.5", "1e1", "+7", "-0.0"])
         seps = np.array([" ", "  ", "\t", "\x0b", "\x0c", " \t"])
         lines = []
         for r in range(12):

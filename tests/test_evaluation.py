@@ -344,6 +344,13 @@ class TestLinkSampling:
         with pytest.raises(SamplingError, match="not a finite number"):
             sample_link_prediction(g, percent, seed=0)
 
+    @pytest.mark.parametrize("percent", [1e308, -1e308, 100.5, 0.0])
+    def test_percent_outside_0_100_rejected(self, percent):
+        g = random_digraph(10, 15, seed=0)
+        with pytest.raises(SamplingError) as info:
+            sample_link_prediction(g, percent, seed=0)
+        assert str(info.value) == f"percent={percent} is not in (0, 100]"
+
 
 def messy_digraph(n, m, seed):
     """Random digraph with self-loops, reciprocal pairs, isolated nodes and,
