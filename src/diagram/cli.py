@@ -189,10 +189,9 @@ def cmd_info(args) -> int:
 def _load_checkpoint(path, graph, features):
     """A model checkpoint and its meta, refused unless trained on this dataset.
 
-    A meta with no ``variant`` means a node model; a variant other than
-    "node" or "edge" is refused."""
+    A meta with no ``variant`` means a node model; an unknown one is refused."""
     model, meta = gm.load_model(path)
-    if meta.setdefault("variant", "node") not in ("node", "edge"):
+    if meta.setdefault("variant", "node") not in gm.VARIANTS:
         raise EmbeddingFormatError(f"{path}: unknown variant {meta['variant']!r}")
     gdata.check_same_dataset(meta.get("dataset_fingerprint"), graph, features,
                              f"checkpoint {path}")
@@ -297,7 +296,7 @@ def cmd_eval_linkpred(args) -> int:
     percent = _parsed("--p", "p", args.p, float)
     graph, features, labels, name = load_dataset(args)
     cfg = build_train_config(args, name)
-    modes = ("directed", "symmetric") if args.mode == "both" else (args.mode,)
+    modes = tuple(ev.SCORER_MODES) if args.mode == "both" else (args.mode,)
     reports, sample, _result = ev.run_link_prediction_protocol(
         graph, features, percent, cfg.seed, args.variant, cfg,
         constructors=_list_arg("--constructors", args.constructors, str.lower), modes=modes,
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the node or edge model")
     _add_dataset_args(p)
     _add_train_args(p)
-    p.add_argument("--variant", choices=("node", "edge"), default="node")
+    p.add_argument("--variant", choices=gm.VARIANTS, default="node")
     p.add_argument("--transfer-from", default=None, dest="transfer_from",
                    help="node checkpoint to fine-tune from (edge variant)")
     p.add_argument("--format", choices=("text", "binary"), default="text")
@@ -375,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--k-list", default="2500,5000,7500,10000", dest="k_list")
-    p.add_argument("--mode", choices=("directed", "symmetric"), default="directed")
+    p.add_argument("--mode", choices=tuple(ev.SCORER_MODES), default="directed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_reconstruct)
 
@@ -384,10 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_train_args(p)
     p.add_argument("--p", default=10.0, help="percent of edges to remove")
-    p.add_argument("--variant", choices=("node", "edge"), default="edge")
-    p.add_argument("--constructors", default="average,hadamard,w-l1,w-l2")
-    p.add_argument("--mode", choices=("directed", "symmetric", "both"),
-                   default="directed")
+    p.add_argument("--variant", choices=gm.VARIANTS, default="edge")
+    p.add_argument("--constructors", default=",".join(ev.EDGE_CONSTRUCTORS))
+    p.add_argument("--mode", choices=(*ev.SCORER_MODES, "both"), default="directed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval_linkpred)
 
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", default="10,30,50",
                    help="percentages of each class's nodes to train on")
     p.add_argument("--repetitions", default=10)
-    p.add_argument("--clf-features", choices=("z", "zoi"), default="z",
+    p.add_argument("--clf-features", choices=tuple(ev.CLASSIFIER_FEATURES), default="z",
                    dest="clf_features")
     p.add_argument("--seed", default=0)
     p.add_argument("--out", required=True)

@@ -20,11 +20,18 @@ from scipy.special import expit
 
 from .data import DirectedGraph, FeatureMatrix
 from .exceptions import EvaluationError, SamplingError
-from .model import EmbeddingSet, TrainConfig, train_edge_model, train_node_model
+from .model import VARIANTS, EmbeddingSet, TrainConfig, train_edge_model, train_node_model
 from .nn import atomic_write
 
-EDGE_CONSTRUCTORS = ("average", "hadamard", "w-l1", "w-l2")
-SCORER_MODES = ("directed", "symmetric")
+# Each evaluation choice by name; a and b are the pairs' source and target rows.
+EDGE_CONSTRUCTORS = {
+    "average": lambda a, b: (a + b) / 2.0,
+    "hadamard": lambda a, b: a * b,
+    "w-l1": lambda a, b: np.abs(a - b),
+    "w-l2": lambda a, b: (a - b) ** 2,
+}
+SCORER_MODES = {"directed": ("o", "i"), "symmetric": ("z", "z")}
+CLASSIFIER_FEATURES = {"z": ("z",), "zoi": ("z", "o", "i")}
 # Scores per block of source rows in network_reconstruction (8 MB of float64).
 RECON_BLOCK_SCORES = 1 << 20
 # The classifiers' ridge weight, Newton step cap and gradient-norm stop.
@@ -33,6 +40,13 @@ MAX_ITER = 200
 TOL = 1e-6
 # Cross-validation folds in link_prediction_eval.
 N_FOLDS = 3
+
+
+def _choice(table, what: str, name):
+    """``table[name]``, refusing a name that is not one of its keys before any work."""
+    if not (isinstance(name, str) and name in table):
+        raise EvaluationError(f"unknown {what} {name!r} (accepted: {' '.join(table)})")
+    return table[name]
 
 
 # -- network reconstruction ---------------------------------------------------
@@ -46,8 +60,7 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     tie-breaking, and P@K counts how many of the top K are ground-truth
     directed edges. Self-pairs are never candidates.
     """
-    if mode not in SCORER_MODES:
-        raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
+    a, b = (getattr(emb, name) for name in _choice(SCORER_MODES, "scorer mode", mode))
     n = emb.n
     if graph.node_count != n:
         raise EvaluationError("embedding and graph disagree on node count")
@@ -63,7 +76,6 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
         if k > max_pairs:
             raise EvaluationError(f"K={k} exceeds candidate pair count {max_pairs}")
 
-    a, b = (emb.o, emb.i) if mode == "directed" else (emb.z, emb.z)
     k_max = max(k_list)
     # Score a block of source rows at a time and keep a running top K, so
     # memory is O(RECON_BLOCK_SCORES + n + K), not n^2.
@@ -183,6 +195,8 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     """
     m = graph.edge_count
     n = graph.node_count
+    if seed < 0:
+        raise SamplingError(f"seed must be >= 0, got {seed}")
     if not math.isfinite(percent):
         raise SamplingError(f"percent={percent} is not a finite number")
     if not 0.0 < percent <= 100.0:
@@ -236,29 +250,13 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
 # -- edge features ------------------------------------------------------------
 
 
-def _endpoint_vectors(emb: EmbeddingSet, pairs: np.ndarray, mode: str):
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if mode == "directed":
-        return emb.o[pairs[:, 0]], emb.i[pairs[:, 1]]
-    if mode == "symmetric":
-        return emb.z[pairs[:, 0]], emb.z[pairs[:, 1]]
-    raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
-
-
 def edge_feature_matrix(emb: EmbeddingSet, pairs, constructor: str,
                         mode: str = "directed") -> np.ndarray:
     """Stack per-pair edge features; rows follow ``pairs`` order."""
-    a, b = _endpoint_vectors(emb, pairs, mode)
-    c = constructor.lower()
-    if c == "average":
-        return (a + b) / 2.0
-    if c == "hadamard":
-        return a * b
-    if c == "w-l1":
-        return np.abs(a - b)
-    if c == "w-l2":
-        return (a - b) ** 2
-    raise ValueError(f"unknown edge-feature constructor {constructor!r}")
+    src, dst = _choice(SCORER_MODES, "scorer mode", mode)
+    build = _choice(EDGE_CONSTRUCTORS, "edge-feature constructor", constructor.lower())
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return build(getattr(emb, src)[pairs[:, 0]], getattr(emb, dst)[pairs[:, 1]])
 
 
 # -- built-in classifier and metrics ------------------------------------------
@@ -428,11 +426,9 @@ def stratified_split(y, train_fraction: float, rng: np.random.Generator):
 
 def _constructor_names(constructors) -> list[str]:
     """The lower-case constructor names, refusing unknown and repeated ones before any fit."""
-    unknown = [c for c in constructors if c.lower() not in EDGE_CONSTRUCTORS]
-    if unknown:
-        raise EvaluationError(f"unknown edge-feature constructor(s) {', '.join(unknown)} "
-                              f"(accepted: {' '.join(EDGE_CONSTRUCTORS)})")
     names = [c.lower() for c in constructors]
+    for name in names:
+        _choice(EDGE_CONSTRUCTORS, "edge-feature constructor", name)
     _reject_repeats("constructor", names)
     return names
 
@@ -460,6 +456,8 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     """
     if sample.residual_graph.node_count != emb.n:
         raise EvaluationError("embedding and link sample disagree on node count")
+    if seed < 0:
+        raise EvaluationError(f"seed must be >= 0, got {seed}")
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
@@ -490,12 +488,11 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
     Returns (reports keyed by scorer mode, sample, train result).
     """
-    if not set(modes) <= set(SCORER_MODES):
-        raise ValueError(f"scorer mode must be one of {SCORER_MODES}")
+    for mode in modes:
+        _choice(SCORER_MODES, "scorer mode", mode)
     _reject_repeats("mode", list(modes))
     _constructor_names(constructors)
-    if variant not in ("node", "edge"):
-        raise ValueError(f"unknown variant {variant!r}")
+    _choice(dict.fromkeys(VARIANTS), "variant", variant)
     sample = sample_link_prediction(graph, percent, seed)
     _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training
     # from a model fitted on the residual graph, never one that saw the removed edges
@@ -537,12 +534,8 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
     y = labels.labels if hasattr(labels, "labels") else np.asarray(labels, dtype=np.int64)
     if y.size != emb.n:
         raise EvaluationError("labels must cover every embedded node")
-    if features == "z":
-        X = emb.z
-    elif features == "zoi":
-        X = np.hstack([emb.z, emb.o, emb.i])
-    else:
-        raise ValueError(f"unknown feature selection {features!r}")
+    X = np.hstack([getattr(emb, name)
+                   for name in _choice(CLASSIFIER_FEATURES, "classifier features", features)])
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
     if seed < 0:

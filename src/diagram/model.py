@@ -41,6 +41,8 @@ CHANNELS = ("content", "out", "in")
 # "<head>_recon". The two directed channels share theirs.
 HEAD = {"content": "content", "out": "directed", "in": "directed"}
 
+# Names only: a caller looks its trainer up as a module attribute when it runs.
+VARIANTS = ("node", "edge")
 DEFAULT_TRUNK = (512, 256)
 DEFAULT_EMBEDDING_DIM = 128
 DEFAULT_NODE_EPOCHS = 30
@@ -67,6 +69,12 @@ class TrainConfig:
     transfer_from: DiagramModel | None = None
 
     def __post_init__(self):
+        for name, value in [("epochs", 0 if self.epochs is None else self.epochs),
+                            ("batch_size", self.batch_size), ("seed", self.seed),
+                            ("embedding_dim", self.embedding_dim),
+                            *(("trunk_dims entry", t) for t in self.trunk_dims)]:
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs is not None and self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size <= 0:

@@ -35,6 +35,12 @@ classifier and both evaluation protocols must match them bit for bit. With
 ``textbook_hessian``, the earlier general product, the weights agree to a
 measured bound.
 
+``brute_force_p_at_k`` is network reconstruction by exhaustive sorting:
+every ordered pair u != v scored with a scalar ``sigmoid`` of its dot
+product (o_u·i_v directed, z_u·z_v symmetric), sorted on (-score, u, v).
+``components_union_find`` counts weak components by union-find, a
+different algorithm from the sampler's breadth-first search.
+
 ``one_ended_connected`` is the earlier connectivity search of the link
 sampler, a plain BFS from the source; ``reference_link_sample`` is the
 sampler built on it, whose sample ``evaluation.sample_link_prediction``
@@ -280,6 +286,46 @@ def mean_edge_loss(model, graph, features, mu: float = 10.0,
         rows = edges[start:start + batch_size]
         total += batch_loss(model, gm._edge_batches(rows[:, 0], rows[:, 1], inputs), mu)
     return total / edges.shape[0]
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + math.exp(-x))
+
+
+def brute_force_p_at_k(emb, graph, ks, mode="directed"):
+    """Precision at each K in ``ks`` of the exhaustively sorted pair scores."""
+    n = emb.n
+    scored = []
+    for u in range(n):
+        for v in range(n):
+            if u == v:
+                continue
+            if mode == "directed":
+                d = float(np.dot(emb.o[u], emb.i[v]))
+            else:
+                d = float(np.dot(emb.z[u], emb.z[v]))
+            scored.append((-sigmoid(d), u, v))
+    scored.sort()
+    edge_set = {(int(u), int(v)) for u, v in graph.edge_list}
+    return {k: sum(1 for (_, u, v) in scored[:k] if (u, v) in edge_set) / k
+            for k in ks}
+
+
+def components_union_find(n, edges):
+    """The number of weak components of ``n`` nodes joined by ``edges``."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in edges:
+        ra, rb = find(int(u)), find(int(v))
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(i) for i in range(n)})
 
 
 def one_ended_connected(adj, src, dst) -> bool:

@@ -34,7 +34,7 @@ from diagram.model import (
 from diagram.nn import finite_diff_check
 
 from conftest import edge_features, find_dataset, random_digraph, random_features
-from oracles import batch_loss, mean_edge_loss
+from oracles import batch_loss, brute_force_p_at_k, components_union_find, mean_edge_loss
 
 SEEDS = (0, 1, 2)
 
@@ -120,23 +120,6 @@ def test_criterion_1_gradient_correctness():
 # -- criterion 2: oracle equivalence -------------------------------------------
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-def _brute_force_p_at_k(emb, graph, ks):
-    scored = []
-    for u in range(emb.n):
-        for v in range(emb.n):
-            if u != v:
-                s = _sigmoid(float(np.dot(emb.o[u], emb.i[v])))
-                scored.append((-s, u, v))
-    scored.sort()
-    edges = {(int(a), int(b)) for a, b in graph.edge_list}
-    return {k: sum(1 for (_, u, v) in scored[:k] if (u, v) in edges) / k
-            for k in ks}
-
-
 def test_criterion_2_oracle_equivalence():
     start = time.time()
     ks = [5, 20, 50]
@@ -149,7 +132,7 @@ def test_criterion_2_oracle_equivalence():
                            [f"n{i}" for i in range(15)], "edge")
         got = {row["K"]: row["precision"]
                for row in network_reconstruction(emb, graph, ks).table}
-        expected = _brute_force_p_at_k(emb, graph, ks)
+        expected = brute_force_p_at_k(emb, graph, ks)
         if any(got[k] != expected[k] for k in ks):
             mismatches += 1
 
@@ -294,34 +277,18 @@ def test_criterion_6_transfer_learning():
 # -- criterion 7: protocol invariants --------------------------------------------
 
 
-def _components_union_find(n, edges):
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ra, rb = find(int(u)), find(int(v))
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n)})
-
-
 def test_criterion_7_protocol_invariants(tmp_path):
     name = "protocol invariants cora"
     need_dataset(7, name, "cora")
     graph, features, labels = load_real("cora")
     n = graph.node_count
-    before = _components_union_find(n, graph.edge_list)
+    before = components_union_find(n, graph.edge_list)
     edge_set = {(int(u), int(v)) for u, v in graph.edge_list}
     quota = math.ceil(10.0 * graph.edge_count / 100.0)
     bad = []
     for seed in range(20):
         sample = sample_link_prediction(graph, 10.0, seed=seed)
-        after = _components_union_find(n, sample.residual_graph.edge_list)
+        after = components_union_find(n, sample.residual_graph.edge_list)
         true_set = {(int(u), int(v)) for u, v in sample.true_pairs}
         false_set = {(int(u), int(v)) for u, v in sample.false_pairs}
         if not (after == before

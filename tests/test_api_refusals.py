@@ -8,18 +8,26 @@ from diagram.data import FeatureMatrix, LabelVector
 from diagram.evaluation import (
     auc_score,
     edge_feature_matrix,
+    link_prediction_eval,
     logistic_regression_fit,
     micro_macro_f1,
     node_classification_eval,
+    sample_link_prediction,
 )
-from diagram.exceptions import DatasetError, EvaluationError
-from diagram.model import DiagramModel, EmbeddingSet
+from diagram.exceptions import DatasetError, EvaluationError, SamplingError
+from diagram.model import DiagramModel, EmbeddingSet, TrainConfig
 from diagram.nn import Adam, Linear
 
+from conftest import random_digraph
 
-def _embeddings() -> EmbeddingSet:
-    z = np.eye(4)
-    return EmbeddingSet(z, z, z, ["a", "b", "c", "d"], "node")
+
+def _embeddings(n: int = 4) -> EmbeddingSet:
+    z = np.eye(n)
+    return EmbeddingSet(z, z, z, [f"n{j}" for j in range(n)], "node")
+
+
+def _link_sample():
+    return sample_link_prediction(random_digraph(20, 60, seed=10), 10.0, seed=1)
 
 
 def _backward_with_wrong_gradient():
@@ -34,13 +42,13 @@ def _backward_with_wrong_gradient():
     (lambda: LabelVector(np.array([0, 2]), ["x", "y"]),
      DatasetError, "label index outside class range"),
     (lambda: edge_feature_matrix(_embeddings(), [[0, 1]], "average", mode="x"),
-     ValueError, "scorer mode must be one of"),
+     EvaluationError, r"unknown scorer mode 'x' \(accepted: directed symmetric\)"),
     (lambda: logistic_regression_fit(np.zeros((3, 2)), np.zeros(2)),
      ValueError, r"bad shapes X\(3, 2\), y\(2,\)"),
     (lambda: auc_score([], []), EvaluationError, "matching nonempty labels and scores"),
     (lambda: micro_macro_f1([], [], 2), EvaluationError, "matching nonempty arrays"),
     (lambda: node_classification_eval(_embeddings(), [0, 0, 1, 1], features="x"),
-     ValueError, "unknown feature selection 'x'"),
+     EvaluationError, r"unknown classifier features 'x' \(accepted: z zoi\)"),
     (lambda: DiagramModel(0, 1), ValueError, "need at least one node"),
     (lambda: DiagramModel(2, 1, trunk_dims=()), ValueError, "trunk_dims must not be empty"),
     (lambda: Linear(0, 1), ValueError, "layer dimensions must be positive"),
@@ -48,9 +56,23 @@ def _backward_with_wrong_gradient():
      r"gradient shape \(1, 2\) incompatible with output \(1, 3\)"),
     (lambda: Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)}),
      ValueError, "gradient shape mismatch for w"),
+    (lambda: sample_link_prediction(random_digraph(20, 60, seed=10), 10.0, seed=-1),
+     SamplingError, "^seed must be >= 0, got -1$"),
+    (lambda: link_prediction_eval(_embeddings(20), _link_sample(), seed=-1),
+     EvaluationError, "^seed must be >= 0, got -1$"),
+    (lambda: TrainConfig(epochs=1.5), ValueError, r"^epochs must be an integer, got 1\.5$"),
+    (lambda: TrainConfig(batch_size=2.5), ValueError,
+     r"^batch_size must be an integer, got 2\.5$"),
+    (lambda: TrainConfig(seed=1.5), ValueError, r"^seed must be an integer, got 1\.5$"),
+    (lambda: TrainConfig(embedding_dim=2.5), ValueError,
+     r"^embedding_dim must be an integer, got 2\.5$"),
+    (lambda: TrainConfig(trunk_dims=(4.7,)), ValueError,
+     r"^trunk_dims entry must be an integer, got 4\.7$"),
 ], ids=["feature-mode", "label-range", "scorer-mode", "fit-shapes", "auc-empty",
         "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "linear-dims",
-        "linear-backward-shape", "adam-shape"])
+        "linear-backward-shape", "adam-shape", "link-sample-seed", "link-eval-seed",
+        "float-epochs", "float-batch-size", "float-seed", "float-embedding-dim",
+        "float-trunk-entry"])
 def test_bad_argument_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -686,7 +686,8 @@ class TestExportAndEval:
         ("eval classify", ["--ratios", ""], "--ratios: empty list"),
         ("eval classify", ["--repetitions", "0"], "repetitions must be >= 1, got 0"),
         ("eval linkpred", ["--constructors", ""], "--constructors: empty list"),
-        ("eval linkpred", ["--constructors", "foo"], "unknown edge-feature constructor(s) foo"),
+        ("eval linkpred", ["--constructors", "foo"],
+         "unknown edge-feature constructor 'foo' (accepted: average hadamard w-l1 w-l2)"),
         ("eval linkpred", ["--p", "nan"], "percent=nan is not a finite number"),
         ("eval linkpred", ["--p", "inf"], "percent=inf is not a finite number"),
         ("eval linkpred", ["--p", "1e308"], "percent=1e+308 is not in (0, 100]"),

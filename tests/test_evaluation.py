@@ -32,6 +32,8 @@ from diagram.model import EmbeddingSet, TrainConfig, train_node_model
 
 from conftest import edge_features, random_digraph, random_features
 from oracles import (
+    brute_force_p_at_k,
+    components_union_find,
     one_ended_connected,
     reference_f1,
     reference_link_sample,
@@ -55,47 +57,6 @@ def count_fits(monkeypatch) -> list:
     calls = []
     monkeypatch.setattr(evaluation, "logistic_regression_fit", lambda *a: calls.append(a))
     return calls
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + math.exp(-x))
-
-
-# -- independent union-find component oracle (distinct from the library BFS) --
-
-
-def components_union_find(n, edges):
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        ra, rb = find(int(u)), find(int(v))
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n)})
-
-
-def brute_force_p_at_k(emb, graph, ks, mode="directed"):
-    n = emb.n
-    scored = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if mode == "directed":
-                d = float(np.dot(emb.o[u], emb.i[v]))
-            else:
-                d = float(np.dot(emb.z[u], emb.z[v]))
-            scored.append((-sigmoid(d), u, v))
-    scored.sort()
-    edge_set = {(int(u), int(v)) for u, v in graph.edge_list}
-    return {k: sum(1 for (_, u, v) in scored[:k] if (u, v) in edge_set) / k
-            for k in ks}
 
 
 class TestNetworkReconstruction:
@@ -241,7 +202,8 @@ class TestNetworkReconstruction:
     def test_unknown_mode_rejected(self):
         g = random_digraph(5, 6, seed=0)
         emb = make_embeddings(5, 3, seed=0)
-        with pytest.raises(ValueError, match="scorer mode"):
+        with pytest.raises(EvaluationError, match=r"unknown scorer mode 'undirected' "
+                                                  r"\(accepted: directed symmetric\)"):
             network_reconstruction(emb, g, [1], mode="undirected")
 
     def test_invalid_k_rejected(self):
@@ -496,7 +458,8 @@ class TestEdgeFeatures:
 
     def test_unknown_constructor_rejected(self):
         emb = make_embeddings(2, 2, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationError, match="unknown edge-feature constructor 'concat' "
+                                                  r"\(accepted: average hadamard w-l1 w-l2\)"):
             edge_features(emb, (0, 1), "concat")
 
 
@@ -800,8 +763,17 @@ class TestLinkPredictionEval:
     def test_unknown_constructor_rejected_before_any_fit(self, monkeypatch):
         emb, sample = self._label_revealing_setup()
         fits = count_fits(monkeypatch)
-        with pytest.raises(EvaluationError, match=r"unknown edge-feature constructor\(s\) foo"):
+        with pytest.raises(EvaluationError, match="unknown edge-feature constructor 'foo' "
+                                                  r"\(accepted: average hadamard w-l1 w-l2\)"):
             link_prediction_eval(emb, sample, constructors=("hadamard", "foo"))
+        assert fits == []
+
+    def test_unknown_mode_rejected_before_any_fit(self, monkeypatch):
+        emb, sample = self._label_revealing_setup()
+        fits = count_fits(monkeypatch)
+        with pytest.raises(EvaluationError, match=r"unknown scorer mode 'undirected' "
+                                                  r"\(accepted: directed symmetric\)"):
+            link_prediction_eval(emb, sample, mode="undirected")
         assert fits == []
 
     def test_degenerate_fold_rejected_before_any_fit(self, monkeypatch):
@@ -1054,7 +1026,8 @@ class TestFullProtocol:
         sample = evaluation.sample_link_prediction
         monkeypatch.setattr(evaluation, "sample_link_prediction",
                             lambda *a, **k: calls.append(1) or sample(*a, **k))
-        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        with pytest.raises(EvaluationError,
+                           match=r"unknown variant 'bogus' \(accepted: node edge\)"):
             run_link_prediction_protocol(random_digraph(20, 60, seed=10),
                                          random_features(20, 6, seed=11), 10.0, 1,
                                          variant="bogus")
@@ -1092,8 +1065,10 @@ class TestFullProtocol:
                                          constructors=("Hadamard", "hadamard"))
 
     @pytest.mark.parametrize("modes, error, message", [
-        (("bogus",), ValueError, "scorer mode must be one of"),
-        (("directed", "bogus"), ValueError, "scorer mode must be one of"),
+        (("bogus",), EvaluationError,
+         r"unknown scorer mode 'bogus' \(accepted: directed symmetric\)"),
+        (("directed", "bogus"), EvaluationError,
+         r"unknown scorer mode 'bogus' \(accepted: directed symmetric\)"),
         ((), EvaluationError, "no mode groups"),
         (("directed", "directed"), EvaluationError, "share the details key 'directed'"),
     ], ids=["unknown", "one-unknown", "empty", "repeated"])
