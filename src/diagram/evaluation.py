@@ -49,6 +49,15 @@ def _choice(table, what: str, name):
     return table[name]
 
 
+def _choices(table, what: str, label_column: str, names) -> list:
+    """``names`` as a list, refusing an unknown or repeated name before any work."""
+    names = list(names)
+    for name in names:
+        _choice(table, what, name)
+    _reject_repeats(label_column, names)
+    return names
+
+
 # -- network reconstruction ---------------------------------------------------
 
 
@@ -254,7 +263,7 @@ def edge_feature_matrix(emb: EmbeddingSet, pairs, constructor: str,
                         mode: str = "directed") -> np.ndarray:
     """Stack per-pair edge features; rows follow ``pairs`` order."""
     src, dst = _choice(SCORER_MODES, "scorer mode", mode)
-    build = _choice(EDGE_CONSTRUCTORS, "edge-feature constructor", constructor.lower())
+    build = _choice(EDGE_CONSTRUCTORS, "edge-feature constructor", constructor)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return build(getattr(emb, src)[pairs[:, 0]], getattr(emb, dst)[pairs[:, 1]])
 
@@ -424,15 +433,6 @@ def stratified_split(y, train_fraction: float, rng: np.random.Generator):
 # -- protocol: link prediction --------------------------------------------------
 
 
-def _constructor_names(constructors) -> list[str]:
-    """The lower-case constructor names, refusing unknown and repeated ones before any fit."""
-    names = [c.lower() for c in constructors]
-    for name in names:
-        _choice(EDGE_CONSTRUCTORS, "edge-feature constructor", name)
-    _reject_repeats("constructor", names)
-    return names
-
-
 def _fold_splits(y, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, test) indices of ``N_FOLDS`` stratified folds; a single-class side is refused."""
     splits = []
@@ -452,7 +452,8 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     """Stratified ``N_FOLDS``-fold CV of a binary classifier on edge features.
 
     Reports the mean and standard deviation over folds of both AUC and the
-    positive-class F1, per feature constructor, keyed by its lower-case name.
+    positive-class F1, per feature constructor, keyed by its name; a name
+    that is not an ``EDGE_CONSTRUCTORS`` key, case included, is refused.
     """
     if sample.residual_graph.node_count != emb.n:
         raise EvaluationError("embedding and link sample disagree on node count")
@@ -461,7 +462,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
-    ctors = _constructor_names(constructors)
+    ctors = _choices(EDGE_CONSTRUCTORS, "edge-feature constructor", "constructor", constructors)
     splits = _fold_splits(y, seed)
     groups = []
     for ctor in ctors:
@@ -488,10 +489,8 @@ def run_link_prediction_protocol(graph: DirectedGraph, features: FeatureMatrix,
 
     Returns (reports keyed by scorer mode, sample, train result).
     """
-    for mode in modes:
-        _choice(SCORER_MODES, "scorer mode", mode)
-    _reject_repeats("mode", list(modes))
-    _constructor_names(constructors)
+    _choices(SCORER_MODES, "scorer mode", "mode", modes)
+    _choices(EDGE_CONSTRUCTORS, "edge-feature constructor", "constructor", constructors)
     _choice(dict.fromkeys(VARIANTS), "variant", variant)
     sample = sample_link_prediction(graph, percent, seed)
     _fold_splits(sample.labels, seed)  # refuse a degenerate fold before training

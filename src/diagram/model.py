@@ -377,18 +377,6 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
     return trace
 
 
-def _fit_node_model(inputs: dict[str, sp.csr_matrix], feature_dim: int,
-                    cfg: TrainConfig) -> tuple[DiagramModel, list[float]]:
-    """A fresh node model fitted on the channel inputs; returns it and its loss trace."""
-    n = inputs["out"].shape[0]
-    rng = np.random.default_rng(cfg.seed)
-    model = DiagramModel(n, feature_dim, cfg.trunk_dims, cfg.embedding_dim, rng)
-    epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
-    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, inputs),
-                 epochs, cfg, rng)
-    return model, trace
-
-
 def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
                      cfg: TrainConfig) -> TrainResult:
     """Mini-batch training over nodes; returns model, embeddings, loss trace.
@@ -396,7 +384,13 @@ def train_node_model(graph: DirectedGraph, features: FeatureMatrix,
     A set ``cfg.transfer_from`` is refused: it applies to the edge model only."""
     if cfg.transfer_from is not None:
         raise TrainingError("transfer_from applies to the edge model only")
-    model, trace = _fit_node_model(_graph_tensors(graph, features), features.dim, cfg)
+    inputs = _graph_tensors(graph, features)
+    n = graph.node_count
+    rng = np.random.default_rng(cfg.seed)
+    model = DiagramModel(n, features.dim, cfg.trunk_dims, cfg.embedding_dim, rng)
+    epochs = DEFAULT_NODE_EPOCHS if cfg.epochs is None else cfg.epochs
+    trace = _fit(model, np.arange(n), lambda idx: _node_batches(idx, inputs),
+                 epochs, cfg, rng)
     emb = compute_embeddings(model, graph, features, "node")
     return TrainResult(model, emb, trace, cfg.as_dict())
 
@@ -406,18 +400,17 @@ def train_edge_model(graph: DirectedGraph, features: FeatureMatrix,
     """Edge-iteration training with the adjusted incoming-target trick.
 
     The edge model always starts from a node model. With ``cfg.transfer_from``
-    set it starts from a copy of that model; otherwise a node model is first
-    fitted here for ``DEFAULT_NODE_EPOCHS`` epochs and trained on in place,
-    with no node embeddings computed. For another node-stage length, train
-    the node model first and pass it as ``transfer_from``. The edge stage
-    runs ``cfg.epochs`` epochs (None: ``DEFAULT_EDGE_EPOCHS``); the loss
-    trace is the edge stage's.
+    set it starts from a copy of that model; otherwise ``train_node_model``
+    first fits one for ``DEFAULT_NODE_EPOCHS`` epochs, which is trained on
+    in place. For another node-stage length, train the node model first and
+    pass it as ``transfer_from``. The edge stage runs ``cfg.epochs`` epochs
+    (None: ``DEFAULT_EDGE_EPOCHS``); the loss trace is the edge stage's.
     """
     if graph.edge_count == 0:
         raise TrainingError("edge model needs at least one edge")
     inputs = _graph_tensors(graph, features)
     if cfg.transfer_from is None:
-        model = _fit_node_model(inputs, features.dim, replace(cfg, epochs=None))[0]
+        model = train_node_model(graph, features, replace(cfg, epochs=None)).model
     else:
         model = cfg.transfer_from.copy()
         expected = (graph.node_count, features.dim, tuple(cfg.trunk_dims), cfg.embedding_dim)

@@ -462,6 +462,14 @@ class TestEdgeFeatures:
                                                   r"\(accepted: average hadamard w-l1 w-l2\)"):
             edge_features(emb, (0, 1), "concat")
 
+    @pytest.mark.parametrize("name", ["Hadamard", None], ids=["capitalised", "none"])
+    def test_only_the_exact_table_name_is_accepted(self, name):
+        emb = make_embeddings(2, 2, seed=0)
+        with pytest.raises(EvaluationError) as info:
+            edge_features(emb, (0, 1), name)
+        assert str(info.value) == (f"unknown edge-feature constructor {name!r} "
+                                   "(accepted: average hadamard w-l1 w-l2)")
+
 
 class TestLogisticRegression:
     def test_monotone_probabilities_on_separated_data(self, monkeypatch):
@@ -752,12 +760,15 @@ class TestLinkPredictionEval:
 
     def test_constructors_keyed_by_lower_case_name(self, monkeypatch):
         emb, sample = self._label_revealing_setup()
-        report = link_prediction_eval(emb, sample, constructors=("Hadamard", "W-L1"))
+        report = link_prediction_eval(emb, sample, constructors=("hadamard", "w-l1"))
         assert [row["constructor"] for row in report.table] == ["hadamard", "w-l1"]
         assert list(report.details) == ["hadamard", "w-l1"]
         fits = count_fits(monkeypatch)
-        with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
-            link_prediction_eval(emb, sample, constructors=("hadamard", "HADAMARD"))
+        for constructors, name in [(("Hadamard", "W-L1"), "Hadamard"),
+                                   (("hadamard", "HADAMARD"), "HADAMARD")]:
+            with pytest.raises(EvaluationError,
+                               match=f"unknown edge-feature constructor '{name}'"):
+                link_prediction_eval(emb, sample, constructors=constructors)
         assert fits == []
 
     def test_unknown_constructor_rejected_before_any_fit(self, monkeypatch):
@@ -1038,10 +1049,12 @@ class TestFullProtocol:
             raise AssertionError("sampled before the constructors were checked")
 
         monkeypatch.setattr(evaluation, "sample_link_prediction", sample)
-        with pytest.raises(EvaluationError, match="constructor.*foo"):
-            run_link_prediction_protocol(random_digraph(20, 60, seed=10),
-                                         random_features(20, 6, seed=11), 10.0, 1,
-                                         constructors=("Hadamard", "foo"))
+        for name in ("foo", "Hadamard"):
+            with pytest.raises(EvaluationError,
+                               match=f"unknown edge-feature constructor '{name}'"):
+                run_link_prediction_protocol(random_digraph(20, 60, seed=10),
+                                             random_features(20, 6, seed=11), 10.0, 1,
+                                             constructors=("hadamard", name))
 
     def test_degenerate_fold_rejected_before_training(self, monkeypatch):
         trainings = []
@@ -1062,7 +1075,7 @@ class TestFullProtocol:
         with pytest.raises(EvaluationError, match="share the details key 'hadamard'"):
             run_link_prediction_protocol(random_digraph(20, 60, seed=10),
                                          random_features(20, 6, seed=11), 10.0, 1,
-                                         constructors=("Hadamard", "hadamard"))
+                                         constructors=("hadamard", "hadamard"))
 
     @pytest.mark.parametrize("modes, error, message", [
         (("bogus",), EvaluationError,

@@ -511,7 +511,7 @@ class TestEdgeChain:
         copies = []
         monkeypatch.setattr(DiagramModel, "copy", lambda self: copies.append(self))
         edge = train_edge_model(toy_graph, toy_features, TrainConfig(epochs=2, **self.CFG))
-        assert calls == ["edge"]  # one embedding pass per chain, for the edge model
+        assert calls == ["node", "edge"]  # the chain runs train_node_model itself
         assert copies == []  # the fitted node model is trained on in place
         monkeypatch.undo()
 
@@ -524,6 +524,17 @@ class TestEdgeChain:
             assert edge.model.parameters()[name].tobytes() == arr.tobytes()
         for ch in ("z", "o", "i"):
             assert getattr(edge.embeddings, ch).tobytes() == getattr(want.embeddings, ch).tobytes()
+
+    def test_chain_fits_its_node_stage_with_train_node_model(self, toy_graph, toy_features,
+                                                             monkeypatch):
+        configs = []
+        original = gm.train_node_model
+        monkeypatch.setattr(gm, "train_node_model",
+                            lambda graph, features, cfg: configs.append(cfg)
+                            or original(graph, features, cfg))
+        train_edge_model(toy_graph, toy_features, TrainConfig(epochs=1, **self.CFG))
+        assert len(configs) == 1
+        assert configs[0].epochs is None and configs[0].transfer_from is None
 
 
 class TestCheckpointIO:
