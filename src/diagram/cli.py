@@ -213,10 +213,10 @@ def cmd_train(args) -> int:
         provenance["transfer_from"] = args.transfer_from
     elif args.variant == "edge":
         provenance["auto_node_epochs"] = gm.DEFAULT_NODE_EPOCHS
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = (gm.train_node_model(graph, features, cfg) if args.variant == "node"
               else gm.train_edge_model(graph, features, cfg))
+    out = Path(args.out)  # made once training succeeds, so a refusal leaves none
+    out.mkdir(parents=True, exist_ok=True)
 
     fingerprint = result.embeddings.fingerprint
     run_cfg = {
@@ -305,7 +305,6 @@ def cmd_eval_linkpred(args) -> int:
         _write_report(report, args.out, f"linkpred_{mode}",
                       f"link prediction on {name} (p={_fmt(percent)}, {mode}, "
                       f"variant {args.variant}, |true|={int(sample.labels.sum())})")
-        report.to_plot_csv(Path(args.out) / f"linkpred_{mode}_plot.csv")
     return 0
 
 

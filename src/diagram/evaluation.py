@@ -624,13 +624,6 @@ class EvalReport:
     def to_csv(self, path) -> None:
         write_csv(path, self.columns, ([row[c] for c in self.columns] for row in self.table))
 
-    def to_plot_csv(self, path) -> None:
-        """Plot-ready (label, mean, std) rows of the AUC."""
-        label_col = self.columns[0]
-        write_csv(path, [label_col, "mean", "std"],
-                  ([row[label_col], row.get("auc_mean", ""), row.get("auc_std", "")]
-                   for row in self.table))
-
 
 def write_json(path, payload: dict) -> None:
     """Atomically write ``payload`` as indented JSON with sorted keys."""

@@ -117,23 +117,30 @@ class DiagramModel:
         self.embedding_dim = int(embedding_dim)
         if not self.trunk_dims:
             raise ValueError("trunk_dims must not be empty")
+        if min(self.trunk_dims) <= 0 or self.embedding_dim <= 0:
+            raise ValueError("layer dimensions must be positive")
 
         n, d, k = node_count, feature_dim, self.embedding_dim
         t = self.trunk_dims
 
         # One table of every layer, in creation order: that order fixes the rng
         # draws of a seeded initialization and the order of parameters(),
-        # Adam's sweep and the checkpoint's entries.
+        # Adam's sweep and the checkpoint's entries. A size too large for a
+        # float, for numpy or for memory fails here, as one TrainingError.
         dec = (k,) + tuple(reversed(t))
-        self.layers = {
-            "content_head": Linear(n + d, t[0], rng, sparse_input=True),
-            "directed_head": Linear(n, t[0], rng, sparse_input=True),
-            **{f"enc_trunk.{i}": Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)},
-            "embed": Linear(t[-1], k, rng),
-            **{f"dec_trunk.{i}": Linear(dec[i], dec[i + 1], rng) for i in range(len(t))},
-            "content_recon": Linear(t[0], n + d, rng),
-            "directed_recon": Linear(t[0], n, rng),
-        }
+        try:
+            self.layers = {
+                "content_head": Linear(n + d, t[0], rng, sparse_input=True),
+                "directed_head": Linear(n, t[0], rng, sparse_input=True),
+                **{f"enc_trunk.{i}": Linear(t[i], t[i + 1], rng) for i in range(len(t) - 1)},
+                "embed": Linear(t[-1], k, rng),
+                **{f"dec_trunk.{i}": Linear(dec[i], dec[i + 1], rng) for i in range(len(t))},
+                "content_recon": Linear(t[0], n + d, rng),
+                "directed_recon": Linear(t[0], n, rng),
+            }
+        except (OverflowError, MemoryError, ValueError) as exc:
+            raise TrainingError(f"cannot build a model with n={n}, d={d}, "
+                                f"trunk={','.join(map(str, t))}, k={k}: {exc}") from exc
         self.encoder_trunk = [self.layers[f"enc_trunk.{i}"] for i in range(len(t) - 1)]
         self.decoder_trunk = [self.layers[f"dec_trunk.{i}"] for i in range(len(t))]
 
@@ -570,7 +577,10 @@ def _import_text(raw: bytes, path) -> EmbeddingSet:
     if 3 * n * k > len(raw):  # each value takes a byte: bounds the allocation
         raise EmbeddingFormatError(f"{path}: header n={n}, k={k} exceeds the file size")
     ids = []
-    z, o, i = (np.empty((n, k)) for _ in range(3))
+    try:  # with n = 0 the bound above holds for any k, and numpy caps k
+        z, o, i = (np.empty((n, k)) for _ in range(3))
+    except ValueError as exc:
+        raise EmbeddingFormatError(f"{path}: header n={n}, k={k}: {exc}") from exc
     for r, (no, ln) in enumerate(body):
         parts = ln.split()
         if len(parts) != 1 + 3 * k:

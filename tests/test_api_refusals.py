@@ -14,7 +14,7 @@ from diagram.evaluation import (
     node_classification_eval,
     sample_link_prediction,
 )
-from diagram.exceptions import DatasetError, EvaluationError, SamplingError
+from diagram.exceptions import DatasetError, EvaluationError, SamplingError, TrainingError
 from diagram.model import DiagramModel, EmbeddingSet, TrainConfig
 from diagram.nn import Adam, Linear
 
@@ -51,6 +51,11 @@ def _backward_with_wrong_gradient():
      EvaluationError, r"unknown classifier features 'x' \(accepted: z zoi\)"),
     (lambda: DiagramModel(0, 1), ValueError, "need at least one node"),
     (lambda: DiagramModel(2, 1, trunk_dims=()), ValueError, "trunk_dims must not be empty"),
+    (lambda: DiagramModel(2, 1, embedding_dim=0), ValueError,
+     "layer dimensions must be positive"),
+    # 10**18 rows fail in numpy before any allocation, never one the OS might grant
+    (lambda: DiagramModel(2, 1, trunk_dims=(10**18,)), TrainingError,
+     r"^cannot build a model with n=2, d=1, trunk=1000000000000000000, k=128: array is too big"),
     (lambda: Linear(0, 1), ValueError, "layer dimensions must be positive"),
     (_backward_with_wrong_gradient, ValueError,
      r"gradient shape \(1, 2\) incompatible with output \(1, 3\)"),
@@ -69,7 +74,8 @@ def _backward_with_wrong_gradient():
     (lambda: TrainConfig(trunk_dims=(4.7,)), ValueError,
      r"^trunk_dims entry must be an integer, got 4\.7$"),
 ], ids=["feature-mode", "label-range", "scorer-mode", "fit-shapes", "auc-empty",
-        "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "linear-dims",
+        "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "model-zero-k",
+        "model-huge-trunk", "linear-dims",
         "linear-backward-shape", "adam-shape", "link-sample-seed", "link-eval-seed",
         "float-epochs", "float-batch-size", "float-seed", "float-embedding-dim",
         "float-trunk-entry"])

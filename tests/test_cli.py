@@ -391,6 +391,20 @@ class TestTrain:
         assert (old / "node_embeddings.tsv").read_bytes() == \
             (out / "node_embeddings.tsv").read_bytes()
 
+    # numpy refuses 10**18 before any allocation; never test a size the OS might grant
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--k", "9" * 400, "int too large to convert to float"),
+        ("--trunk", str(10**18), "array is too big"),
+    ], ids=["k-400-nines", "trunk-1e18"])
+    def test_layer_size_too_large_is_one_error_line(self, dataset_arg, tmp_path, capsys,
+                                                    flag, value, reason):
+        assert run(["train", "--dataset", dataset_arg, "--out", tmp_path / "run",
+                    *FAST, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot build a model with n=12, d=") and reason in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_binary_format(self, dataset_arg, tmp_path):
         out = tmp_path / "bin"
         run(["train", "--dataset", dataset_arg, "--format", "binary",
@@ -604,6 +618,20 @@ class TestExportAndEval:
         assert err == f"error: {path}: non-finite value for node {emb.node_ids[4]!r}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
+                                         ["eval", "reconstruct", "--k-list", "5"]],
+                             ids=["classify", "reconstruct"])
+    def test_eval_refuses_zero_rows_with_huge_k(self, dataset_arg, tmp_path, capsys,
+                                                command):
+        path = tmp_path / "empty.tsv"
+        path.write_text("DIAGRAM v1 0 99999999999999999999 node -\n")
+        assert run([*command, "--dataset", dataset_arg, "--embeddings", path,
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: header n=0, k=99999999999999999999: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     @pytest.mark.parametrize("command", [["eval", "classify", "--repetitions", "1"],
                                          ["eval", "reconstruct", "--k-list", "5"]],
@@ -730,11 +758,13 @@ class TestExportAndEval:
         out = tmp_path / "lp"
         assert run(["eval", "linkpred", "--dataset", dataset_arg,
                     "--p", "15", "--mode", "both", "--out", out, *FAST]) == 0
+        # each mode writes its report's two files, as every eval command does
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"linkpred_{mode}.{ext}" for mode in ("directed", "symmetric")
+            for ext in ("csv", "json")]
         for mode in ("directed", "symmetric"):
             report = json.loads((out / f"linkpred_{mode}.json").read_text())
             assert len(report["table"]) == 4
-            plot = (out / f"linkpred_{mode}_plot.csv").read_text().splitlines()
-            assert plot[0] == "constructor,mean,std"
 
     def test_eval_linkpred_node_variant_trains_the_node_model(self, dataset_arg, tmp_path,
                                                               monkeypatch):

@@ -1126,19 +1126,6 @@ class TestEvalReport:
         assert loaded["kind"] == "network_reconstruction"
         assert c1.read_text().splitlines()[0] == "K,precision"
 
-    def test_plot_csv_shape(self, tmp_path):
-        report = EvalReport(
-            kind="link_prediction",
-            columns=["constructor", "auc_mean", "auc_std", "f1_mean", "f1_std"],
-            table=[{"constructor": "hadamard", "auc_mean": 0.9, "auc_std": 0.01,
-                    "f1_mean": 0.8, "f1_std": 0.02}],
-        )
-        path = tmp_path / "plot.csv"
-        report.to_plot_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "constructor,mean,std"
-        assert lines[1].startswith("hadamard,0.9,")
-
     def test_out_of_range_metric_rejected(self):
         report = EvalReport(kind="x", columns=["K", "precision"],
                             table=[{"K": 1, "precision": 1.5}])

@@ -795,6 +795,20 @@ class TestEmbeddingIO:
         with pytest.raises(EmbeddingFormatError, match="emb.tsv"):
             import_embeddings(path)
 
+    def test_zero_rows_with_huge_k_is_typed_error(self, tmp_path):
+        # n = 0 passes the file-size bound whatever k says; numpy refuses k
+        path = tmp_path / "emb.tsv"
+        path.write_text("DIAGRAM v1 0 99999999999999999999 node -\n")
+        with pytest.raises(EmbeddingFormatError,
+                           match=r"emb\.tsv: header n=0, k=99999999999999999999: "):
+            import_embeddings(path)
+
+    def test_zero_rows_reads_back_with_its_k(self, tmp_path):
+        emb = self._random_set(n=0, k=128)
+        path = tmp_path / "emb.tsv"
+        export_embeddings(emb, path, "text")
+        assert import_embeddings(path).z.shape == (0, 128)
+
     @pytest.mark.parametrize("header", ["DIAGRAM v1 1 1 edge fp extra junk",
                                         "DIAGRAM v1 1 1 edge fp extra", "DIAGRAM v1 1 1 edge"],
                              ids=["eight-fields", "seven-fields", "five-fields"])
