@@ -174,7 +174,7 @@ class DiagramModel:
         """Head, encoder trunk and embed layer of one channel; returns the embedding.
 
         ``x`` holds the channel's input rows. Appends each layer's (layer,
-        cache, dropout mask) to ``steps`` for the backward pass. Dropout at
+        cache, dropout record) to ``steps`` for the backward pass. Dropout at
         rate ``dropout`` is applied to every encoder activation (head output
         and each encoder-trunk output), never to inputs or the embedding.
         """
@@ -203,24 +203,34 @@ class DiagramModel:
         """Backward through ``steps`` from ``d``, the loss gradient w.r.t. the reconstruction.
 
         Pops each layer's step as its backward runs, so ``steps`` ends empty
-        and a spent cache is freed once nothing else holds it.
+        and a spent cache is freed once nothing else holds it. Dropout is
+        undone in place, in the gradient the layer above returned, since
+        the reconstruction layer that ``d`` enters takes none.
         """
         while steps:
-            layer, cache, mask = steps.pop()
-            if mask is not None:
-                d = d * mask
+            layer, cache, dropped = steps.pop()
+            if dropped is not None:
+                keep, scale = dropped
+                d *= keep  # exact, so d rounds once, as d * mask does
+                d *= scale
             d = layer.backward(cache, d)
 
 
 def _run(layer: Linear, h: np.ndarray, steps: list, dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> np.ndarray:
-    """One layer's forward, then dropout at rate ``dropout`` if it is positive."""
+    """One layer's forward, then dropout at rate ``dropout`` if it is positive.
+
+    The step records the dropout as the kept entries, as booleans, and
+    the scale ``1/(1-dropout)`` that every kept entry of the mask holds,
+    so the float mask is freed once applied.
+    """
     out, cache = layer.forward(h)
-    mask = None
+    dropped = None
     if dropout > 0.0:
         mask = dropout_mask(out.shape, dropout, rng)
         out = out * mask
-    steps.append((layer, cache, mask))
+        dropped = (mask != 0.0, 1.0 / (1.0 - dropout))
+    steps.append((layer, cache, dropped))
     return out
 
 

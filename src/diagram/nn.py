@@ -17,6 +17,8 @@ import scipy.sparse as sp
 
 from .exceptions import TrainingError
 
+ROW_BLOCK = 256  # rows of grad_W that one blocked gradient product covers
+
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -54,15 +56,22 @@ class Linear:
     rows are data and need no gradient. The layer remembers which rows of
     ``grad_W`` it wrote, and zeroing clears only those.
 
-    ``zero_grad`` only marks the gradients stale. The first ``backward``
-    after it writes its products into the gradient buffers in place of
-    adding them to zeros, and reading a stale gradient zeroes it first,
-    so a layer no pass touched reads zero. The only difference from
+    ``zero_grad`` makes the gradient buffers if the layer holds none, and
+    otherwise only marks the gradients stale. The first ``backward`` after
+    it writes its products into the gradient buffers in place of adding
+    them to zeros, and reading a stale gradient zeroes it first, so a
+    layer no pass touched reads zero. The only difference from
     zero-then-add is that an entry can read -0.0 where it read +0.0.
-    The gradient buffers are made by the first ``backward`` or read, so a
-    layer that only runs forward holds none. ``release_grad`` drops them
-    and puts the layer back in that never-run state; a finished fit calls
-    it, so a trained layer holds only its parameters.
+    A fit calls ``zero_grad`` before each step, so its buffers are laid
+    out before the first step's activations; a layer that only runs
+    forward holds none. ``release_grad`` drops them and puts the layer
+    back in that never-run state; a finished fit calls it, so a trained
+    layer holds only its parameters.
+
+    A later ``backward`` in the same step adds its weight gradient in
+    blocks of ``ROW_BLOCK`` rows of ``grad_W``, so no weight-sized
+    product exists at once. Each entry is the same dot product over the
+    batch as in one unblocked product, and is added to the gradient once.
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None,
@@ -143,33 +152,45 @@ class Linear:
             np.sum(dz, axis=0, out=self._grad_b)
             self._stale = False
         else:
-            self._grad_W += dz.T @ x
+            for lo in range(0, self.out_dim, ROW_BLOCK):
+                self._grad_W[lo:lo + ROW_BLOCK] += dz[:, lo:lo + ROW_BLOCK].T @ x
             self._grad_b += dz.sum(axis=0)
         return dz @ self.W
 
     def _sparse_grad(self, rows: sp.csr_matrix, dz: np.ndarray) -> None:
-        """Add ``rowsᵀ @ dz`` into the rows of ``grad_W`` that ``rows`` touches."""
+        """Add ``rowsᵀ @ dz`` into the rows of ``grad_W`` that ``rows`` touches.
+
+        The product is made ``ROW_BLOCK`` touched rows at a time, so no
+        (touched × width) array exists at once. CSR and CSC products both
+        sum each row over the batch rows in ascending order, so the blocks
+        hold the same bits as one CSC product.
+        """
         cols, pos = np.unique(rows.indices, return_inverse=True)
         # rowsᵀ restricted to the touched columns, renumbered 0..len(cols)-1
-        touched_T = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
-                                  shape=(cols.size, rows.shape[0]))
-        g = touched_T @ dz
-        self._buffers()
-        if self._stale:
-            self._settle()
-            self._grad_W[cols] = g
+        touched = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
+                                shape=(cols.size, rows.shape[0])).tocsr()
+        stale = self._stale
+        self._settle()
+        for lo in range(0, cols.size, ROW_BLOCK):
+            block = cols[lo:lo + ROW_BLOCK]
+            g = touched[lo:lo + ROW_BLOCK] @ dz
+            if stale:
+                self._grad_W[block] = g
+            else:
+                self._grad_W[block] += g
+        if stale:
             np.sum(dz, axis=0, out=self._grad_b)
             self._touched = cols
         else:
-            self._grad_W[cols] += g
             self._grad_b += dz.sum(axis=0)
             self._touched = np.union1d(self._touched, cols)
 
     def zero_grad(self) -> None:
+        self._buffers()
         self._stale = True
 
     def release_grad(self) -> None:
-        self._grad_W = self._grad_b = None  # made by the first backward or read
+        self._grad_W = self._grad_b = None  # made by zero_grad, or the first backward or read
         self._stale = False
         self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
 

@@ -10,6 +10,7 @@ from diagram.exceptions import EmbeddingFormatError, TrainingError
 from diagram.model import (DiagramModel, TrainConfig, load_model, save_model,
                            train_edge_model, train_node_model)
 from diagram.nn import (
+    ROW_BLOCK,
     Adam,
     CSRRows,
     Linear,
@@ -241,6 +242,58 @@ class TestSparseInputHead:
             layer.forward(CSRRows(sp.csr_matrix((2, self.IN + 1))))
 
 
+def dz_of(y: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """The pre-activation gradient ``backward`` computes, rounded as it rounds."""
+    return (1.0 - y * y) * dout
+
+
+class TestBlockedGradients:
+    """Gradients summed ``ROW_BLOCK`` rows at a time equal one whole product, bit for bit."""
+
+    def test_sparse_head_blocks_equal_one_product(self):
+        # width 512 and a batch touching about 1040 of 1433 columns: five blocks
+        rng = np.random.default_rng(40)
+        layer = Linear(1433, 512, rng, sparse_input=True)
+        want = np.zeros(layer.W.shape)
+        layer.zero_grad()
+        for call in range(2):  # the second call adds into the rows the first wrote
+            rows = sp.csr_matrix((rng.random((64, 1433)) < 0.02).astype(float))
+            y, cache = layer.forward(CSRRows(rows))
+            dout = rng.normal(size=y.shape)
+            dz = dz_of(y, dout)
+            layer.backward(cache, dout)
+            cols, pos = np.unique(rows.indices, return_inverse=True)
+            assert cols.size > 2 * ROW_BLOCK
+            g = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
+                              shape=(cols.size, 64)) @ dz
+            if call == 0:
+                want[cols] = g
+            else:
+                want[cols] += g
+        assert layer.grad_W.tobytes() == want.tobytes()
+
+    # directed_recon at the Cora and the dense benchmark shapes
+    @pytest.mark.parametrize("n, batch", [(2708, 64), (2000, 256)])
+    def test_accumulating_backward_equals_one_product(self, n, batch):
+        rng = np.random.default_rng(41)
+        layer = Linear(512, n, rng)
+        layer.zero_grad()
+        want_W = want_b = None
+        for _ in range(2):  # out channel, then in channel
+            x = rng.uniform(-1.0, 1.0, size=(batch, 512))
+            y, cache = layer.forward(x)
+            dout = rng.normal(size=y.shape)
+            dz = dz_of(y, dout)
+            layer.backward(cache, dout)
+            if want_W is None:
+                want_W, want_b = dz.T @ x, dz.sum(axis=0)
+            else:
+                want_W += dz.T @ x
+                want_b += dz.sum(axis=0)
+        assert layer.grad_W.tobytes() == want_W.tobytes()
+        assert layer.grad_b.tobytes() == want_b.tobytes()
+
+
 class TestMaskedSqError:
     def test_zero_when_equal(self):
         x = np.random.default_rng(0).normal(size=(3, 3))
@@ -350,6 +403,44 @@ class TestDropout:
         want = model._forward("content", x)
         assert all(np.array_equal(a, b) for a, b in zip(got[:2], want[:2]))
         assert rng.random() == np.random.default_rng(1).random()  # no mask was drawn
+
+    def test_boolean_record_equals_float_mask(self, monkeypatch):
+        """The step's (kept, scale) record gives the float mask's forward and backward."""
+        def float_mask_run(layer, h, steps, dropout=0.0, rng=None):
+            out, cache = layer.forward(h)
+            mask = None
+            if dropout > 0.0:
+                mask = dropout_mask(out.shape, dropout, rng)
+                out = out * mask
+            steps.append((layer, cache, mask))
+            return out
+
+        def float_mask_backward(self, steps, d):
+            while steps:
+                layer, cache, mask = steps.pop()
+                if mask is not None:
+                    d = d * mask
+                d = layer.backward(cache, d)
+
+        model = gm.DiagramModel(40, 30, trunk_dims=(16, 8), embedding_dim=4,
+                                rng=np.random.default_rng(0))
+        ref = model.copy()
+        draw = np.random.default_rng(2)
+        xs = {channel: sp.csr_matrix((draw.random((6, width)) < 0.3).astype(float))
+              for channel, width in (("content", 70), ("out", 40), ("in", 40))}
+        got, want = [], []
+        for net, out in ((model, got), (ref, want)):
+            if net is ref:
+                monkeypatch.setattr(gm, "_run", float_mask_run)
+                monkeypatch.setattr(gm.DiagramModel, "_backward", float_mask_backward)
+            rng = np.random.default_rng(3)
+            net.zero_grad()
+            for channel, x in xs.items():
+                emb, recon, steps = net._forward(channel, CSRRows(x), 0.3, rng)
+                out += [emb.copy(), recon.copy()]
+                net._backward(steps, np.random.default_rng(4).normal(size=recon.shape))
+            out += list(net.gradients().values())
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_empirical_zero_fraction(self):
         m = dropout_mask((1000, 1000), 0.2, np.random.default_rng(123))

@@ -6,9 +6,9 @@ absent, and its metrics read 0, so a refactor could silently blank the
 per-layer numbers. This runs the traced pass of the tiny train and eval
 workloads of ``perfbench/smoke.py`` and requires no absent hook, a
 nonzero forward time for every ``Linear`` layer, and calls to the loss,
-penalty and gradient-zeroing hooks of the training step: a step that
-stopped calling one of those names would blank its metrics while every
-hook was still found.
+dropout, penalty and gradient-zeroing hooks of the training step (the
+tiny train workload runs dropout 0.2): a step that stopped calling one
+of those names would blank its metrics while every hook was still found.
 
 It runs in a subprocess because ``perfbench/run.py`` pins the BLAS
 threads before numpy is first imported.
@@ -49,6 +49,6 @@ def test_traced_run_finds_every_hook(tmp_path):
     layers = {k: v for k, v in metrics["train"].items() if k.startswith("nn.linear.fwd_s.")}
     assert len(layers) == 8
     assert all(v > 0 for v in layers.values()), layers
-    for name in ("nn.masked_sq_error.calls", "model.penalty_weights.calls",
-                 "model.zero_grad.calls"):
+    for name in ("nn.masked_sq_error.calls", "nn.dropout_mask.calls",
+                 "model.penalty_weights.calls", "model.zero_grad.calls"):
         assert metrics["train"][name] > 0, name
