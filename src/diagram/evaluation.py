@@ -49,6 +49,16 @@ def _choice(table, what: str, name):
     return table[name]
 
 
+def _integer(what: str, value, least: int, error=EvaluationError) -> int:
+    """``value`` as an int. Anything but an int or numpy integer of at least
+    ``least`` is refused, before any work."""
+    if not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _choices(table, what: str, label_column: str, names) -> list:
     """``names`` as a list, refusing an unknown or repeated name before any work."""
     names = list(names)
@@ -73,15 +83,13 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     n = emb.n
     if graph.node_count != n:
         raise EvaluationError("embedding and graph disagree on node count")
-    k_list = [int(k) for k in k_list]
+    k_list = [_integer("K", k, 1) for k in k_list]
     if not k_list:
         raise EvaluationError("K list is empty")
     max_pairs = n * n - n
     for j, k in enumerate(k_list):
         if k in k_list[:j]:
             raise EvaluationError(f"K={k} appears twice in the K list")
-        if k <= 0:
-            raise EvaluationError(f"K must be positive, got {k}")
         if k > max_pairs:
             raise EvaluationError(f"K={k} exceeds candidate pair count {max_pairs}")
 
@@ -204,8 +212,7 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     """
     m = graph.edge_count
     n = graph.node_count
-    if seed < 0:
-        raise SamplingError(f"seed must be >= 0, got {seed}")
+    seed = _integer("seed", seed, 0, SamplingError)
     if not math.isfinite(percent):
         raise SamplingError(f"percent={percent} is not a finite number")
     if not 0.0 < percent <= 100.0:
@@ -253,7 +260,7 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     false_pairs = np.column_stack(np.divmod(np.array(drawn, dtype=np.int64), n))
     pairs = np.vstack([edges[removed], false_pairs])
     labels = np.repeat(np.array([1, 0], dtype=np.int64), quota)
-    return LinkSample(pairs, labels, residual, int(seed), float(percent))
+    return LinkSample(pairs, labels, residual, seed, float(percent))
 
 
 # -- edge features ------------------------------------------------------------
@@ -457,8 +464,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     """
     if sample.residual_graph.node_count != emb.n:
         raise EvaluationError("embedding and link sample disagree on node count")
-    if seed < 0:
-        raise EvaluationError(f"seed must be >= 0, got {seed}")
+    seed = _integer("seed", seed, 0)
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
@@ -535,10 +541,7 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise EvaluationError("labels must cover every embedded node")
     X = np.hstack([getattr(emb, name)
                    for name in _choice(CLASSIFIER_FEATURES, "classifier features", features)])
-    if repetitions < 1:
-        raise EvaluationError(f"repetitions must be >= 1, got {repetitions}")
-    if seed < 0:
-        raise EvaluationError(f"seed must be >= 0, got {seed}")
+    repetitions, seed = _integer("repetitions", repetitions, 1), _integer("seed", seed, 0)
     _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
     _, y, sizes = np.unique(y, return_inverse=True, return_counts=True)  # y as 0..k-1
     for ratio in train_ratios:

@@ -211,7 +211,7 @@ class DiagramModel:
             layer, cache, dropped = steps.pop()
             if dropped is not None:
                 keep, scale = dropped
-                d *= keep  # exact, so d rounds once, as d * mask does
+                d *= keep  # exact, so d rounds once, as the forward's output does
                 d *= scale
             d = layer.backward(cache, d)
 
@@ -220,16 +220,16 @@ def _run(layer: Linear, h: np.ndarray, steps: list, dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> np.ndarray:
     """One layer's forward, then dropout at rate ``dropout`` if it is positive.
 
-    The step records the dropout as the kept entries, as booleans, and
-    the scale ``1/(1-dropout)`` that every kept entry of the mask holds,
-    so the float mask is freed once applied.
+    The step records its draw, the kept entries, and the scale
+    ``1/(1-dropout)``; ``out * keep`` is exact, so an entry rounds once.
     """
     out, cache = layer.forward(h)
     dropped = None
     if dropout > 0.0:
-        mask = dropout_mask(out.shape, dropout, rng)
-        out = out * mask
-        dropped = (mask != 0.0, 1.0 / (1.0 - dropout))
+        keep, scale = dropout_mask(out.shape, dropout, rng), 1.0 / (1.0 - dropout)
+        out = out * keep
+        out *= scale
+        dropped = keep, scale
     steps.append((layer, cache, dropped))
     return out
 
@@ -263,9 +263,8 @@ class EmbeddingSet:
 
 
 def penalty_weights(target: sp.csr_matrix) -> np.ndarray:
-    """Flat indices of the target rows' entries > 0, where the loss weighs errors by mu."""
-    starts = np.repeat(np.arange(target.shape[0]) * target.shape[1], np.diff(target.indptr))
-    return (starts + target.indices)[target.data > 0]
+    """Which stored entries of ``target`` are > 0: there the loss weighs errors by mu."""
+    return target.data > 0
 
 
 @dataclass
@@ -465,6 +464,9 @@ def _read_archive(path, kind: str, what: str) -> tuple[dict, dict]:
             arrays = {k: npz[k] for k in npz.files}
     except Exception as exc:
         raise EmbeddingFormatError(f"cannot read {what} {path}: {exc}") from exc
+    for name, arr in arrays.items():  # np.load gives a member that is not .npy as bytes
+        if not isinstance(arr, np.ndarray):
+            raise EmbeddingFormatError(f"{what} {path}: entry {name!r} is not a .npy array")
     raw = arrays.pop("__meta__", None)
     if raw is None:
         raise EmbeddingFormatError(f"{what} {path} has no meta block")

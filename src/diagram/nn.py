@@ -195,50 +195,40 @@ class Linear:
         self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
 
 
-def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, support: np.ndarray,
+def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, penalised: np.ndarray,
                     mu: float):
-    """Penalised squared error ``sum(((pred - target) * w) ** 2)``.
+    """Penalised squared error ``sum(((pred - target) * w) ** 2)`` and its gradient.
 
     ``target`` is CSR rows with no entry stored twice; ``pred`` less its
-    stored entries is ``pred - target.toarray()`` bit for bit. The weight
-    ``w`` is ``mu`` at the flat indices ``support`` and 1 elsewhere; only
-    the support coordinates are scaled, so no weight array is built.
-    Returns (loss, gradient w.r.t. pred); the gradient is ``2 * (pred -
-    target) * w * w``, rounded as written.
-
-    Besides ``pred`` it allocates one array of its shape: the weighted
-    residual is squared and summed in it, and then it is overwritten with
-    the gradient, ``2 * pred`` off the stored entries and ``2 * residual``
-    on them. Only the residual at the stored entries and on ``support`` is
-    kept apart, in arrays of their size.
+    stored entries is ``pred - target.toarray()`` bit for bit. ``w`` is
+    ``mu`` at the stored entries flagged in ``penalised`` (one boolean per
+    entry of ``target.data``) and 1 elsewhere. The gradient w.r.t. pred is
+    ``2 * (pred - target) * w * w``, rounded as written. Besides ``pred``,
+    it allocates one array of its shape and a few of the target's entry count.
     """
     buf = np.array(pred, dtype=np.float64)  # a copy: pred is the head's cached output
     if buf.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {buf.shape}, target {target.shape}")
+    if np.shape(penalised) != target.data.shape:
+        raise ValueError(f"penalised has shape {np.shape(penalised)}, not {target.data.shape}")
     flat = buf.reshape(-1)  # a view: buf is fresh
     starts = np.repeat(np.arange(target.shape[0]) * target.shape[1], np.diff(target.indptr))
     stored = starts + target.indices
     residual = flat[stored] - (target.data + 0.0)  # -0.0 reads +0.0, as in toarray()
-    flat[stored] = residual
-    on = flat[support]
-    flat[support] = on * mu
+    w = np.where(penalised, mu, 1.0)
+    flat[stored] = residual * w
     buf *= buf
     loss = float(np.sum(buf))
     np.multiply(pred, 2.0, out=buf, dtype=np.float64)
-    flat[stored] = 2.0 * residual
-    on *= 2.0
-    on *= mu
-    on *= mu
-    flat[support] = on
+    flat[stored] = 2.0 * residual * w * w
     return loss, buf
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout scale mask: 0 with probability ``rate``, else 1/(1-rate)."""
+    """Inverted dropout's kept entries: True with probability ``1 - rate``."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    return rng.random(shape) >= rate
 
 
 class Adam:

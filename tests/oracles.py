@@ -198,11 +198,11 @@ def dense_masked_sq_error(pred: np.ndarray, target: np.ndarray, weight: np.ndarr
     return loss, grad
 
 
-def dense_loss_term(pred, target, support, mu):
+def dense_loss_term(pred, target, penalised, mu):
     """The dense-weight loss behind the signature of ``nn.masked_sq_error``.
 
-    The CSR ``target`` rows are made dense. ``support`` is ignored: the
-    weights are rebuilt from ``target``, which is what the support was
+    The CSR ``target`` rows are made dense. ``penalised`` is ignored: the
+    weights are rebuilt from ``target``, which is what the flags were
     computed from.
     """
     target = target.toarray()

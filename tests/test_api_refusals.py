@@ -11,6 +11,7 @@ from diagram.evaluation import (
     link_prediction_eval,
     logistic_regression_fit,
     micro_macro_f1,
+    network_reconstruction,
     node_classification_eval,
     sample_link_prediction,
 )
@@ -65,6 +66,21 @@ def _backward_with_wrong_gradient():
      SamplingError, "^seed must be >= 0, got -1$"),
     (lambda: link_prediction_eval(_embeddings(20), _link_sample(), seed=-1),
      EvaluationError, "^seed must be >= 0, got -1$"),
+    # K, seeds and repetitions are integers: no truncation, no numpy TypeError
+    (lambda: network_reconstruction(_embeddings(), random_digraph(4, 6, seed=0), [2.5]),
+     EvaluationError, r"^K must be an integer, got 2\.5$"),
+    (lambda: network_reconstruction(_embeddings(), random_digraph(4, 6, seed=0), ["3"]),
+     EvaluationError, "^K must be an integer, got '3'$"),
+    (lambda: sample_link_prediction(random_digraph(20, 60, seed=10), 20, 1.5),
+     SamplingError, r"^seed must be an integer, got 1\.5$"),
+    (lambda: sample_link_prediction(random_digraph(20, 60, seed=10), 20, "1"),
+     SamplingError, "^seed must be an integer, got '1'$"),
+    (lambda: link_prediction_eval(_embeddings(20), _link_sample(), seed=1.5),
+     EvaluationError, r"^seed must be an integer, got 1\.5$"),
+    (lambda: node_classification_eval(_embeddings(), [0, 0, 1, 1], seed="1"),
+     EvaluationError, "^seed must be an integer, got '1'$"),
+    (lambda: node_classification_eval(_embeddings(), [0, 0, 1, 1], repetitions=2.0),
+     EvaluationError, r"^repetitions must be an integer, got 2\.0$"),
     (lambda: TrainConfig(epochs=1.5), ValueError, r"^epochs must be an integer, got 1\.5$"),
     (lambda: TrainConfig(batch_size=2.5), ValueError,
      r"^batch_size must be an integer, got 2\.5$"),
@@ -77,8 +93,22 @@ def _backward_with_wrong_gradient():
         "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "model-zero-k",
         "model-huge-trunk", "linear-dims",
         "linear-backward-shape", "adam-shape", "link-sample-seed", "link-eval-seed",
+        "float-k", "str-k", "float-link-sample-seed", "str-link-sample-seed",
+        "float-link-eval-seed", "str-classify-seed", "float-repetitions",
         "float-epochs", "float-batch-size", "float-seed", "float-embedding-dim",
         "float-trunk-entry"])
 def test_bad_argument_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_integers_are_accepted():
+    g = random_digraph(20, 60, seed=10)
+    sample = sample_link_prediction(g, 10.0, seed=np.int64(1))
+    assert sample.seed == 1 and type(sample.seed) is int
+    assert (sample.pairs == _link_sample().pairs).all()
+    report = network_reconstruction(_embeddings(20), g, [np.int32(3)])
+    assert report.config["k_list"] == [3] and type(report.config["k_list"][0]) is int
+    report = node_classification_eval(_embeddings(), [0, 0, 1, 1], (50,),
+                                      repetitions=np.int64(1), seed=np.uint8(2))
+    assert report.config["repetitions"] == 1 and report.config["seed"] == 2

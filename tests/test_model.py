@@ -204,12 +204,13 @@ class TestPenaltyWeights:
         assert set(np.unique(grad)) <= {2.0, 200.0}
         assert np.array_equal(grad == 200.0, target > 0)
 
-    def test_flat_indices_of_positive_stored_entries(self):
+    def test_flags_positive_stored_entries(self):
         # unsorted indices, a stored zero, a negative entry and an empty row
         target = sp.csr_matrix((np.array([2.0, 0.0, -1.0, 0.5, 1.0]), np.array([3, 0, 1, 4, 2]),
                                 np.array([0, 3, 3, 5])), shape=(3, 5))
         got = penalty_weights(target)
-        assert sorted(got.tolist()) == np.flatnonzero(target.toarray() > 0).tolist()
+        assert got.dtype == bool
+        assert np.array_equal(got, target.data > 0)
 
 
 class TestBatches:

@@ -32,7 +32,10 @@ from oracles import (
     reference_layer,
 )
 
-NO_SUPPORT = np.array([], dtype=np.intp)  # weight 1 on every coordinate
+
+def no_penalty(target: sp.csr_matrix) -> np.ndarray:
+    """No stored entry of ``target`` penalised: weight 1 on every coordinate."""
+    return np.zeros(target.data.shape, dtype=bool)
 
 
 def assert_bytes_equal(a: dict, b: dict) -> None:
@@ -92,11 +95,11 @@ class TestLinearBackward:
 
         def loss_fn():
             y, _ = layer.forward(x)
-            return masked_sq_error(y, target, NO_SUPPORT, 10.0)[0]
+            return masked_sq_error(y, target, no_penalty(target), 10.0)[0]
 
         layer.zero_grad()
         y, cache = layer.forward(x)
-        _, grad = masked_sq_error(y, target, NO_SUPPORT, 10.0)
+        _, grad = masked_sq_error(y, target, no_penalty(target), 10.0)
         layer.backward(cache, grad)
         err = finite_diff_check(loss_fn, [layer.W, layer.b],
                                 [layer.grad_W, layer.grad_b])
@@ -297,14 +300,14 @@ class TestBlockedGradients:
 class TestMaskedSqError:
     def test_zero_when_equal(self):
         x = np.random.default_rng(0).normal(size=(3, 3))
-        loss, grad = masked_sq_error(x, sp.csr_matrix(x), np.arange(x.size), 5.0)
+        loss, grad = masked_sq_error(x, sp.csr_matrix(x), np.ones(x.size, dtype=bool), 5.0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(x))
 
     def test_closed_form_example(self):
-        loss, grad = masked_sq_error(np.array([[1.0, 0.0]]),
-                                     sp.csr_matrix((1, 2)),
-                                     np.array([0]), 10.0)
+        loss, grad = masked_sq_error(np.array([[3.0, 0.0]]),
+                                     sp.csr_matrix(np.array([[2.0, 0.0]])),
+                                     np.array([True]), 10.0)
         assert loss == 100.0
         assert np.array_equal(grad, np.array([[200.0, 0.0]]))
 
@@ -314,7 +317,9 @@ class TestMaskedSqError:
         target = rng.normal(size=(5, 7))
         on = rng.random((5, 7)) < 0.4
         weight = np.where(on, 3.7, 1.0)
-        loss, grad = masked_sq_error(pred, sp.csr_matrix(target), np.flatnonzero(on), 3.7)
+        rows = sp.csr_matrix(target)
+        assert rows.nnz == target.size  # every coordinate stored, in row-major order
+        loss, grad = masked_sq_error(pred, rows, on.ravel(), 3.7)
         exp_loss = 0.0
         for r in range(5):
             for c in range(7):
@@ -326,12 +331,12 @@ class TestMaskedSqError:
 
     def test_zero_iff_agreement_everywhere(self):
         pred = np.array([[1.0, 0.0]])
-        target = sp.csr_matrix(pred)
-        support = np.array([0])
-        assert masked_sq_error(pred, target, support, 3.0)[0] == 0.0
+        target = sp.csr_matrix(pred)  # stores the 1.0 alone
+        penalised = np.array([True])
+        assert masked_sq_error(pred, target, penalised, 3.0)[0] == 0.0
         # every coordinate weighs at least 1, so any disagreement counts
-        assert masked_sq_error(np.array([[1.0, 2.0]]), target, support, 3.0)[0] == 4.0
-        assert masked_sq_error(np.array([[3.0, 0.0]]), target, support, 3.0)[0] == 36.0
+        assert masked_sq_error(np.array([[1.0, 2.0]]), target, penalised, 3.0)[0] == 4.0
+        assert masked_sq_error(np.array([[3.0, 0.0]]), target, penalised, 3.0)[0] == 36.0
 
     @pytest.mark.parametrize("mu", [10.0, 3.7])
     def test_equals_dense_weight_formula(self, mu):
@@ -342,8 +347,7 @@ class TestMaskedSqError:
         pred[0] = target[0]
         rows = sp.csr_matrix(target)
         target = rows.toarray()  # the dense form of the rows: -0.0 is not stored
-        support = np.flatnonzero(target > 0)
-        loss, grad = masked_sq_error(pred, rows, support, mu)
+        loss, grad = masked_sq_error(pred, rows, rows.data > 0, mu)
         want_loss, want_grad = dense_masked_sq_error(pred, target,
                                                      dense_penalty_weights(target, mu))
         assert loss == want_loss
@@ -369,7 +373,13 @@ class TestMaskedSqError:
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            masked_sq_error(np.zeros((2, 2)), sp.csr_matrix((2, 3)), NO_SUPPORT, 10.0)
+            masked_sq_error(np.zeros((2, 2)), sp.csr_matrix((2, 3)), np.zeros(0, dtype=bool), 10.0)
+
+    def test_penalised_of_the_wrong_length_raises(self):
+        # one flag for two stored entries would broadcast without the check
+        target = sp.csr_matrix(np.array([[1.0, 0.0, 2.0]]))
+        with pytest.raises(ValueError, match=r"penalised has shape \(1,\), not \(2,\)"):
+            masked_sq_error(np.zeros((1, 3)), target, np.array([True]), 10.0)
 
     def test_traced_peak_is_one_pred_sized_array_plus_nnz(self):
         # Besides pred, one array of its shape and a few of the target's nnz;
@@ -378,10 +388,10 @@ class TestMaskedSqError:
         pred = rng.normal(size=(256, 600))
         target = sp.random(256, 600, density=0.01, format="csr", random_state=15,
                            data_rvs=rng.standard_normal)
-        support = gm.penalty_weights(target)
+        penalised = gm.penalty_weights(target)
         tracemalloc.start()
         try:
-            masked_sq_error(pred, target, support, 10.0)
+            masked_sq_error(pred, target, penalised, 10.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,7 +420,7 @@ class TestDropout:
             out, cache = layer.forward(h)
             mask = None
             if dropout > 0.0:
-                mask = dropout_mask(out.shape, dropout, rng)
+                mask = dropout_mask(out.shape, dropout, rng) / (1.0 - dropout)
                 out = out * mask
             steps.append((layer, cache, mask))
             return out
@@ -443,11 +453,9 @@ class TestDropout:
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_empirical_zero_fraction(self):
-        m = dropout_mask((1000, 1000), 0.2, np.random.default_rng(123))
-        frac = np.mean(m == 0.0)
-        assert abs(frac - 0.2) < 0.003
-        survivors = m[m != 0.0]
-        assert np.allclose(survivors, 1.0 / 0.8, atol=0)
+        keep = dropout_mask((1000, 1000), 0.2, np.random.default_rng(123))
+        assert keep.dtype == bool
+        assert abs(np.mean(~keep) - 0.2) < 0.003
 
     def test_invalid_rate_rejected(self):
         for rate in (1.0, 1.5, -0.1):
@@ -455,8 +463,10 @@ class TestDropout:
                 dropout_mask((2, 2), rate, np.random.default_rng(0))
 
     def test_mask_values(self):
-        m = dropout_mask((100, 100), 0.5, np.random.default_rng(0))
-        assert set(np.unique(m)) == {0.0, 2.0}
+        # the kept entries are the draw itself: uniforms at or above the rate
+        keep = dropout_mask((100, 100), 0.5, np.random.default_rng(0))
+        assert np.array_equal(keep, np.random.default_rng(0).random((100, 100)) >= 0.5)
+        assert set(np.unique(keep)) == {False, True}
 
 
 class TestAdam:
@@ -744,20 +754,19 @@ class TestFiniteDiffCheck:
         l1 = Linear(6, 4, rng=rng)
         l2 = Linear(4, 3, rng=rng)
         x = rng.normal(size=(5, 6))
-        target = rng.uniform(-0.5, 0.5, size=(5, 3))
-        support = np.flatnonzero(target > 0)
-        target = sp.csr_matrix(target)
+        target = sp.csr_matrix(rng.uniform(-0.5, 0.5, size=(5, 3)))
+        penalised = target.data > 0
 
         def loss_fn():
             h, _ = l1.forward(x)
             y, _ = l2.forward(h)
-            return masked_sq_error(y, target, support, 10.0)[0]
+            return masked_sq_error(y, target, penalised, 10.0)[0]
 
         l1.zero_grad()
         l2.zero_grad()
         h, c1 = l1.forward(x)
         y, c2 = l2.forward(h)
-        _, dy = masked_sq_error(y, target, support, 10.0)
+        _, dy = masked_sq_error(y, target, penalised, 10.0)
         dh = l2.backward(c2, dy)
         l1.backward(c1, dh)
         params = [l1.W, l1.b, l2.W, l2.b]
