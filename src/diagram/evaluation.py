@@ -20,7 +20,8 @@ from scipy.special import expit
 
 from .data import DirectedGraph, FeatureMatrix
 from .exceptions import EvaluationError, SamplingError
-from .model import VARIANTS, EmbeddingSet, TrainConfig, train_edge_model, train_node_model
+from .model import (VARIANTS, EmbeddingSet, TrainConfig, _integer, _real, train_edge_model,
+                    train_node_model)
 from .nn import atomic_write
 
 # Each evaluation choice by name; a and b are the pairs' source and target rows.
@@ -49,16 +50,6 @@ def _choice(table, what: str, name):
     return table[name]
 
 
-def _integer(what: str, value, least: int, error=EvaluationError) -> int:
-    """``value`` as an int. Anything but an int or numpy integer of at least
-    ``least`` is refused, before any work."""
-    if not isinstance(value, (int, np.integer)):
-        raise error(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise error(f"{what} must be >= {least}, got {value}")
-    return int(value)
-
-
 def _choices(table, what: str, label_column: str, names) -> list:
     """``names`` as a list, refusing an unknown or repeated name before any work."""
     names = list(names)
@@ -83,7 +74,7 @@ def network_reconstruction(emb: EmbeddingSet, graph: DirectedGraph, k_list,
     n = emb.n
     if graph.node_count != n:
         raise EvaluationError("embedding and graph disagree on node count")
-    k_list = [_integer("K", k, 1) for k in k_list]
+    k_list = [_integer("K", k, 1, EvaluationError) for k in k_list]
     if not k_list:
         raise EvaluationError("K list is empty")
     max_pairs = n * n - n
@@ -213,8 +204,8 @@ def sample_link_prediction(graph: DirectedGraph, percent: float, seed: int) -> L
     m = graph.edge_count
     n = graph.node_count
     seed = _integer("seed", seed, 0, SamplingError)
-    if not math.isfinite(percent):
-        raise SamplingError(f"percent={percent} is not a finite number")
+    if not (_real(percent) and math.isfinite(percent)):
+        raise SamplingError(f"percent={percent!r} is not a finite number")
     if not 0.0 < percent <= 100.0:
         raise SamplingError(f"percent={percent} is not in (0, 100]")
     quota = math.ceil(percent * m / 100.0)
@@ -464,7 +455,7 @@ def link_prediction_eval(emb: EmbeddingSet, sample: LinkSample,
     """
     if sample.residual_graph.node_count != emb.n:
         raise EvaluationError("embedding and link sample disagree on node count")
-    seed = _integer("seed", seed, 0)
+    seed = _integer("seed", seed, 0, EvaluationError)
     y = sample.labels
     if int(y.sum()) * 2 != y.size:
         raise EvaluationError("link sample must be balanced")
@@ -541,12 +532,13 @@ def node_classification_eval(emb: EmbeddingSet, labels, train_ratios=(10, 30, 50
         raise EvaluationError("labels must cover every embedded node")
     X = np.hstack([getattr(emb, name)
                    for name in _choice(CLASSIFIER_FEATURES, "classifier features", features)])
-    repetitions, seed = _integer("repetitions", repetitions, 1), _integer("seed", seed, 0)
+    repetitions = _integer("repetitions", repetitions, 1, EvaluationError)
+    seed = _integer("seed", seed, 0, EvaluationError)
     _reject_repeats("train_ratio", [str(ratio) for ratio in train_ratios])
     _, y, sizes = np.unique(y, return_inverse=True, return_counts=True)  # y as 0..k-1
     for ratio in train_ratios:
-        if not 0 < ratio < 100:
-            raise EvaluationError(f"train ratio {ratio} is not a percentage in (0, 100)")
+        if not (_real(ratio) and 0 < ratio < 100):
+            raise EvaluationError(f"train ratio {ratio!r} is not a percentage in (0, 100)")
         if all(_train_count(float(ratio) / 100.0, size) == size for size in sizes):
             raise EvaluationError(f"train ratio {ratio} leaves no test data")
     rng = np.random.default_rng(seed)

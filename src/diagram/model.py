@@ -51,6 +51,29 @@ DEFAULT_EDGE_EPOCHS = 2
 ARCHIVE_VERSION = 1
 
 
+def _integer(what: str, value, least: int, error=ValueError) -> int:
+    """``value`` as a plain int. Anything but an int or numpy integer of at
+    least ``least`` is refused, a bool too, before any work: nothing is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is an int, float or numpy real number; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _trunk(trunk_dims) -> tuple[int, ...]:
+    """``trunk_dims`` as a nonempty tuple of plain ints, each at least 1."""
+    trunk = tuple(_integer("trunk_dims entry", t, 1) for t in trunk_dims)
+    if not trunk:
+        raise ValueError("trunk_dims must not be empty")
+    return trunk
+
+
 @dataclass
 class TrainConfig:
     """Training hyperparameters; ``epochs=None`` picks the variant default.
@@ -69,26 +92,18 @@ class TrainConfig:
     transfer_from: DiagramModel | None = None
 
     def __post_init__(self):
-        for name, value in [("epochs", 0 if self.epochs is None else self.epochs),
-                            ("batch_size", self.batch_size), ("seed", self.seed),
-                            ("embedding_dim", self.embedding_dim),
-                            *(("trunk_dims entry", t) for t in self.trunk_dims)]:
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.epochs is not None and self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if not 0.0 < self.learning_rate < np.inf:
+        if self.epochs is not None:
+            self.epochs = _integer("epochs", self.epochs, 0)
+        self.batch_size = _integer("batch_size", self.batch_size, 1)
+        self.seed = _integer("seed", self.seed, 0)
+        self.embedding_dim = _integer("embedding_dim", self.embedding_dim, 1)
+        self.trunk_dims = _trunk(self.trunk_dims)
+        if not (_real(self.learning_rate) and 0.0 < self.learning_rate < np.inf):
             raise ValueError("learning_rate must be positive and finite")
-        if not 0.0 <= self.dropout < 1.0:
+        if not (_real(self.dropout) and 0.0 <= self.dropout < 1.0):
             raise ValueError("dropout must be in [0, 1)")
-        if not 1.0 < self.mu < np.inf:
+        if not (_real(self.mu) and 1.0 < self.mu < np.inf):
             raise ValueError("mu must be > 1 and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.embedding_dim <= 0 or not self.trunk_dims or min(self.trunk_dims) <= 0:
-            raise ValueError("layer dimensions must be positive, with a nonempty trunk")
         if not (self.transfer_from is None or isinstance(self.transfer_from, DiagramModel)):
             raise ValueError("transfer_from must be None or a DiagramModel, "
                              f"not {type(self.transfer_from).__name__}")
@@ -109,19 +124,12 @@ class DiagramModel:
                  trunk_dims: tuple[int, ...] = DEFAULT_TRUNK,
                  embedding_dim: int = DEFAULT_EMBEDDING_DIM,
                  rng: np.random.Generator | None = None):
-        if node_count <= 0 or feature_dim < 0:
-            raise ValueError("need at least one node and a nonnegative feature dim")
-        self.node_count = node_count
-        self.feature_dim = feature_dim
-        self.trunk_dims = tuple(int(t) for t in trunk_dims)
-        self.embedding_dim = int(embedding_dim)
-        if not self.trunk_dims:
-            raise ValueError("trunk_dims must not be empty")
-        if min(self.trunk_dims) <= 0 or self.embedding_dim <= 0:
-            raise ValueError("layer dimensions must be positive")
+        self.node_count = _integer("node_count", node_count, 1)
+        self.feature_dim = _integer("feature_dim", feature_dim, 0)
+        self.trunk_dims = _trunk(trunk_dims)
+        self.embedding_dim = _integer("embedding_dim", embedding_dim, 1)
 
-        n, d, k = node_count, feature_dim, self.embedding_dim
-        t = self.trunk_dims
+        n, d, t, k = self.node_count, self.feature_dim, self.trunk_dims, self.embedding_dim
 
         # One table of every layer, in creation order: that order fixes the rng
         # draws of a seeded initialization and the order of parameters(),
@@ -509,7 +517,7 @@ def load_model(path):
     tensors, meta = _read_archive(path, "diagram-model", "checkpoint")
     try:
         model = DiagramModel(meta["node_count"], meta["feature_dim"],
-                             tuple(meta["trunk_dims"]), meta["embedding_dim"])
+                             meta["trunk_dims"], meta["embedding_dim"])
     except Exception as exc:
         raise EmbeddingFormatError(f"{path}: bad model header: {exc!r}") from exc
     params, flip = model.parameters(), _transposed(model)

@@ -1,5 +1,7 @@
 """Refusals of the Python API that no command-line path reaches."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,13 +15,14 @@ from diagram.evaluation import (
     micro_macro_f1,
     network_reconstruction,
     node_classification_eval,
+    run_link_prediction_protocol,
     sample_link_prediction,
 )
 from diagram.exceptions import DatasetError, EvaluationError, SamplingError, TrainingError
 from diagram.model import DiagramModel, EmbeddingSet, TrainConfig
 from diagram.nn import Adam, Linear
 
-from conftest import random_digraph
+from conftest import random_digraph, random_features
 
 
 def _embeddings(n: int = 4) -> EmbeddingSet:
@@ -50,10 +53,10 @@ def _backward_with_wrong_gradient():
     (lambda: micro_macro_f1([], [], 2), EvaluationError, "matching nonempty arrays"),
     (lambda: node_classification_eval(_embeddings(), [0, 0, 1, 1], features="x"),
      EvaluationError, r"unknown classifier features 'x' \(accepted: z zoi\)"),
-    (lambda: DiagramModel(0, 1), ValueError, "need at least one node"),
-    (lambda: DiagramModel(2, 1, trunk_dims=()), ValueError, "trunk_dims must not be empty"),
+    (lambda: DiagramModel(0, 1), ValueError, "^node_count must be >= 1, got 0$"),
+    (lambda: DiagramModel(2, 1, trunk_dims=()), ValueError, "^trunk_dims must not be empty$"),
     (lambda: DiagramModel(2, 1, embedding_dim=0), ValueError,
-     "layer dimensions must be positive"),
+     "^embedding_dim must be >= 1, got 0$"),
     # 10**18 rows fail in numpy before any allocation, never one the OS might grant
     (lambda: DiagramModel(2, 1, trunk_dims=(10**18,)), TrainingError,
      r"^cannot build a model with n=2, d=1, trunk=1000000000000000000, k=128: array is too big"),
@@ -89,6 +92,28 @@ def _backward_with_wrong_gradient():
      r"^embedding_dim must be an integer, got 2\.5$"),
     (lambda: TrainConfig(trunk_dims=(4.7,)), ValueError,
      r"^trunk_dims entry must be an integer, got 4\.7$"),
+    # a model's sizes are never truncated, and a bool is not an integer
+    (lambda: DiagramModel(6, 3, (4.9,), 2), ValueError,
+     r"^trunk_dims entry must be an integer, got 4\.9$"),
+    (lambda: DiagramModel(6, 3, (4,), 2.7), ValueError,
+     r"^embedding_dim must be an integer, got 2\.7$"),
+    (lambda: DiagramModel(6, 3, ("4",), 2), ValueError,
+     "^trunk_dims entry must be an integer, got '4'$"),
+    (lambda: TrainConfig(batch_size=True), ValueError,
+     "^batch_size must be an integer, got True$"),
+    (lambda: network_reconstruction(_embeddings(), random_digraph(4, 6, seed=0), [True]),
+     EvaluationError, "^K must be an integer, got True$"),
+    # a real-number setting that is not a number gets its entry point's error
+    (lambda: sample_link_prediction(random_digraph(20, 60, seed=10), "10", 1),
+     SamplingError, "^percent='10' is not a finite number$"),
+    (lambda: node_classification_eval(_embeddings(), [0, 0, 1, 1], ("50",)),
+     EvaluationError, r"^train ratio '50' is not a percentage in \(0, 100\)$"),
+    (lambda: TrainConfig(learning_rate="0.1"), ValueError,
+     "^learning_rate must be positive and finite$"),
+    (lambda: TrainConfig(learning_rate=None), ValueError,
+     "^learning_rate must be positive and finite$"),
+    (lambda: TrainConfig(dropout="0.1"), ValueError, r"^dropout must be in \[0, 1\)$"),
+    (lambda: TrainConfig(mu=None), ValueError, "^mu must be > 1 and finite$"),
 ], ids=["feature-mode", "label-range", "scorer-mode", "fit-shapes", "auc-empty",
         "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "model-zero-k",
         "model-huge-trunk", "linear-dims",
@@ -96,13 +121,15 @@ def _backward_with_wrong_gradient():
         "float-k", "str-k", "float-link-sample-seed", "str-link-sample-seed",
         "float-link-eval-seed", "str-classify-seed", "float-repetitions",
         "float-epochs", "float-batch-size", "float-seed", "float-embedding-dim",
-        "float-trunk-entry"])
+        "float-trunk-entry", "model-float-trunk-entry", "model-float-k", "model-str-trunk-entry",
+        "bool-batch-size", "bool-k", "str-percent", "str-ratio", "str-lr", "none-lr",
+        "str-dropout", "none-mu"])
 def test_bad_argument_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
 
 
-def test_numpy_integers_are_accepted():
+def test_numpy_integers_are_accepted(tmp_path):
     g = random_digraph(20, 60, seed=10)
     sample = sample_link_prediction(g, 10.0, seed=np.int64(1))
     assert sample.seed == 1 and type(sample.seed) is int
@@ -112,3 +139,13 @@ def test_numpy_integers_are_accepted():
     report = node_classification_eval(_embeddings(), [0, 0, 1, 1], (50,),
                                       repetitions=np.int64(1), seed=np.uint8(2))
     assert report.config["repetitions"] == 1 and report.config["seed"] == 2
+    # a config keeps them as plain ints, so a report that carries it writes as JSON
+    cfg = TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.int64(1),
+                      embedding_dim=np.int64(2), trunk_dims=(np.int64(4),))
+    for value in (cfg.epochs, cfg.batch_size, cfg.seed, cfg.embedding_dim, *cfg.trunk_dims):
+        assert type(value) is int
+    reports, _, _ = run_link_prediction_protocol(
+        random_digraph(20, 60, seed=10, ensure_connected=True), random_features(20, 6, seed=11),
+        10.0, 1, cfg=cfg)
+    reports["directed"].to_json(tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["train"]["seed"] == 1

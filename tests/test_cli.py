@@ -431,12 +431,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text, flags, message", [
         ("epochs = ten\n", [], "bad epochs 'ten'"),
-        ("", ["--batch-size", "0"], "--batch-size: batch_size must be positive"),
+        ("", ["--batch-size", "0"], "--batch-size: batch_size must be >= 1, got 0"),
         ("", ["--dropout", "1.5"], "--dropout: dropout must be in [0, 1)"),
         ("lr = nan\nseed = 2\n", [], "learning_rate must be positive and finite"),
         ("", ["--seed", "-1"], "--seed: seed must be >= 0"),
         ("learning_rate = 5\n", [], "unknown key(s) learning_rate"),
-        ("trunk =\n", [], "nonempty trunk"),
+        ("trunk =\n", [], "trunk_dims must not be empty"),
         ("", ["--trunk", "8,x"], "--trunk: bad trunk '8,x'"),
         ("", ["--epochs", "x"], "--epochs: bad epochs 'x'"),
         ("", ["--lr", "x"], "--lr: bad lr 'x'"),

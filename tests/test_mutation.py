@@ -19,6 +19,7 @@ count or layer size could train for hours.
 import argparse
 import contextlib
 import io
+import json
 import random
 import re
 import sys
@@ -31,7 +32,7 @@ import pytest
 from diagram import model as gm
 from diagram.cli import CONFIG_KEYS, build_train_config, main
 from diagram.data import dataset_fingerprint, load_citation_dataset
-from diagram.exceptions import DiagramError
+from diagram.exceptions import DiagramError, EmbeddingFormatError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402
@@ -191,6 +192,26 @@ def test_archive_member_that_is_not_npy_is_refused(artifacts, kind, tmp_path):
     path.write_bytes(archive(parts))
     with pytest.raises(DiagramError, match=re.escape(f"{path}: entry '__meta__' is not a .npy")):
         load(kind, path, valid)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("embedding_dim", 2.7), ("trunk_dims", ["4"]), ("node_count", True),
+], ids=["float-k", "str-trunk-entry", "bool-node-count"])
+def test_checkpoint_header_size_that_is_not_an_integer_is_refused(artifacts, tmp_path,
+                                                                  field, value):
+    # a size is never truncated: a header that says k = 2.7 does not load as k = 2
+    root, valid = artifacts
+    parts = members(valid["checkpoint"].read_bytes())
+    meta = json.loads(np.load(io.BytesIO(parts["__meta__.npy"])).tobytes())
+    raw = io.BytesIO()
+    np.save(raw, np.frombuffer(json.dumps({**meta, field: value}).encode(), dtype=np.uint8))
+    parts["__meta__.npy"] = raw.getvalue()
+    path = tmp_path / "ckpt.npz"
+    path.write_bytes(archive(parts))
+    with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(str(path))}: bad model header"):
+        gm.load_model(path)
+    status, err = run_main(command("checkpoint", path, root))
+    assert status == 1 and len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("kind", list(SEEDS))
