@@ -67,8 +67,15 @@ def _real(value) -> bool:
 
 
 def _trunk(trunk_dims) -> tuple[int, ...]:
-    """``trunk_dims`` as a nonempty tuple of plain ints, each at least 1."""
-    trunk = tuple(_integer("trunk_dims entry", t, 1) for t in trunk_dims)
+    """``trunk_dims`` as a nonempty tuple of plain ints, each at least 1.
+    A str or bytes is refused, not read character by character."""
+    try:
+        entries = None if isinstance(trunk_dims, (str, bytes)) else tuple(trunk_dims)
+    except TypeError:
+        entries = None
+    if entries is None:
+        raise ValueError(f"trunk_dims must be an iterable of integers, got {trunk_dims!r}")
+    trunk = tuple(_integer("trunk_dims entry", t, 1) for t in entries)
     if not trunk:
         raise ValueError("trunk_dims must not be empty")
     return trunk
@@ -160,7 +167,14 @@ class DiagramModel:
                 for name, layer in self.layers.items() for p in ("W", "b")}
 
     def gradients(self) -> dict[str, np.ndarray]:
+        """Every gradient as a dense array; the input heads build theirs on read."""
         return {f"{name}.{p}": getattr(layer, f"grad_{p}")
+                for name, layer in self.layers.items() for p in ("W", "b")}
+
+    def _step_gradients(self) -> dict:
+        """The gradients as ``Adam.step`` takes them, built by no copy: each
+        input head's weight gradient is its packed (rows, values) pair."""
+        return {f"{name}.{p}": getattr(layer, "step_grad_W" if p == "W" else "grad_b")
                 for name, layer in self.layers.items() for p in ("W", "b")}
 
     def zero_grad(self) -> None:
@@ -393,7 +407,7 @@ def _fit(model: DiagramModel, items: np.ndarray, assemble, epochs: int,
             loss = _run_batches(model, assemble(chunk), cfg.mu, cfg.dropout, rng)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, batch {b}")
-            opt.step(model.parameters(), model.gradients())
+            opt.step(model.parameters(), model._step_gradients())
             total += loss
         trace.append(total / count)
     for layer in model.layers.values():

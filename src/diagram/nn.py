@@ -52,9 +52,12 @@ class Linear:
     W as (in, out), so ``y = tanh(rows @ W + b)`` is one CSR-times-dense
     product. Its weight gradient ``rowsᵀ @ dz`` is nonzero only in the rows
     of W that the batch's columns touch; ``backward`` computes just those
-    rows and writes them into ``grad_W``, and returns ``None``, since the
-    rows are data and need no gradient. The layer remembers which rows of
-    ``grad_W`` it wrote, and zeroing clears only those.
+    rows and returns ``None``, since the rows are data and need no
+    gradient. The gradient is held packed: ``_touched`` lists the rows the
+    step's batches touched, in order, and the buffer's first rows hold
+    their values. Its other rows are never written, so their pages never
+    become resident. ``step_grad_W`` is the packed ``(rows, values)`` pair
+    that ``Adam.step`` takes; ``grad_W`` builds the dense gradient on read.
 
     ``zero_grad`` makes the gradient buffers if the layer holds none, and
     otherwise only marks the gradients stale. The first ``backward`` after
@@ -92,7 +95,21 @@ class Linear:
 
     @property
     def grad_W(self) -> np.ndarray:
+        """The weight gradient, dense. A sparse-input layer builds it on read."""
+        g = self.step_grad_W
+        if not self.sparse_input:
+            return g
+        dense = np.zeros(self.W.shape)
+        dense[g[0]] = g[1]
+        return dense
+
+    @property
+    def step_grad_W(self):
+        """The weight gradient as ``Adam.step`` takes it. A sparse-input layer
+        gives its packed ``(rows, values)`` pair, views of its own buffers."""
         self._settle()
+        if self.sparse_input:
+            return self._touched, self._grad_W[:self._touched.size]
         return self._grad_W
 
     @property
@@ -108,11 +125,9 @@ class Linear:
     def _settle(self) -> None:
         self._buffers()
         if self._stale:
-            if self.sparse_input:
-                self._grad_W[self._touched] = 0.0
-                self._touched = self._touched[:0]
-            else:
+            if not self.sparse_input:  # a packed gradient holds no rows instead
                 self._grad_W[...] = 0.0
+            self._touched = self._touched[:0]
             self._grad_b[...] = 0.0
             self._stale = False
 
@@ -158,12 +173,17 @@ class Linear:
         return dz @ self.W
 
     def _sparse_grad(self, rows: sp.csr_matrix, dz: np.ndarray) -> None:
-        """Add ``rowsᵀ @ dz`` into the rows of ``grad_W`` that ``rows`` touches.
+        """Add ``rowsᵀ @ dz`` into the packed gradient.
 
-        The product is made ``ROW_BLOCK`` touched rows at a time, so no
-        (touched × width) array exists at once. CSR and CSC products both
-        sum each row over the batch rows in ascending order, so the blocks
-        hold the same bits as one CSC product.
+        The first call of a step writes its products into the buffer's
+        first rows. A later one moves the held rows to their places among
+        both calls' rows, starts the rows new to it at +0.0 and adds its
+        products in: the sums and their order of a gradient held at row ids.
+        The product is made ``ROW_BLOCK`` touched rows at a time, each
+        block from a slice of one CSR matrix, so no (touched × width) array
+        exists at once. CSR and CSC products both sum each row over the
+        batch rows in ascending order, so the blocks hold the same bits as
+        one CSC product.
         """
         cols, pos = np.unique(rows.indices, return_inverse=True)
         # rowsᵀ restricted to the touched columns, renumbered 0..len(cols)-1
@@ -171,19 +191,33 @@ class Linear:
                                 shape=(cols.size, rows.shape[0])).tocsr()
         stale = self._stale
         self._settle()
-        for lo in range(0, cols.size, ROW_BLOCK):
-            block = cols[lo:lo + ROW_BLOCK]
-            g = touched[lo:lo + ROW_BLOCK] @ dz
-            if stale:
-                self._grad_W[block] = g
-            else:
-                self._grad_W[block] += g
+        grad, held = self._grad_W, self._touched
         if stale:
             np.sum(dz, axis=0, out=self._grad_b)
             self._touched = cols
         else:
             self._grad_b += dz.sum(axis=0)
-            self._touched = np.union1d(self._touched, cols)
+            self._touched = np.union1d(held, cols)
+            dst = np.searchsorted(self._touched, held)  # dst[i] >= i
+            # back to front, so no block lands on rows not yet moved; numpy
+            # copies a block whose source and destination overlap
+            for lo in reversed(range(0, held.size, ROW_BLOCK)):
+                to = dst[lo:lo + ROW_BLOCK]
+                grad[to] = grad[lo:lo + to.size]
+            new = np.ones(self._touched.size, dtype=bool)
+            new[dst] = False
+            grad[np.flatnonzero(new)] = 0.0
+            at = np.searchsorted(self._touched, cols)
+        ptr = touched.indptr
+        for lo in range(0, cols.size, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, cols.size)
+            a, b = ptr[lo], ptr[hi]
+            g = sp.csr_matrix((touched.data[a:b], touched.indices[a:b], ptr[lo:hi + 1] - a),
+                              shape=(hi - lo, touched.shape[1])) @ dz
+            if stale:
+                grad[lo:hi] = g
+            else:
+                grad[at[lo:hi]] += g
 
     def zero_grad(self) -> None:
         self._buffers()
@@ -192,7 +226,7 @@ class Linear:
     def release_grad(self) -> None:
         self._grad_W = self._grad_b = None  # made by zero_grad, or the first backward or read
         self._stale = False
-        self._touched = np.empty(0, dtype=np.intp)  # sparse input: rows grad_W may hold
+        self._touched = np.empty(0, dtype=np.intp)  # sparse input: the packed rows
 
 
 def masked_sq_error(pred: np.ndarray, target: sp.csr_matrix, penalised: np.ndarray,
@@ -254,8 +288,18 @@ class Adam:
     bit-identical to it. Moments stay per-name tensors: one flat buffer
     for all parameters measured no faster.
 
-    A step is atomic: every gradient's shape is checked, and every entry
-    must be finite and at most ``GRAD_LIMIT`` in magnitude, before ``t``, a
+    A 2-D parameter's gradient may come packed, as ``(rows, values)``:
+    strictly increasing row ids and those rows' values, zero elsewhere.
+    The input heads hand theirs so, and no dense gradient is built. The
+    sweep then goes over blocks of whole rows, about ``BLOCK`` values
+    each; every row's moments decay, ``g`` and ``g*g`` are added at the
+    packed rows only, and every row takes the full update. That is the
+    dense step bit for bit: the moments are never -0.0, so adding the
+    dense gradient's +0.0 elsewhere changes nothing. It is not row-sparse
+    (lazy) Adam.
+
+    A step is atomic: every gradient's shape (and a packed one's rows) is
+    checked, and every entry must be finite and at most ``GRAD_LIMIT`` in magnitude, before ``t``, a
     moment or a parameter changes. ``|m̃|`` is at most ``max|g|/(1-b1)``, so
     the limit keeps it finite.
 
@@ -278,8 +322,19 @@ class Adam:
         self._v: dict[str, np.ndarray] = {}
         self._buf = np.empty((2, self.BLOCK))
 
-    def _check(self, name: str, p: np.ndarray, g: np.ndarray) -> None:
-        if g.shape != p.shape:
+    def _check(self, name: str, p: np.ndarray, g) -> tuple:
+        """``g`` as (rows, values); rows is None for a dense gradient."""
+        rows = None
+        if isinstance(g, tuple):
+            rows, g = np.asarray(g[0]), g[1]
+            if not (p.ndim == 2 and rows.ndim == 1 and rows.dtype.kind in "iu"
+                    and g.shape == (rows.size, p.shape[1])):
+                raise ValueError(f"gradient shape mismatch for {name}")
+            if rows.size and not (0 <= rows[0] and rows[-1] < p.shape[0]
+                                  and (rows[1:] > rows[:-1]).all()):
+                raise ValueError(f"packed gradient rows for {name} must increase "
+                                 f"strictly within [0, {p.shape[0]})")
+        elif g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
         if not p.flags.c_contiguous:  # the sweep updates p through a flat view
             raise ValueError(f"parameter {name} is not C-contiguous")
@@ -289,14 +344,14 @@ class Adam:
         # fails the comparison too.
         with np.errstate(over="ignore"):
             if np.isfinite(np.dot(flat, flat)):
-                return
+                return rows, g
         if not (np.abs(flat) <= self.GRAD_LIMIT).all():
             raise TrainingError(f"gradient for parameter {name!r} is non-finite "
                                 f"or above {self.GRAD_LIMIT:g} in magnitude")
+        return rows, g
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            self._check(name, p, grads[name])
+    def step(self, params: dict[str, np.ndarray], grads: dict) -> None:
+        checked = {name: self._check(name, p, grads[name]) for name, p in params.items()}
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
         c = np.sqrt(1.0 - b2 ** self.t) / np.sqrt(1.0 - b2)
@@ -306,24 +361,52 @@ class Adam:
             if name not in self._m:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
-            pf = p.reshape(-1)
-            gf = grads[name].reshape(-1)
-            mf = self._m[name].reshape(-1)
-            vf = self._v[name].reshape(-1)
-            for lo in range(0, pf.size, self.BLOCK):
-                hi = lo + self.BLOCK
-                g, m, v, q = gf[lo:hi], mf[lo:hi], vf[lo:hi], pf[lo:hi]
-                a, b = self._buf[0, :g.size], self._buf[1, :g.size]
-                m *= b1
-                m += g
-                np.multiply(g, g, out=a)
-                v *= b2
-                v += a
-                np.sqrt(v, out=b)
+            rows, g = checked[name]
+            m, v = self._m[name], self._v[name]
+            if rows is None:  # flat blocks of BLOCK values
+                p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+                blocks = ((lo, lo + self.BLOCK, g[lo:lo + self.BLOCK], None)
+                          for lo in range(0, p.size, self.BLOCK))
+            else:  # blocks of whole rows, about BLOCK values each
+                span = max(1, self.BLOCK // p.shape[1])
+                if span * p.shape[1] > self._buf.shape[1]:  # a row wider than BLOCK
+                    self._buf = np.empty((2, p.shape[1]))
+                cut = np.searchsorted(rows, np.arange(0, p.shape[0] + span, span))
+                blocks = ((lo, lo + span, g[cut[i]:cut[i + 1]], rows[cut[i]:cut[i + 1]] - lo)
+                          for i, lo in enumerate(range(0, p.shape[0], span)))
+            for lo, hi, gb, at in blocks:
+                self._moments(m[lo:hi], v[lo:hi], gb, at)
+                q, mb, vb = (x[lo:hi].reshape(-1) for x in (p, m, v))
+                a, b = self._buf[0, :q.size], self._buf[1, :q.size]
+                np.sqrt(vb, out=b)
                 b += eps
-                np.divide(m, b, out=a)
+                np.divide(mb, b, out=a)
                 a *= alpha
                 q -= a
+
+    def _moments(self, m: np.ndarray, v: np.ndarray, g: np.ndarray, at) -> None:
+        """``m = b1*m + g`` and ``v = b2*v + g*g`` over one block.
+
+        With ``at``, ``g`` holds the block's rows ``at`` alone and is added
+        there only. Elsewhere the dense sum would add +0.0, which changes
+        nothing: the moments start at +0.0 and never become -0.0.
+        """
+        m *= self.BETA1
+        v *= self.BETA2
+        a, b = (self._buf[k, :g.size].reshape(g.shape) for k in (0, 1))
+        if at is None:
+            m += g
+            np.multiply(g, g, out=a)
+            v += a
+            return
+        # "clip" lets take write straight into out; "raise" buffers it
+        np.take(m, at, axis=0, out=a, mode="clip")
+        a += g
+        m[at] = a
+        np.multiply(g, g, out=b)
+        np.take(v, at, axis=0, out=a, mode="clip")
+        a += b
+        v[at] = a
 
 
 def finite_diff_check(loss_fn, params, grads, eps: float = 1e-5,

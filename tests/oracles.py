@@ -21,7 +21,10 @@ builds the adjusted term from node batches, independently of
 ``TextbookAdam`` is the earlier Adam step in Kingma & Ba's textbook form,
 with unscaled moments and the bias corrections applied per element;
 ``nn.Adam`` agrees with it to rounding. ``ReferenceAdam`` is the unblocked
-form of ``nn.Adam``'s rescaled step, which must match it bit for bit.
+form of ``nn.Adam``'s rescaled step, which must match it bit for bit. It
+takes a packed ``(rows, values)`` gradient as zeros with those rows set,
+so a step on the input heads' packed gradients is checked against the
+dense math.
 
 ``reference_f1`` is the earlier F1: one pass over the labels per class,
 counting tp, fp and fn with boolean masks. ``evaluation.micro_macro_f1`` and
@@ -109,6 +112,9 @@ class ReferenceAdam(TextbookAdam):
         eps = self.eps * c
         for name, p in params.items():
             g = grads[name]
+            if isinstance(g, tuple):  # packed: zero outside its rows
+                rows, g = g[0], np.zeros_like(p)
+                g[rows] = grads[name][1]
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
             if not np.all(np.isfinite(g)):
@@ -158,6 +164,11 @@ class ReferenceLinear:
         self.grad_W += dz.T @ x
         self.grad_b += dz.sum(axis=0)
         return dz @ self.W
+
+    @property
+    def step_grad_W(self) -> np.ndarray:
+        """The weight gradient ``model._fit`` hands Adam: the dense one itself."""
+        return self.grad_W
 
     def zero_grad(self) -> None:
         self.grad_W[...] = 0.0

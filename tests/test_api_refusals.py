@@ -114,6 +114,18 @@ def _backward_with_wrong_gradient():
      "^learning_rate must be positive and finite$"),
     (lambda: TrainConfig(dropout="0.1"), ValueError, r"^dropout must be in \[0, 1\)$"),
     (lambda: TrainConfig(mu=None), ValueError, "^mu must be > 1 and finite$"),
+    # a trunk is an iterable of integers: not one integer, None, or text read
+    # character by character
+    (lambda: TrainConfig(trunk_dims=4), ValueError,
+     "^trunk_dims must be an iterable of integers, got 4$"),
+    (lambda: DiagramModel(3, 2, 8), ValueError,
+     "^trunk_dims must be an iterable of integers, got 8$"),
+    (lambda: DiagramModel(3, 2, None), ValueError,
+     "^trunk_dims must be an iterable of integers, got None$"),
+    (lambda: TrainConfig(trunk_dims="84"), ValueError,
+     "^trunk_dims must be an iterable of integers, got '84'$"),
+    (lambda: DiagramModel(3, 2, b"84"), ValueError,
+     "^trunk_dims must be an iterable of integers, got b'84'$"),
 ], ids=["feature-mode", "label-range", "scorer-mode", "fit-shapes", "auc-empty",
         "f1-empty", "clf-features", "model-no-nodes", "model-no-trunk", "model-zero-k",
         "model-huge-trunk", "linear-dims",
@@ -123,7 +135,8 @@ def _backward_with_wrong_gradient():
         "float-epochs", "float-batch-size", "float-seed", "float-embedding-dim",
         "float-trunk-entry", "model-float-trunk-entry", "model-float-k", "model-str-trunk-entry",
         "bool-batch-size", "bool-k", "str-percent", "str-ratio", "str-lr", "none-lr",
-        "str-dropout", "none-mu"])
+        "str-dropout", "none-mu", "int-trunk", "model-int-trunk", "model-none-trunk",
+        "str-trunk", "model-bytes-trunk"])
 def test_bad_argument_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -139,6 +152,9 @@ def test_numpy_integers_are_accepted(tmp_path):
     report = node_classification_eval(_embeddings(), [0, 0, 1, 1], (50,),
                                       repetitions=np.int64(1), seed=np.uint8(2))
     assert report.config["repetitions"] == 1 and report.config["seed"] == 2
+    # a trunk may be any iterable of integers, a numpy array included
+    assert DiagramModel(3, 2, np.array([4, 2]), 2).trunk_dims == (4, 2)
+    assert TrainConfig(trunk_dims=[np.int64(4)]).trunk_dims == (4,)
     # a config keeps them as plain ints, so a report that carries it writes as JSON
     cfg = TrainConfig(epochs=np.int64(1), batch_size=np.int32(4), seed=np.int64(1),
                       embedding_dim=np.int64(2), trunk_dims=(np.int64(4),))

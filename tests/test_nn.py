@@ -20,7 +20,7 @@ from diagram.nn import (
     masked_sq_error,
 )
 
-from conftest import write_npz
+from conftest import random_digraph, random_features, write_npz
 from oracles import (
     ReferenceAdam,
     ReferenceLinear,
@@ -274,6 +274,41 @@ class TestBlockedGradients:
             else:
                 want[cols] += g
         assert layer.grad_W.tobytes() == want.tobytes()
+
+    # the second call's columns against the first call's even ones: odd ones,
+    # so every held row moves a little; a shared stretch; every third held
+    # one; and a run covering them all
+    @pytest.mark.parametrize("second", ["new", "overlapping", "subset", "superset"])
+    def test_second_backward_merges_packed_rows(self, second):
+        rng = np.random.default_rng(42)
+        n, batch = 1433, 16
+        first = np.arange(0, 1200, 2)
+        cols = {"first": first, "new": first + 1, "overlapping": np.arange(700, 1400),
+                "subset": first[::3], "superset": np.arange(1300)}
+        layer = Linear(n, 24, rng, sparse_input=True)
+        want = np.zeros(layer.W.shape)
+        layer.zero_grad()
+        for call, which in enumerate(("first", second)):
+            x = np.zeros((batch, n))
+            x[:, cols[which]] = rng.integers(0, 3, size=(batch, cols[which].size))
+            x[0, cols[which]] = 1.0  # every listed column is touched
+            rows = sp.csr_matrix(x)
+            y, cache = layer.forward(CSRRows(rows))
+            dout = rng.normal(size=y.shape)
+            dz = dz_of(y, dout)
+            layer.backward(cache, dout)
+            used, pos = np.unique(rows.indices, return_inverse=True)
+            g = sp.csc_matrix((rows.data, pos.reshape(-1), rows.indptr),
+                              shape=(used.size, batch)) @ dz
+            if call == 0:
+                want[used] = g
+            else:
+                want[used] += g  # rows new to this call start at +0.0
+        held, values = layer.step_grad_W
+        assert held.tolist() == np.union1d(first, cols[second]).tolist()
+        assert values.tobytes() == want[held].tobytes()
+        assert layer.grad_W.tobytes() == want.tobytes()
+        assert held.size > ROW_BLOCK  # the held rows move in several blocks
 
     # directed_recon at the Cora and the dense benchmark shapes
     @pytest.mark.parametrize("n, batch", [(2708, 64), (2000, 256)])
@@ -734,6 +769,128 @@ class TestAdam:
         p1, p2 = run(), run()
         assert np.array_equal(p1["a"], p2["a"])
         assert np.array_equal(p1["b"], p2["b"])
+
+
+def pick_rows(kind: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Sorted rows of a ``count``-row parameter: ``edges`` lists each 64-row
+    block's first and last row."""
+    if kind == "edges":
+        return np.unique(np.r_[np.arange(0, count, 64), np.arange(63, count, 64), count - 1])
+    if kind == "none":
+        return np.empty(0, dtype=np.intp)
+    if kind == "all":
+        return np.arange(count)
+    return np.flatnonzero(rng.random(count) < 0.4)
+
+
+class TestPackedAdam:
+    """``Adam.step`` on a packed ``(rows, values)`` weight gradient."""
+
+    # width 512 sweeps 64 rows a block, so 200 rows end in an 8-row block;
+    # width 300 sweeps 109 rows a block; a row wider than BLOCK is one block
+    @pytest.mark.parametrize("shape, kind", [
+        ((200, 512), "edges"), ((200, 512), "none"), ((200, 512), "all"),
+        ((200, 512), "random"), ((250, 300), "random"), ((3, Adam.BLOCK + 5), "random"),
+    ])
+    def test_equals_the_dense_step_on_rows_scattered_into_zeros(self, shape, kind):
+        rng = np.random.default_rng(50)
+        p_packed = {"w": rng.normal(size=shape), "b": rng.normal(size=shape[1])}
+        p_dense = {k: v.copy() for k, v in p_packed.items()}
+        packed, dense = Adam(lr=1e-3), Adam(lr=1e-3)
+        for _ in range(6):
+            rows = pick_rows(kind, rng, shape[0])
+            # heavy tails, exact zeros of both signs
+            values = (rng.standard_cauchy(size=(rows.size, shape[1]))
+                      * (rng.random((rows.size, shape[1])) < 0.7)
+                      * rng.choice([-1.0, 1.0], size=(rows.size, shape[1])))
+            scattered = np.zeros(shape)
+            scattered[rows] = values
+            grad_b = rng.normal(size=shape[1])
+            packed.step(p_packed, {"w": (rows, values), "b": grad_b})
+            dense.step(p_dense, {"w": scattered, "b": grad_b})
+        assert packed.t == dense.t == 6
+        assert_bytes_equal(p_packed, p_dense)
+        assert_bytes_equal(packed._m, dense._m)
+        assert_bytes_equal(packed._v, dense._v)
+
+    def _stepped(self):
+        """Parameters, an Adam after one step on them, and a packed gradient."""
+        rng = np.random.default_rng(51)
+        p = {"a": rng.normal(size=3), "w": rng.normal(size=(100, 512))}
+        rows = np.array([0, 5, 63, 64, 99])
+        opt = Adam(lr=1e-3)
+        opt.step(p, {"a": rng.normal(size=3), "w": (rows, rng.normal(size=(5, 512)))})
+        return p, opt, rows, rng.normal(size=(5, 512))
+
+    @staticmethod
+    def _assert_unchanged(p, opt, before):
+        assert opt.t == 1
+        assert_bytes_equal(p, before[0])
+        assert_bytes_equal(opt._m, before[1])
+        assert_bytes_equal(opt._v, before[2])
+
+    @staticmethod
+    def _state(p, opt):
+        return tuple({k: v.copy() for k, v in d.items()} for d in (p, opt._m, opt._v))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2 * Adam.GRAD_LIMIT])
+    def test_bad_packed_value_is_refused_before_any_change(self, bad):
+        p, opt, rows, values = self._stepped()
+        before = self._state(p, opt)
+        values[3, 511] = bad
+        with pytest.raises(TrainingError, match="'w'"):
+            opt.step(p, {"a": np.ones(3), "w": (rows, values)})
+        self._assert_unchanged(p, opt, before)
+
+    @pytest.mark.parametrize("rows, width, match", [
+        ([0, 5, 63, 64], 512, "gradient shape mismatch for w"),  # one row short
+        ([0, 5, 63, 64, 99], 511, "gradient shape mismatch for w"),
+        ([[0, 5, 63, 64, 99]], 512, "gradient shape mismatch for w"),
+        ([0.0, 5.0, 63.0, 64.0, 99.0], 512, "gradient shape mismatch for w"),
+        ([0, 5, 64, 63, 99], 512, "must increase strictly"),
+        ([0, 5, 63, 63, 99], 512, "must increase strictly"),
+        ([-1, 5, 63, 64, 99], 512, r"within \[0, 100\)"),
+        ([0, 5, 63, 64, 100], 512, r"within \[0, 100\)"),
+    ], ids=["length", "width", "2-d-rows", "float-rows", "decreasing", "repeated",
+            "negative", "past-the-end"])
+    def test_misshapen_pair_is_refused_before_any_change(self, rows, width, match):
+        p, opt, _, _ = self._stepped()
+        before = self._state(p, opt)
+        with pytest.raises(ValueError, match=match):
+            opt.step(p, {"a": np.ones(3), "w": (np.array(rows), np.ones((5, width)))})
+        self._assert_unchanged(p, opt, before)
+
+    def test_pair_for_a_one_dimensional_parameter_is_refused(self):
+        opt = Adam()
+        with pytest.raises(ValueError, match="gradient shape mismatch for b"):
+            opt.step({"b": np.zeros(4)}, {"b": (np.array([1]), np.ones((1, 4)))})
+        assert opt.t == 0 and opt._m == {}
+
+    def test_rows_past_the_packed_ones_are_never_written(self):
+        # NaN written over a head's whole gradient buffer after zero_grad
+        # stays past its packed rows and never reaches the step
+        n, d = 60, 30
+        graph = random_digraph(n, 150, seed=2)
+        inputs = gm._graph_tensors(graph, random_features(n, d, seed=3, density=0.1))
+        models = [DiagramModel(n, d, (16, 8), 4, np.random.default_rng(0)) for _ in range(2)]
+        opts = [Adam(lr=1e-3), Adam(lr=1e-3)]
+        heads = ("content_head", "directed_head")
+        edges = graph.edge_list
+        for lo in (0, 4, 8):
+            batches = gm._edge_batches(edges[lo:lo + 4, 0], edges[lo:lo + 4, 1], inputs)
+            for poisoned, (model, opt) in enumerate(zip(models, opts)):
+                model.zero_grad()
+                if poisoned:
+                    for name in heads:
+                        model.layers[name]._grad_W[...] = np.nan
+                gm._run_batches(model, batches, 10.0, 0.0, None)
+                opt.step(model.parameters(), model._step_gradients())
+            for name in heads:
+                layer = models[1].layers[name]
+                k = layer._touched.size
+                assert 0 < k < layer.in_dim, name
+                assert np.isnan(layer._grad_W[k:]).all(), name
+            assert_bytes_equal(models[0].parameters(), models[1].parameters())
 
 
 class TestFiniteDiffCheck:
